@@ -21,19 +21,18 @@ from .inequalities import (BlockBound, ChebyshevResult, ColumnNormBounds,
                            column_maximal_norm_bounds, doob_consequence_check,
                            dual_doob_check, exp_moment_sides, probc_upper,
                            scalar_power_exp_bound)
-from .lil import (AULimsup, BaselineConfig, BaselineReport, BlockRow,
-                  LILParameters, LILRunConfig, SemicircleConfig, TailReport,
-                  TrendReport, empirical_au_limsup, ks_distance,
-                  run_lil_experiment, scalar_kolmogorov_baseline,
+from .lil import (BaselineConfig, BaselineReport, BlockRow, LILParameters,
+                  LILRunConfig, SemicircleConfig, TailReport, TrendReport,
+                  ks_distance, run_lil_experiment, scalar_kolmogorov_baseline,
                   semicircle_cdf, semicircular_demo)
 from .martingales import (GrowthProfile, MartingalePath, PathEnsemble,
-                          StoppingRule, bracket_norms, dump_differences,
-                          gen_diagonal_martingale, gen_gue_increments,
-                          gen_model_martingale, gen_tensor_martingale,
-                          growth_profile, gue_matrix, iterlog, iterlog_seq,
-                          law_variance_factor, path_summary_rows,
-                          sample_step_increments, stopping_indices,
-                          validate_differences, write_path_summary)
+                          StoppingRule, bracket_norms, gen_diagonal_martingale,
+                          gen_gue_increments, gen_model_martingale,
+                          gen_tensor_martingale, growth_profile, gue_matrix,
+                          iterlog, iterlog_seq, law_variance_factor,
+                          path_summary_rows, sample_step_increments,
+                          stopping_indices, validate_differences,
+                          write_path_summary)
 from .operators import (Operator, Projection, SpectralDecomposition,
                         UniformDistReport, apply_function,
                         check_uniform_dist_bound, dense_operator,
@@ -51,7 +50,7 @@ from .verify import (SweepResult, default_ce_models, sweep_ce,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AULimsup", "AlgebraModel", "BaselineConfig", "BaselineReport",
+    "AlgebraModel", "BaselineConfig", "BaselineReport",
     "BlockBound", "BlockRow", "CEAxiomReport", "ChebyshevResult",
     "ColumnNormBounds", "ConfigError", "DomainError", "DoobCheck",
     "DualDoobCheck", "ExpIneqParams", "ExpMomentResult", "GrowthProfile",
@@ -64,8 +63,8 @@ __all__ = [
     "bracket_norms", "chebyshev_bound", "check_uniform_dist_bound",
     "column_maximal_norm_bounds", "conditional_expectation",
     "default_ce_models", "dense_operator", "diagonal_operator",
-    "doob_consequence_check", "dual_doob_check", "dump_differences",
-    "eigenvalues", "empirical_au_limsup", "exp_moment_sides",
+    "doob_consequence_check", "dual_doob_check",
+    "eigenvalues", "exp_moment_sides",
     "gen_diagonal_martingale", "gen_gue_increments", "gen_model_martingale",
     "gen_tensor_martingale", "growth_profile", "gue_matrix", "identity",
     "iterlog", "iterlog_seq", "ks_distance", "law_variance_factor",

@@ -1,20 +1,21 @@
-"""Iterated-logarithm experiments: block decomposition, certificates, baselines.
+"""Iterated-logarithm experiments: one block-table core, two realizations, baselines.
 
-The central object is a TailReport: for one martingale (an ensemble of
-classical paths, or a dense filtered model) it decomposes time into
-eta-adic blocks via the bracket's stopping times, computes the closed-form
-tail bound for every block, realizes the exceptional sets (empirically per
-path, or as spectral projections), intersects them into a single
-projection e, and reads off the almost-uniform limsup statistic of the
-normalized martingale compressed by e.  The union bound and the
-"limsup below threshold on the kept part" statement hold by construction
-and are re-asserted on every run.
+A TailReport re-executes the block decomposition behind the
+almost-uniform iterated-logarithm bound.  One core cuts time into
+eta-adic blocks at the bracket's stopping times, finds the gate onsets
+and used blocks, bounds each block's tail, and assembles the union
+bound, the limsup of the normalized martingale compressed by the kept
+projection e, the series and the summability checks.  The two engines
+differ only in how a block's exceptional set is realized: per path of a
+streamed classical ensemble (e keeps the paths that never exceed), or as
+the spectral projection of a column-norm certificate on a dense model
+(e intersects those projections).
 
-Two classical baselines accompany the engine: a scalar random-walk
-statistic whose last-decade running maximum calibrates where the desk
-scale sits relative to the asymptotic constant, and a semicircular sum
-demo showing the normalized statistic drifting down toward the
-free-probability edge.
+Two classical baselines accompany the engines: a scalar random walk,
+streamed by the same chunked walker, whose last-decade running maximum
+calibrates where the desk scale sits relative to the asymptotic
+constant, and a semicircular sum demo showing the normalized statistic
+drifting down toward the free-probability edge.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,11 +32,11 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (gen_model_martingale, gen_tensor_martingale,
-                          gue_matrix, iterlog, iterlog_seq,
-                          law_variance_factor, sample_step_increments,
-                          stopping_indices)
-from .operators import Operator, Projection
+from .martingales import (StoppingRule, gen_model_martingale,
+                          gen_tensor_martingale, gue_matrix, iterlog,
+                          iterlog_seq, law_variance_factor,
+                          sample_step_increments, stopping_indices)
+from .operators import Projection
 from .rng import stream_rng
 
 
@@ -241,6 +242,8 @@ class LILRunConfig:
             raise ConfigError("need at least two checkpoints")
         if self.window_decades <= 0:
             raise ConfigError("window_decades must be positive")
+        if self.chunk < 1:
+            raise ConfigError("chunk must be >= 1")
 
     def to_json(self) -> dict:
         out = {
@@ -255,28 +258,9 @@ class LILRunConfig:
         return out
 
 
-def _realized_onsets(alpha_end: np.ndarray, u_start: np.ndarray, u_end: np.ndarray,
-                     pars: LILParameters) -> tuple:
-    """(n1, n2): first block indices from which each gate holds onward."""
-    B = len(alpha_end)
-    alpha_cap = 2.0 * math.sqrt(pars.eps) / (pars.beta * (1.0 + pars.delta))
-    ratio_floor = 1.0 - pars.eps_prime_resolved
-    n1 = 1
-    n2 = 1
-    for i in range(B):           # block n = i + 1
-        if u_start[i] / u_end[i] < ratio_floor:
-            n1 = i + 2
-        if alpha_end[i] > alpha_cap:
-            n2 = i + 2
-    return n1, n2
-
-
 def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     start = time.perf_counter()
-    if cfg.model is None:
-        report = _run_streaming(cfg)
-    else:
-        report = _run_dense(cfg)
+    report = (_run_streaming if cfg.model is None else _run_dense)(cfg)
     report.runtime_seconds = time.perf_counter() - start
     return report
 
@@ -286,161 +270,36 @@ def _checkpoint_steps(total: int, count: int) -> np.ndarray:
     return grid[(grid >= 1) & (grid <= total)]
 
 
-def _run_streaming(cfg: LILRunConfig) -> TailReport:
-    pars = cfg.params
-    N, P = cfg.horizon, cfg.paths
-    factor = law_variance_factor(cfg.law)
-    scale = math.sqrt(cfg.variance / factor)      # per-step difference bound
-    s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
-    u = np.sqrt(iterlog_seq(s2))
-    norm = np.sqrt(s2) * u
+@dataclass(frozen=True)
+class _Realization:
+    """How one engine realized the exceptional sets of the blocks."""
 
-    rule = stopping_indices(s2, pars.eta)
-    B = rule.blocks
-    if B < 1:
-        raise InsufficientHorizonError(
-            f"horizon {N} holds no complete block at eta = {pars.eta}")
-    ks = rule.ks
-    if int(ks[2:].min()) < 1:
-        raise ConfigError("one step crosses several thresholds; shrink the variance")
-    total = int(ks[-1])                            # stream only through the last boundary
+    semantics: str               # "empirical" or "certificate"
+    q_block: Sequence            # per block 1..B
+    q_theory: Sequence
+    e: Projection
+    deficit: float
+    levels: np.ndarray           # bracket s^2 at each point of the kept statistic
+    kept_sup: np.ndarray         # sup of the compressed normalized martingale there
+    cp_steps: np.ndarray         # checkpoint steps and their r_* statistics
+    cp_stats: dict
 
-    rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
-    S = np.zeros(P)
-    prefix = np.zeros(P)
-    n_sections = len(ks) - 1                       # sections 0..B, section i = (ks[i], ks[i+1]]
-    blockmax = np.full((n_sections, P), -np.inf)
-    snapshots = np.zeros((n_sections, P))          # prefix max of |S| at each ks[i+1]
-    cp_steps = _checkpoint_steps(total, cfg.checkpoints)
-    cp_rows = np.zeros((len(cp_steps), P))
 
-    # paths-major layout: per-path work walks contiguous memory, and the
-    # running prefix max only needs segmented reductions, never a full
-    # prefix scan
-    sec = 0
-    pos = 0
-    while pos < total:
-        take = int(min(cfg.chunk, total - pos))
-        block = sample_step_increments(rng, cfg.law, scale, P, steps=take)
-        C = np.ascontiguousarray(block.T)
-        np.cumsum(C, axis=1, out=C)
-        C += S[:, None]
-        S = C[:, -1].copy()
-        absC = np.abs(C, out=C)
-        R = absC / norm[pos:pos + take][None, :]
-
-        lo_cp = np.searchsorted(cp_steps, pos, side="right")
-        hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
-        for j in range(lo_cp, hi_cp):
-            cp_rows[j] = R[:, int(cp_steps[j]) - pos - 1]
-
-        while sec < n_sections:
-            a = max(int(ks[sec]), pos)
-            b = min(int(ks[sec + 1]), pos + take)
-            if b > a:
-                sl = slice(a - pos, b - pos)
-                np.maximum(blockmax[sec], R[:, sl].max(axis=1), out=blockmax[sec])
-                np.maximum(prefix, absC[:, sl].max(axis=1), out=prefix)
-            if int(ks[sec + 1]) <= pos + take:
-                snapshots[sec] = prefix
-                sec += 1
-            else:
-                break
-        pos += take
-
-    ends = ks[2:]                                  # k_{n+1} for block n = 1..B
-    end_idx = ends - 1
-    s2_end = s2[end_idx]
-    u_end = u[end_idx]
-    norm_end = norm[end_idx]
-    alpha_end = scale * u_end / np.sqrt(s2_end)
-    u_start = u[ks[1:-1]]                          # step ks[n]+1 for block n
-
-    n1, n2 = _realized_onsets(alpha_end, u_start, u_end, pars)
-    n0 = max(n1, n2)
-    used = [n for n in range(1, B + 1) if n >= n0]
-    if not used:
-        msg = f"no block at or beyond n0 = {n0} within {B} realized blocks"
-        if cfg.strict:
-            raise InsufficientHorizonError(msg)
-        used = list(range(1, B + 1))
-    gates_waived = bool(used and used[0] < n0)
-
-    thr = pars.threshold
-    exceed = blockmax[1:B + 1] > thr               # rows: block n = 1..B
-    theory_thr = pars.beta * (1.0 + pars.delta) * norm_end
-    exceed_theory = snapshots[1:B + 1] > theory_thr[:, None]
-
-    rows = []
-    for n in range(1, B + 1):
-        bb = block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
-                              s2_next=float(s2_end[n - 1]), alpha_next=float(alpha_end[n - 1]))
-        rows.append(BlockRow(
-            n=n, k_start=int(ks[n]), k_end=int(ks[n + 1]),
-            s2_end=float(s2_end[n - 1]), u_end=float(u_end[n - 1]),
-            alpha_end=float(alpha_end[n - 1]), bound=bb,
-            q_block=float(exceed[n - 1].mean()),
-            q_theory=float(exceed_theory[n - 1].mean()),
-            semantics="empirical", used=n in used))
-
-    bad = np.zeros(P, dtype=bool)
-    for n in used:
-        bad |= exceed[n - 1]
-    kept = ~bad
-    deficit = float(bad.mean())
-    union = float(sum(rows[n - 1].q_block for n in used))
-    e = Projection(kept.astype(np.float64), diagonal=True)
-
-    def window_limsup(decades: float | None) -> float:
-        if not kept.any():
-            return math.nan
-        top = float(s2_end[used[-1] - 1])
-        sel = used if decades is None else [
-            n for n in used if s2_end[n - 1] > top / 10.0 ** decades]
-        vals = [float(blockmax[n][kept].max()) for n in sel]
-        vals = [v for v in vals if np.isfinite(v)]
-        return max(vals) if vals else math.nan
-
-    limsup = window_limsup(cfg.window_decades)
-    windows = {
-        f"decades={cfg.window_decades:g}": limsup,
-        "decades=2": window_limsup(2.0),
-        "all-used": window_limsup(None),
-    }
-
-    terms = [rows[n - 1].bound.bound_final for n in used]
-    cumulative = list(np.cumsum(terms))
-    theory_total = float(cumulative[-1]) if cumulative else 0.0
-    emp_total = union
-    bc = _bc_checks(deficit, union, limsup, thr, theory_total)
-
-    cps = {
-        "m": cp_steps.tolist(),
-        "s2": s2[cp_steps - 1].tolist(),
-        "u": u[cp_steps - 1].tolist(),
-        "r_max_all": cp_rows.max(axis=1).tolist(),
-        "r_max_kept": (cp_rows[:, kept].max(axis=1).tolist() if kept.any()
-                       else [math.nan] * len(cp_steps)),
-        "r_mean_kept": (cp_rows[:, kept].mean(axis=1).tolist() if kept.any()
-                        else [math.nan] * len(cp_steps)),
-    }
-
-    return TailReport(
-        engine="streaming-ensemble", params=pars, horizon=N, seed=cfg.seed,
-        law=cfg.law, carrier=f"paths={P}", threshold=thr, n0=n0, n1=n1, n2=n2,
-        blocks=rows, used_blocks=used, deficit=deficit, union_bound=union,
-        empirical_limsup=limsup, limsup_windows=windows,
-        series_theory_terms=terms, series_theory_cumulative=cumulative,
-        series_theory_total=theory_total, series_empirical_total=emp_total,
-        bc=bc, e=e, truncated=rule.truncated, gates_waived=gates_waived,
-        checkpoints=cps)
+# Slack of the summability checks per engine: (union slack, absolute and
+# relative limsup slack).  The dense kernel intersection is only
+# fuzz-accurate, hence its looser pair until it is computed exactly.
+_BC_TOLERANCES = {
+    "streaming-ensemble": (1e-12, 1e-12, 0.0),
+    "dense-certificate": (1e-8, 0.0, 1e-4),
+}
 
 
 def _bc_checks(deficit: float, union: float, limsup: float, thr: float,
-               theory_total: float) -> dict:
+               theory_total: float, tol: tuple) -> dict:
     """Summability wiring: which implications hold on this run."""
-    union_ok = deficit <= union + 1e-12
-    limsup_ok = (not math.isfinite(limsup)) or limsup <= thr + 1e-12
+    union_slack, limsup_abs, limsup_rel = tol
+    union_ok = deficit <= union + union_slack
+    limsup_ok = (not math.isfinite(limsup)) or limsup <= thr * (1.0 + limsup_rel) + limsup_abs
     certifies = theory_total < 1.0        # only then does theory say anything
     implied_ok = (not certifies) or deficit <= theory_total + 1e-12
     return {
@@ -450,6 +309,173 @@ def _bc_checks(deficit: float, union: float, limsup: float, thr: float,
         "theory_implies_deficit_ok": bool(implied_ok),
         "ok": bool(union_ok and limsup_ok and implied_ok),
     }
+
+
+def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
+                  dnorm: np.ndarray, realize: Callable, horizon: int, law: str,
+                  carrier: str, knob: str) -> TailReport:
+    """Block decomposition of one run around an engine's realization.
+
+    Blocks run between the eta-adic stopping times of the bracket profile
+    s2.  The used blocks start at n0 = max(n1, n2), n1 and n2 being the
+    first blocks from which the ratio and alpha gates hold onward; with no
+    such block a strict run fails, otherwise all blocks are used with the
+    gates waived.  ``realize(rule, used)`` realizes their exceptional sets.
+    """
+    pars = cfg.params
+    thr = pars.threshold
+    rule = stopping_indices(s2, pars.eta)
+    B, ks = rule.blocks, rule.ks
+    if B < 1:
+        raise InsufficientHorizonError(
+            f"horizon {horizon} holds no complete block at eta = {pars.eta}")
+    if int(ks[2:].min()) < 1:
+        raise ConfigError(f"one step crosses several thresholds; shrink {knob}")
+    end_idx = ks[2:] - 1                           # step k_{n+1} of block n = 1..B
+    s2_end, u_end = s2[end_idx], u[end_idx]
+    alpha_end = dnorm[end_idx] * u_end / np.sqrt(s2_end)
+    u_start = u[ks[1:-1]]                          # step k_n + 1 of block n
+
+    alpha_cap = 2.0 * math.sqrt(pars.eps) / (pars.beta * (1.0 + pars.delta))
+    ratio_floor = 1.0 - pars.eps_prime_resolved
+    # onset = one past the last block (index i, so block i + 1) that fails the gate
+    n1 = int(np.flatnonzero(u_start / u_end < ratio_floor).max(initial=-1)) + 2
+    n2 = int(np.flatnonzero(alpha_end > alpha_cap).max(initial=-1)) + 2
+    n0 = max(n1, n2)
+    used = list(range(n0, B + 1))
+    gates_waived = not used
+    if gates_waived:
+        if cfg.strict:
+            raise InsufficientHorizonError(
+                f"no block at or beyond n0 = {n0} within {B} realized blocks; "
+                "re-run with strict=False to inspect uncertified blocks")
+        used = list(range(1, B + 1))
+
+    real = realize(rule, used)
+    rows = [BlockRow(
+        n=n, k_start=int(ks[n]), k_end=int(ks[n + 1]), s2_end=float(s2_end[n - 1]),
+        u_end=float(u_end[n - 1]), alpha_end=float(alpha_end[n - 1]),
+        bound=block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
+                               s2_next=float(s2_end[n - 1]), alpha_next=float(alpha_end[n - 1])),
+        q_block=float(real.q_block[n - 1]), q_theory=float(real.q_theory[n - 1]),
+        semantics=real.semantics, used=n in used) for n in range(1, B + 1)]
+    union = float(sum(rows[n - 1].q_block for n in used))
+    top = float(s2_end[used[-1] - 1])
+
+    def window_limsup(decades: float | None) -> float:
+        floor = -math.inf if decades is None else top / 10.0 ** decades
+        vals = real.kept_sup[(real.levels > floor) & np.isfinite(real.kept_sup)]
+        return float(vals.max()) if vals.size else math.nan
+
+    limsup = window_limsup(cfg.window_decades)
+    windows = {f"decades={cfg.window_decades:g}": limsup, "decades=2": window_limsup(2.0),
+               "all-used": window_limsup(None)}
+
+    terms = [rows[n - 1].bound.bound_final for n in used]
+    cumulative = list(np.cumsum(terms))
+    theory_total = float(cumulative[-1]) if cumulative else 0.0
+    bc = _bc_checks(real.deficit, union, limsup, thr, theory_total, _BC_TOLERANCES[engine])
+    cp = real.cp_steps
+    cps = {"m": cp.tolist(), "s2": s2[cp - 1].tolist(), "u": u[cp - 1].tolist(),
+           **real.cp_stats}
+
+    return TailReport(
+        engine=engine, params=pars, horizon=horizon, seed=cfg.seed, law=law,
+        carrier=carrier, threshold=thr, n0=n0, n1=n1, n2=n2, blocks=rows,
+        used_blocks=used, deficit=real.deficit, union_bound=union,
+        empirical_limsup=limsup, limsup_windows=windows,
+        series_theory_terms=terms, series_theory_cumulative=cumulative,
+        series_theory_total=theory_total, series_empirical_total=union,
+        bc=bc, e=real.e, truncated=rule.truncated, gates_waived=gates_waived,
+        checkpoints=cps)
+
+
+def _walk(draw: Callable[[int, int], np.ndarray], paths: int, total: int,
+          chunk: int) -> Iterator[tuple]:
+    """Chunked partial sums of an ensemble walk.
+
+    ``draw(pos, take)`` returns a fresh (take, paths) array of the
+    increments of steps pos+1 .. pos+take; the walk may write into it.
+    Yields (pos, C) with C[p, j] = S_{pos+j+1} of path p, which the
+    consumer may overwrite.  The paths-major layout lets per-path work walk
+    contiguous memory, so running maxima need only segmented reductions.
+    """
+    S = np.zeros(paths)
+    pos = 0
+    while pos < total:
+        take = int(min(chunk, total - pos))
+        C = np.ascontiguousarray(draw(pos, take).T)
+        np.cumsum(C, axis=1, out=C)
+        C += S[:, None]
+        S = C[:, -1].copy()
+        yield pos, C
+        pos += take
+
+
+def _run_streaming(cfg: LILRunConfig) -> TailReport:
+    """Exceptional sets realized per path: e keeps the paths that never exceed."""
+    pars = cfg.params
+    N, P = cfg.horizon, cfg.paths
+    scale = math.sqrt(cfg.variance / law_variance_factor(cfg.law))   # per-step difference bound
+    s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
+    u = np.sqrt(iterlog_seq(s2))
+    norm = np.sqrt(s2) * u
+    rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
+
+    def draw(pos: int, take: int) -> np.ndarray:
+        return sample_step_increments(rng, cfg.law, scale, P, steps=take)
+
+    def realize(rule: StoppingRule, used: list) -> _Realization:
+        ks, B = rule.ks, rule.blocks
+        total = int(ks[-1])                        # stream only through the last boundary
+        prefix = np.zeros(P)
+        n_sections = len(ks) - 1                   # sections 0..B, section i = (ks[i], ks[i+1]]
+        blockmax = np.full((n_sections, P), -np.inf)
+        snapshots = np.zeros((n_sections, P))      # prefix max of |S| at each ks[i+1]
+        cp_steps = _checkpoint_steps(total, cfg.checkpoints)
+        cp_rows = np.zeros((len(cp_steps), P))
+        sec = 0
+        for pos, C in _walk(draw, P, total, cfg.chunk):
+            take = C.shape[1]
+            absC = np.abs(C, out=C)
+            R = absC / norm[pos:pos + take][None, :]
+            lo_cp = np.searchsorted(cp_steps, pos, side="right")
+            hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
+            for j in range(lo_cp, hi_cp):
+                cp_rows[j] = R[:, int(cp_steps[j]) - pos - 1]
+            while sec < n_sections:
+                a = max(int(ks[sec]), pos)
+                b = min(int(ks[sec + 1]), pos + take)
+                if b > a:
+                    sl = slice(a - pos, b - pos)
+                    np.maximum(blockmax[sec], R[:, sl].max(axis=1), out=blockmax[sec])
+                    np.maximum(prefix, absC[:, sl].max(axis=1), out=prefix)
+                if int(ks[sec + 1]) <= pos + take:
+                    snapshots[sec] = prefix
+                    sec += 1
+                else:
+                    break
+
+        exceed = blockmax[1:B + 1] > pars.threshold        # rows: block n = 1..B
+        theory_thr = pars.beta * (1.0 + pars.delta) * norm[ks[2:] - 1]
+        exceed_theory = snapshots[1:B + 1] > theory_thr[:, None]
+        used_ix = np.asarray(used)
+        bad = exceed[used_ix - 1].any(axis=0)
+        kept = ~bad
+        kept_rows = cp_rows[:, kept] if kept.any() else np.full((len(cp_steps), 1), np.nan)
+        return _Realization(
+            semantics="empirical", q_block=exceed.mean(axis=1),
+            q_theory=exceed_theory.mean(axis=1),
+            e=Projection(kept.astype(np.float64), diagonal=True), deficit=float(bad.mean()),
+            levels=s2[ks[used_ix + 1] - 1],
+            kept_sup=blockmax[used_ix][:, kept].max(axis=1, initial=-np.inf),
+            cp_steps=cp_steps, cp_stats={"r_max_all": cp_rows.max(axis=1).tolist(),
+                                         "r_max_kept": kept_rows.max(axis=1).tolist(),
+                                         "r_mean_kept": kept_rows.mean(axis=1).tolist()})
+
+    return _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
+                         realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
+                         knob="the variance")
 
 
 def _intersect_projections(projs: Sequence[Projection], dim: int,
@@ -463,178 +489,54 @@ def _intersect_projections(projs: Sequence[Projection], dim: int,
 
 
 def _run_dense(cfg: LILRunConfig) -> TailReport:
-    pars = cfg.params
-    model = cfg.model
+    """Exceptional sets realized as certificate projections, e their intersection."""
+    pars, model = cfg.params, cfg.model
     horizon = min(cfg.horizon, model.n)
-    if cfg.generator == "tensor":
-        path = gen_tensor_martingale(model, bound_seq=np.full(horizon, cfg.bound_scale),
-                                     seed=cfg.seed, horizon=horizon)
-    elif cfg.generator == "model":
-        path = gen_model_martingale(model, bound_seq=np.full(horizon, cfg.bound_scale),
-                                    seed=cfg.seed, horizon=horizon)
-    else:
+    generate = {"tensor": gen_tensor_martingale, "model": gen_model_martingale}.get(cfg.generator)
+    if generate is None:
         raise ConfigError(f"unknown dense generator {cfg.generator!r}")
-
-    rule = stopping_indices(path.s2, pars.eta)
-    B = rule.blocks
-    if B < 1:
-        raise InsufficientHorizonError(
-            f"dense horizon {horizon} holds no complete block at eta = {pars.eta}")
-    ks = rule.ks
-    if int(ks[2:].min()) < 1:
-        raise ConfigError("one step crosses several thresholds; shrink bound_scale")
+    path = generate(model, bound_seq=np.full(horizon, cfg.bound_scale), seed=cfg.seed,
+                    horizon=horizon)
     norm = np.sqrt(path.s2) * path.u
-    rs = [path.partial(m) * (1.0 / norm[m - 1]) for m in range(1, int(ks[-1]) + 1)]
 
-    ends = ks[2:]
-    s2_end = path.s2[ends - 1]
-    u_end = path.u[ends - 1]
-    alpha_end = path.dnorm[ends - 1] * u_end / np.sqrt(s2_end)
-    u_start = path.u[ks[1:-1]]
-    n1, n2 = _realized_onsets(alpha_end, u_start, u_end, pars)
-    n0 = max(n1, n2)
-    used = [n for n in range(1, B + 1) if n >= n0]
-    gates_waived = False
-    if not used:
-        if cfg.strict:
-            raise InsufficientHorizonError(
-                f"no certified block at dense scale (n0 = {n0}, blocks = {B}); "
-                "re-run with strict=False to inspect uncertified blocks")
-        used = list(range(1, B + 1))
-        gates_waived = True
+    def realize(rule: StoppingRule, used: list) -> _Realization:
+        ks = rule.ks
+        rs = [path.partial(m) * (1.0 / norm[m - 1]) for m in range(1, int(ks[-1]) + 1)]
+        q_block, q_theory, block_projs = [], [], {}
+        for n in range(1, rule.blocks + 1):
+            family = [rs[m - 1] for m in rule.block_steps(n)]
+            qb = qt = 0.0
+            if family:
+                cb = column_maximal_norm_bounds(family, p=4.0)
+                pr = probc_upper(family, pars.threshold, cb.certificate)
+                qb = pr.s
+                block_projs[n] = pr.e
+                end = int(ks[n + 1])
+                prefix = [path.partial(j) for j in range(1, end + 1)]
+                cb2 = column_maximal_norm_bounds(prefix, p=4.0)
+                thr2 = pars.beta * (1.0 + pars.delta) * float(norm[end - 1])
+                qt = probc_upper(prefix, thr2, cb2.certificate).s
+            q_block.append(qb)
+            q_theory.append(qt)
 
-    thr = pars.threshold
-    rows = []
-    block_projs = {}
-    for n in range(1, B + 1):
-        steps = range(int(ks[n]) + 1, int(ks[n + 1]) + 1)
-        family = [rs[m - 1] for m in steps]
-        q_block = 0.0
-        proj = None
-        q_theory = 0.0
-        if family:
-            cb = column_maximal_norm_bounds(family, p=4.0)
-            pr = probc_upper(family, thr, cb.certificate)
-            q_block = pr.s
-            proj = pr.e
-            prefix = [path.partial(j) for j in range(1, int(ks[n + 1]) + 1)]
-            cb2 = column_maximal_norm_bounds(prefix, p=4.0)
-            thr2 = pars.beta * (1.0 + pars.delta) * float(norm[int(ks[n + 1]) - 1])
-            pr2 = probc_upper(prefix, thr2, cb2.certificate)
-            q_theory = pr2.s
-        bb = block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
-                              s2_next=float(s2_end[n - 1]), alpha_next=float(alpha_end[n - 1]))
-        rows.append(BlockRow(
-            n=n, k_start=int(ks[n]), k_end=int(ks[n + 1]),
-            s2_end=float(s2_end[n - 1]), u_end=float(u_end[n - 1]),
-            alpha_end=float(alpha_end[n - 1]), bound=bb,
-            q_block=float(q_block), q_theory=float(q_theory),
-            semantics="certificate", used=n in used))
-        if proj is not None:
-            block_projs[n] = proj
+        e = _intersect_projections([block_projs[n] for n in used if n in block_projs],
+                                   path.final.dim, diagonal=path.final.diagonal)
+        used_steps = [m for n in used for m in rule.block_steps(n)]
+        cp_steps = _checkpoint_steps(len(rs), min(cfg.checkpoints, len(rs)))
+        cp_rs = [rs[int(m) - 1] for m in cp_steps]
+        return _Realization(
+            semantics="certificate", q_block=q_block, q_theory=q_theory, e=e,
+            deficit=float(1.0 - e.trace), levels=path.s2[np.array(used_steps, dtype=np.int64) - 1],
+            kept_sup=np.array([op.lp_norm(rs[m - 1] @ e, np.inf) for m in used_steps]),
+            cp_steps=cp_steps, cp_stats={
+                "r_max_all": [op.lp_norm(r, np.inf) for r in cp_rs],
+                "r_max_kept": [op.lp_norm(r @ e, np.inf) for r in cp_rs],
+                "r_mean_kept": [op.lp_norm(r @ e, 1.0) for r in cp_rs]})
 
-    e = _intersect_projections([block_projs[n] for n in used if n in block_projs],
-                               path.final.dim, diagonal=path.final.diagonal)
-    deficit = 1.0 - e.trace
-    union = float(sum(rows[n - 1].q_block for n in used))
-
-    used_steps = []
-    for n in used:
-        used_steps.extend(range(int(ks[n]) + 1, int(ks[n + 1]) + 1))
-    top = path.s2_of(used_steps[-1]) if used_steps else 0.0
-
-    def window_limsup(decades: float | None) -> float:
-        sel = used_steps if decades is None else [
-            m for m in used_steps if path.s2_of(m) > top / 10.0 ** decades]
-        if not sel:
-            return math.nan
-        return max(op.lp_norm(rs[m - 1] @ e, np.inf) for m in sel)
-
-    limsup = window_limsup(cfg.window_decades)
-    windows = {
-        f"decades={cfg.window_decades:g}": limsup,
-        "decades=2": window_limsup(2.0),
-        "all-used": window_limsup(None),
-    }
-
-    terms = [rows[n - 1].bound.bound_final for n in used]
-    cumulative = list(np.cumsum(terms))
-    theory_total = float(cumulative[-1]) if cumulative else 0.0
-    bc = _bc_checks(deficit, union, limsup, thr, theory_total)
-    # the kernel-intersection projection is only fuzz-accurate, so the
-    # union bound gets a visible slack here rather than 1e-12
-    bc["union_bound_ok"] = bool(deficit <= union + 1e-8)
-    bc["limsup_below_threshold_ok"] = bool(
-        not math.isfinite(limsup) or limsup <= thr * (1.0 + 1e-4))
-    bc["ok"] = bool(bc["union_bound_ok"] and bc["limsup_below_threshold_ok"]
-                    and bc["theory_implies_deficit_ok"])
-
-    cp_steps = _checkpoint_steps(len(rs), min(cfg.checkpoints, len(rs)))
-    cps = {
-        "m": cp_steps.tolist(),
-        "s2": [path.s2_of(int(m)) for m in cp_steps],
-        "u": [path.u_of(int(m)) for m in cp_steps],
-        "r_max_all": [op.lp_norm(rs[int(m) - 1], np.inf) for m in cp_steps],
-        "r_max_kept": [op.lp_norm(rs[int(m) - 1] @ e, np.inf) for m in cp_steps],
-        "r_mean_kept": [op.lp_norm(rs[int(m) - 1] @ e, 1.0) for m in cp_steps],
-    }
-
-    return TailReport(
-        engine="dense-certificate", params=pars, horizon=horizon, seed=cfg.seed,
-        law=f"{cfg.generator}-generator", carrier=f"model={model.kind}:m={model.m}:n={model.n}",
-        threshold=thr, n0=n0, n1=n1, n2=n2, blocks=rows, used_blocks=used,
-        deficit=float(deficit), union_bound=union, empirical_limsup=float(limsup),
-        limsup_windows=windows, series_theory_terms=terms,
-        series_theory_cumulative=cumulative, series_theory_total=theory_total,
-        series_empirical_total=union, bc=bc, e=e, truncated=rule.truncated,
-        gates_waived=gates_waived, checkpoints=cps)
-
-
-@dataclass(frozen=True)
-class AULimsup:
-    """Almost-uniform limsup: K = sup_m ||r_m e|| with tau(1-e) < eps_proj."""
-
-    K: float
-    e: Projection
-    cut: float
-    deficit: float
-
-
-def empirical_au_limsup(rs: Sequence[Operator], eps_proj: float,
-                        dominator: Operator | None = None) -> AULimsup:
-    """Smallest spectral cut whose projection keeps all but eps_proj of mass.
-
-    For diagonal families the cut runs over realized per-path maxima; for
-    dense families it runs over the spectrum of a dominating certificate.
-    K <= cut always, and K = 0 with e = identity when every r_m vanishes.
-    """
-    if len(rs) == 0:
-        raise ConfigError("need at least one operator")
-    if not 0.0 < eps_proj <= 1.0:
-        raise ConfigError("eps_proj must lie in (0, 1]")
-    if all(r.diagonal for r in rs):
-        M = np.max(np.abs(np.stack([r.data for r in rs])), axis=0)
-        uniq = np.unique(M)
-        sorted_m = np.sort(M)
-        P = len(M)
-        idx = np.searchsorted(sorted_m, uniq, side="right")
-        deficits = 1.0 - idx / P
-        pick = int(np.argmax(deficits < eps_proj))
-        cut = float(uniq[pick])
-        kept = M <= cut
-        e = Projection(kept.astype(np.float64), diagonal=True)
-        K = float(M[kept].max()) if kept.any() else 0.0
-        return AULimsup(K=K, e=e, cut=cut, deficit=float(1.0 - kept.mean()))
-    if dominator is None:
-        dominator = column_maximal_norm_bounds(rs, p=4.0).certificate
-    lam = op.eigenvalues(dominator)
-    dim = len(lam)
-    deficits = 1.0 - np.arange(1, dim + 1) / dim   # mass strictly above lam[i]
-    pick = int(np.argmax(deficits < eps_proj))
-    cut = float(lam[pick])
-    e = op.spectral_projection(dominator, -math.inf, cut)
-    K = max(op.lp_norm(r @ e, np.inf) for r in rs)
-    return AULimsup(K=float(K), e=e, cut=cut, deficit=float(1.0 - e.trace))
+    return _block_report("dense-certificate", cfg, path.s2, path.u, path.dnorm, realize,
+                         horizon=horizon, law=f"{cfg.generator}-generator",
+                         carrier=f"model={model.kind}:m={model.m}:n={model.n}",
+                         knob="bound_scale")
 
 
 @dataclass
@@ -652,6 +554,8 @@ class BaselineConfig:
             raise ConfigError("horizon must be >= 10")
         if self.law not in ("rademacher", "uniform", "alternating"):
             raise ConfigError(f"unsupported baseline law {self.law!r}")
+        if self.chunk < 1:
+            raise ConfigError("chunk must be >= 1")
 
     def to_json(self) -> dict:
         return {"paths": self.paths, "horizon": self.horizon, "law": self.law,
@@ -695,27 +599,22 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
     rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
-    S = np.zeros(P)
-    runmax = np.zeros(P)
-    pos = 0
-    while pos < N:
-        take = int(min(cfg.chunk, N - pos))
+    scale = 1.0 if cfg.law == "rademacher" else math.sqrt(3.0)
+
+    def draw(pos: int, take: int) -> np.ndarray:
         if cfg.law == "alternating":
             steps = np.where((np.arange(pos + 1, pos + take + 1) % 2) == 1, 1.0, -1.0)
-            block = np.repeat(steps[:, None], P, axis=1)
-        else:
-            scale = 1.0 if cfg.law == "rademacher" else math.sqrt(3.0)
-            block = sample_step_increments(rng, cfg.law, scale, P, steps=take)
-        C = np.ascontiguousarray(block.T)
-        np.cumsum(C, axis=1, out=C)
-        C += S[:, None]
-        S = C[:, -1].copy()
+            return np.repeat(steps[:, None], P, axis=1)
+        return sample_step_increments(rng, cfg.law, scale, P, steps=take)
+
+    runmax = np.zeros(P)
+    for pos, C in _walk(draw, P, N, cfg.chunk):
+        take = C.shape[1]
         if pos + take > lo:
             first = max(lo + 1, pos + 1)
             ns = np.arange(first, pos + take + 1, dtype=np.float64)
             seg = np.abs(C[:, first - pos - 1:]) / np.sqrt(ns * iterlog_seq(ns))[None, :]
             np.maximum(runmax, seg.max(axis=1), out=runmax)
-        pos += take
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

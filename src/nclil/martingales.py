@@ -479,9 +479,3 @@ def write_path_summary(path: MartingalePath, fileobj) -> None:
     writer.writeheader()
     writer.writerows(rows)
 
-
-def dump_differences(path: MartingalePath) -> list:
-    """Full operator dumps of the differences (dense kinds only)."""
-    if path.differences is None:
-        raise NclilError("differences were not retained for this path")
-    return [op.operator_to_json(d) for d in path.differences]

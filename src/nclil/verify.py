@@ -62,6 +62,8 @@ def write_rows_csv(rows: Sequence[dict], fileobj) -> None:
 
 
 def _run_trials(fn: Callable, args_list: Iterable[tuple], workers: int = 1) -> list:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     args_list = list(args_list)
     if workers <= 1:
         return [fn(a) for a in args_list]
@@ -144,6 +146,8 @@ def _expineq_trial(args) -> list:
 
 def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1.0),
                   lambda_points: int = 20, seed: int = 0, workers: int = 1) -> SweepResult:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     args = [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)]
     nested = _run_trials(_expineq_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]

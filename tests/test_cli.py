@@ -102,6 +102,13 @@ class TestVerifyCommands:
         assert rc == 0
         assert len(read_csv(out / "trials.csv")) == 4
 
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--workers", "-3"]])
+    def test_expineq_bad_count_exits_one(self, tmp_path, capsys, flag):
+        rc = main(["verify-expineq", *flag, "--lambda-points", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_bad_numeric_list(self, tmp_path, capsys):
         rc = main(["verify-expineq", "--eps", "0.1,zebra",
                    "--out", str(tmp_path / "o")])
@@ -154,6 +161,14 @@ class TestLilRun:
         rc = main(["lil-run", "--model", "tensor:2", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "kind:m:n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lil-run", "baseline-scalar"])
+    @pytest.mark.parametrize("chunk", ["0", "-1"])
+    def test_bad_chunk_exits_one(self, tmp_path, capsys, command, chunk):
+        rc = main([command, "--horizon", "2000", "--paths", "8", "--chunk", chunk,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_too_short_horizon_exits_one(self, tmp_path, capsys):
         rc = main(["lil-run", "--horizon", "2", "--paths", "8",

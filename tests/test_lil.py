@@ -8,12 +8,10 @@ import pytest
 
 from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    InsufficientHorizonError, LILParameters, LILRunConfig,
-                   Projection, SemicircleConfig, diagonal_operator,
-                   empirical_au_limsup, ks_distance, lp_norm,
+                   Projection, SemicircleConfig, ks_distance,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
-
-from conftest import random_hermitian
+from nclil.lil import _BC_TOLERANCES, _bc_checks, _walk
 
 
 class TestParameters:
@@ -107,6 +105,9 @@ class TestStreamingEngine:
             LILRunConfig(checkpoints=1)
         with pytest.raises(ConfigError):
             LILRunConfig(variance=0.0)
+        for chunk in (0, -1):
+            with pytest.raises(ConfigError):
+                LILRunConfig(chunk=chunk)
 
     def test_variance_scales_blocks(self):
         a = run_lil_experiment(LILRunConfig(horizon=20000, paths=64, seed=1))
@@ -152,32 +153,28 @@ class TestDenseEngine:
             run_lil_experiment(cfg)
 
 
-class TestAULimsup:
-    def test_diagonal_cut(self):
-        rs = [diagonal_operator([3.0, 1.0])]
-        res = empirical_au_limsup(rs, eps_proj=0.6)
-        assert res.K == 1.0
-        assert res.deficit == pytest.approx(0.5)
-        np.testing.assert_allclose(res.e.diag_array(), [0.0, 1.0])
+class TestBlockCore:
+    @pytest.mark.parametrize("engine, union_edge, limsup_edge", [
+        ("streaming-ensemble", 0.3 + 1e-12, 2.2 + 1e-12),
+        ("dense-certificate", 0.3 + 1e-8, 2.2 * (1.0 + 1e-4)),
+    ])
+    def test_bc_tolerance_edges(self, engine, union_edge, limsup_edge):
+        def bc(deficit=0.0, limsup=1.0):
+            return _bc_checks(deficit, 0.3, limsup, 2.2, 5.0, _BC_TOLERANCES[engine])
 
-    def test_all_zero_keeps_everything(self):
-        rs = [diagonal_operator(np.zeros(8))]
-        res = empirical_au_limsup(rs, eps_proj=0.01)
-        assert res.K == 0.0
-        assert res.deficit == 0.0
-        assert res.e.trace == 1.0
+        assert bc(deficit=union_edge)["union_bound_ok"]
+        assert not bc(deficit=np.nextafter(union_edge, np.inf))["union_bound_ok"]
+        assert bc(limsup=limsup_edge)["limsup_below_threshold_ok"]
+        past = bc(limsup=np.nextafter(limsup_edge, np.inf))
+        assert not past["limsup_below_threshold_ok"] and not past["ok"]
+        assert bc(limsup=math.nan)["ok"]
 
-    def test_dense_route(self, rng):
-        rs = [random_hermitian(rng, 8) for _ in range(3)]
-        res = empirical_au_limsup(rs, eps_proj=0.5)
-        assert res.deficit < 0.5
-        assert res.K <= max(lp_norm(r, np.inf) for r in rs) + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(ConfigError):
-            empirical_au_limsup([], 0.1)
-        with pytest.raises(ConfigError):
-            empirical_au_limsup([diagonal_operator([1.0])], 0.0)
+    def test_walk_carries_partial_sums_across_chunks(self):
+        incs = np.random.default_rng(0).standard_normal((23, 4))
+        chunks = list(_walk(lambda pos, take: incs[pos:pos + take], 4, 23, chunk=5))
+        assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
+        walked = np.concatenate([C for _, C in chunks], axis=1)
+        np.testing.assert_allclose(walked, np.cumsum(incs, axis=0).T, rtol=1e-12)
 
 
 class TestBaseline:
@@ -200,6 +197,9 @@ class TestBaseline:
             BaselineConfig(paths=3)
         with pytest.raises(ConfigError):
             BaselineConfig(law="gaussian")
+        for chunk in (0, -1):
+            with pytest.raises(ConfigError):
+                BaselineConfig(chunk=chunk)
 
 
 class TestSemicircle:
