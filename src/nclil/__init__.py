@@ -25,23 +25,20 @@ from .lil import (BaselineConfig, BaselineReport, BlockRow, LILParameters,
                   LILRunConfig, SemicircleConfig, TailReport, TrendReport,
                   ks_distance, run_lil_experiment, scalar_kolmogorov_baseline,
                   semicircle_cdf, semicircular_demo)
-from .martingales import (GrowthProfile, MartingalePath, PathEnsemble,
-                          StoppingRule, bracket_norms, gen_diagonal_martingale,
-                          gen_gue_increments, gen_model_martingale,
-                          gen_tensor_martingale, growth_profile, gue_matrix,
-                          iterlog, iterlog_seq, law_variance_factor,
-                          path_summary_rows, sample_step_increments,
-                          stopping_indices, validate_differences,
-                          write_path_summary)
+from .martingales import (MartingalePath, PathEnsemble, StoppingRule,
+                          bracket_norms, gen_diagonal_martingale,
+                          gen_model_martingale, gen_tensor_martingale,
+                          gue_matrix, iterlog, iterlog_seq,
+                          law_variance_factor, sample_step_increments,
+                          stopping_indices, validate_differences)
 from .operators import (Operator, Projection, SpectralDecomposition,
-                        UniformDistReport, apply_function,
-                        check_uniform_dist_bound, dense_operator,
-                        diagonal_operator, eigenvalues, identity, lp_norm,
-                        min_eigenvalue, normalized_trace, op_abs,
-                        operator_from_json, operator_to_json, pos_part,
-                        psd_sqrt, real_statistic, singular_number,
-                        singular_values, spectral_decomposition,
-                        spectral_projection, symmetrize, zero_like)
+                        apply_function, dense_operator, diagonal_operator,
+                        eigenvalues, identity, lp_norm, min_eigenvalue,
+                        normalized_trace, operator_from_json,
+                        operator_to_json, pos_part, psd_sqrt,
+                        real_statistic, singular_number, singular_values,
+                        spectral_decomposition, spectral_projection,
+                        symmetrize)
 from .rng import stream_rng
 from .verify import (SweepResult, default_ce_models, sweep_ce,
                      sweep_chebyshev, sweep_doob, sweep_dual_doob,
@@ -53,29 +50,26 @@ __all__ = [
     "AlgebraModel", "BaselineConfig", "BaselineReport",
     "BlockBound", "BlockRow", "CEAxiomReport", "ChebyshevResult",
     "ColumnNormBounds", "ConfigError", "DomainError", "DoobCheck",
-    "DualDoobCheck", "ExpIneqParams", "ExpMomentResult", "GrowthProfile",
+    "DualDoobCheck", "ExpIneqParams", "ExpMomentResult",
     "HypothesisViolation", "InsufficientHorizonError", "LILParameters",
     "LILRunConfig", "MartingalePath", "NclilError", "Operator",
     "PathEnsemble", "ProbcResult", "Projection", "ScalarBoundResult",
     "SemicircleConfig", "ShapeError", "SpectralDecomposition",
     "StoppingRule", "SweepResult", "TailReport", "TrendReport",
-    "UniformDistReport", "apply_function", "block_tail_bound",
-    "bracket_norms", "chebyshev_bound", "check_uniform_dist_bound",
-    "column_maximal_norm_bounds", "conditional_expectation",
-    "default_ce_models", "dense_operator", "diagonal_operator",
-    "doob_consequence_check", "dual_doob_check",
-    "eigenvalues", "exp_moment_sides",
-    "gen_diagonal_martingale", "gen_gue_increments", "gen_model_martingale",
-    "gen_tensor_martingale", "growth_profile", "gue_matrix", "identity",
-    "iterlog", "iterlog_seq", "ks_distance", "law_variance_factor",
-    "lp_norm", "min_eigenvalue", "normalized_trace", "op_abs",
-    "operator_from_json", "operator_to_json", "path_summary_rows",
-    "pos_part", "probc_upper", "psd_sqrt", "random_full_element",
-    "random_level_element", "real_statistic", "run_lil_experiment",
-    "sample_step_increments", "scalar_kolmogorov_baseline",
-    "scalar_power_exp_bound", "semicircle_cdf", "semicircular_demo",
-    "singular_number", "singular_values", "spectral_decomposition",
-    "spectral_projection", "stopping_indices", "stream_rng", "symmetrize",
-    "validate_differences", "verify_ce_axioms", "write_path_summary",
-    "write_rows_csv",
+    "apply_function", "block_tail_bound", "bracket_norms",
+    "chebyshev_bound", "column_maximal_norm_bounds",
+    "conditional_expectation", "default_ce_models", "dense_operator",
+    "diagonal_operator", "doob_consequence_check", "dual_doob_check",
+    "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
+    "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
+    "identity", "iterlog", "iterlog_seq", "ks_distance",
+    "law_variance_factor", "lp_norm", "min_eigenvalue", "normalized_trace",
+    "operator_from_json", "operator_to_json", "pos_part", "probc_upper",
+    "psd_sqrt", "random_full_element", "random_level_element",
+    "real_statistic", "run_lil_experiment", "sample_step_increments",
+    "scalar_kolmogorov_baseline", "scalar_power_exp_bound",
+    "semicircle_cdf", "semicircular_demo", "singular_number",
+    "singular_values", "spectral_decomposition", "spectral_projection",
+    "stopping_indices", "stream_rng", "symmetrize", "validate_differences",
+    "verify_ce_axioms", "write_rows_csv",
 ]

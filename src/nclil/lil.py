@@ -238,6 +238,8 @@ class LILRunConfig:
                 raise ConfigError("paths must be even and >= 2")
             if self.variance <= 0:
                 raise ConfigError("variance must be positive")
+        if self.generator not in ("tensor", "model"):
+            raise ConfigError(f"unknown dense generator {self.generator!r}")
         if self.checkpoints < 2:
             raise ConfigError("need at least two checkpoints")
         if self.window_decades <= 0:
@@ -492,9 +494,7 @@ def _run_dense(cfg: LILRunConfig) -> TailReport:
     """Exceptional sets realized as certificate projections, e their intersection."""
     pars, model = cfg.params, cfg.model
     horizon = min(cfg.horizon, model.n)
-    generate = {"tensor": gen_tensor_martingale, "model": gen_model_martingale}.get(cfg.generator)
-    if generate is None:
-        raise ConfigError(f"unknown dense generator {cfg.generator!r}")
+    generate = {"tensor": gen_tensor_martingale, "model": gen_model_martingale}[cfg.generator]
     path = generate(model, bound_seq=np.full(horizon, cfg.bound_scale), seed=cfg.seed,
                     horizon=horizon)
     norm = np.sqrt(path.s2) * path.u

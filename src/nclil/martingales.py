@@ -13,7 +13,6 @@ differences vanish to rounding.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,7 +39,9 @@ def iterlog(x: float) -> float:
         raise NclilError(f"iterated logarithm needs x > 0, got {x}")
     if x <= E_E:
         return 1.0
-    return math.log(math.log(x))
+    # np.log, not math.log: the two libms can differ by an ulp, and the
+    # scalar must agree bit for bit with iterlog_seq.
+    return float(np.log(np.log(x)))
 
 
 def iterlog_seq(xs) -> np.ndarray:
@@ -80,7 +81,6 @@ class MartingalePath:
     ensemble: PathEnsemble | None = None
     differences: list[Operator] | None = None
     partials: list[Operator] | None = None
-    bracket_ops: list[Operator] | None = None
     increments: np.ndarray | None = None   # ensemble kinds, when retained
     md_residual: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -204,31 +204,6 @@ def stopping_indices(s2, eta: float, count: int | None = None) -> StoppingRule:
     return StoppingRule(eta=eta, ks=ks, truncated=truncated)
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """alpha_n = ||d_n|| u_n / s_n per step, with a log-log tail slope."""
-
-    alpha: np.ndarray
-    slope: float | None
-    window: tuple
-
-
-def growth_profile(path: MartingalePath) -> GrowthProfile:
-    s = np.sqrt(path.s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(s > 0.0, path.dnorm * path.u / np.where(s > 0, s, 1.0), np.nan)
-    N = path.horizon
-    lo = max(1, N // 10)
-    window = (lo + 1, N)
-    idx = np.arange(lo, N)
-    good = idx[np.isfinite(alpha[idx]) & (alpha[idx] > 0.0)]
-    slope = None
-    if len(good) >= 2:
-        steps = good + 1.0
-        slope = float(np.polyfit(np.log(steps), np.log(alpha[good]), 1)[0])
-    return GrowthProfile(alpha=alpha, slope=slope, window=window)
-
-
 def _haar_sa_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Self-adjoint unitary with Haar-random eigenbasis and random signs."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -275,14 +250,14 @@ def _assemble_dense_path(model, diffs, seed_meta):
     for d in diffs:
         acc = d if acc is None else acc + d
         partials.append(acc)
-    bracket_ops, s2, u = bracket_norms(model, diffs)
+    _, s2, u = bracket_norms(model, diffs)
     dnorm = np.array([op.lp_norm(d, np.inf) for d in diffs])
     resid = validate_differences(model, diffs)
     if resid > MD_RESIDUAL_TOL:
         raise NclilError(f"generated differences fail the martingale property ({resid:.3e})")
     return MartingalePath(
         final=partials[-1], s2=s2, u=u, dnorm=dnorm, model=model,
-        differences=list(diffs), partials=partials, bracket_ops=bracket_ops,
+        differences=list(diffs), partials=partials,
         md_residual=resid, meta=seed_meta)
 
 
@@ -444,38 +419,3 @@ def gue_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standardized GUE draw with tau(h^2) ~ 1 and spectrum filling (-2, 2)."""
     g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return (g + g.conj().T) / math.sqrt(4.0 * size)
-
-
-def gen_gue_increments(size: int, steps: int, seed: int = 0) -> list:
-    """Independent standardized GUE increments as a list of Operators."""
-    if size < 2:
-        raise ConfigError("matrix size must be >= 2")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if steps * size * size * 16 > 1 << 30:
-        raise ConfigError("increment list would exceed 1 GiB; stream instead")
-    rng = stream_rng(seed, label=f"gue-{size}")
-    return [Operator(gue_matrix(rng, size), hermitian=True) for _ in range(steps)]
-
-
-def path_summary_rows(path: MartingalePath) -> list:
-    """Per-step summary rows: n, s2, u, dnorm, alpha."""
-    alpha = growth_profile(path).alpha
-    rows = []
-    for i in range(path.horizon):
-        rows.append({
-            "n": i + 1,
-            "s2": float(path.s2[i]),
-            "u": float(path.u[i]),
-            "dnorm": float(path.dnorm[i]),
-            "alpha": float(alpha[i]) if np.isfinite(alpha[i]) else "",
-        })
-    return rows
-
-
-def write_path_summary(path: MartingalePath, fileobj) -> None:
-    rows = path_summary_rows(path)
-    writer = csv.DictWriter(fileobj, fieldnames=["n", "s2", "u", "dnorm", "alpha"])
-    writer.writeheader()
-    writer.writerows(rows)
-

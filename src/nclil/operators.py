@@ -13,7 +13,7 @@ is validated at construction; spectral routines require it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -189,10 +189,6 @@ def identity(dim: int, diagonal: bool = False) -> Operator:
     return Operator(np.eye(dim), hermitian=True)
 
 
-def zero_like(x: Operator) -> Operator:
-    return Operator(np.zeros_like(x.data), hermitian=True, diagonal=x.diagonal)
-
-
 def symmetrize(x: Operator) -> Operator:
     if x.diagonal:
         return Operator(x.data.real if np.iscomplexobj(x.data) else x.data, hermitian=True, diagonal=True)
@@ -332,17 +328,6 @@ def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
     return Projection(0.5 * (p + p.conj().T))
 
 
-def op_abs(x: Operator) -> Operator:
-    """|x| = (x* x)^(1/2), positive semidefinite."""
-    if x.diagonal:
-        return Operator(np.abs(x.data), hermitian=True, diagonal=True)
-    if x.hermitian:
-        return apply_function(x, np.abs)
-    _, s, vh = np.linalg.svd(x.data)
-    v = vh.conj().T
-    return Operator((v * s) @ v.conj().T, hermitian=True)
-
-
 def pos_part(x: Operator) -> Operator:
     """Positive part of a hermitian operator."""
     return apply_function(x, lambda t: np.clip(t, 0.0, None))
@@ -373,41 +358,6 @@ def singular_number(x: Operator, t: float) -> float:
     if j >= x.dim:
         return 0.0
     return float(s[j])
-
-
-@dataclass(frozen=True)
-class UniformDistReport:
-    ok: bool
-    worst_margin: float
-    worst_t: float
-
-
-def check_uniform_dist_bound(xs: Sequence[Operator], y: Operator, K: float,
-                             ts: Sequence[float]) -> UniformDistReport:
-    """Check sup_i mu_t(x_i) <= K * mu_{t/K}(y) on a grid of t values.
-
-    Requires K >= 1 and every t in (0, 1/K).  Reports the worst margin
-    (left side minus right side) and where it occurred.
-    """
-    if len(xs) == 0:
-        raise NclilError("need at least one operator on the left side")
-    if K < 1.0:
-        raise NclilError(f"K must be >= 1, got {K}")
-    ts = [float(t) for t in ts]
-    if not ts:
-        raise NclilError("empty t grid")
-    for t in ts:
-        if not 0.0 < t < 1.0 / K:
-            raise NclilError(f"grid point {t} outside (0, 1/K)")
-    worst = -np.inf
-    worst_t = ts[0]
-    slack = ENDPOINT_FUZZ * (1.0 + lp_norm(y, np.inf))
-    for t in ts:
-        left = max(singular_number(x, t) for x in xs)
-        margin = left - K * singular_number(y, t / K)
-        if margin > worst:
-            worst, worst_t = margin, t
-    return UniformDistReport(ok=bool(worst <= slack), worst_margin=float(worst), worst_t=float(worst_t))
 
 
 def operator_to_json(x: Operator) -> dict:

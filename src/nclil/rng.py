@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _label_key(label: str) -> int:
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
@@ -25,5 +27,7 @@ def stream_rng(seed: int, replica: int = 0, label: str = "") -> np.random.Genera
     Distinct labels or replica indices give statistically independent
     streams; the same triple always reproduces the same draws.
     """
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     seq = np.random.SeedSequence([int(seed), int(replica), _label_key(label)])
     return np.random.Generator(np.random.Philox(seq))

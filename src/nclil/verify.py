@@ -61,6 +61,13 @@ def write_rows_csv(rows: Sequence[dict], fileobj) -> None:
     writer.writerows(rows)
 
 
+def _require_at_least(least: int, **counts: int) -> None:
+    """Reject a sweep up front when a count would leave it nothing to check."""
+    for name, value in counts.items():
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
 def _run_trials(fn: Callable, args_list: Iterable[tuple], workers: int = 1) -> list:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -146,8 +153,7 @@ def _expineq_trial(args) -> list:
 
 def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1.0),
                   lambda_points: int = 20, seed: int = 0, workers: int = 1) -> SweepResult:
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _require_at_least(1, trials=trials, lambda_points=lambda_points)
     args = [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)]
     nested = _run_trials(_expineq_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
@@ -196,6 +202,9 @@ def _doob_trial(args) -> list:
 def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0),
                kinds: Sequence[str] = ("tensor", "pinching", "diagonal"),
                seed: int = 0, workers: int = 1) -> SweepResult:
+    _require_at_least(1, trials_per_kind=trials_per_kind)
+    if min(ps) < 4.0:
+        raise ConfigError(f"doob check needs p >= 4, got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
     nested = _run_trials(_doob_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
@@ -231,6 +240,9 @@ def _dual_doob_trial(args) -> list:
 def sweep_dual_doob(trials_per_kind: int = 50, ps: Sequence[float] = (1.0, 1.5, 2.0),
                     kinds: Sequence[str] = ("tensor", "pinching", "diagonal"),
                     seed: int = 0, workers: int = 1) -> SweepResult:
+    _require_at_least(1, trials_per_kind=trials_per_kind)
+    if min(ps) < 1.0 or max(ps) > 2.0:
+        raise ConfigError(f"dual doob check needs p in [1, 2], got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
     nested = _run_trials(_dual_doob_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
@@ -272,6 +284,7 @@ def _chebyshev_trial(args) -> list:
 
 def sweep_chebyshev(trials: int = 20, t_points: int = 20, seed: int = 0,
                     workers: int = 1) -> SweepResult:
+    _require_at_least(1, trials=trials, t_points=t_points)
     args = [(seed, i, t_points) for i in range(trials)]
     nested = _run_trials(_chebyshev_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
@@ -283,6 +296,7 @@ def sweep_chebyshev(trials: int = 20, t_points: int = 20, seed: int = 0,
 
 
 def sweep_scalar_bound(random_count: int = 400, seed: int = 0) -> SweepResult:
+    _require_at_least(0, random_count=random_count)
     us = [0.0]
     grid = np.concatenate([np.logspace(-3.0, 5.0, 17)])
     us += [float(v) for v in grid] + [float(-v) for v in grid]

@@ -1,13 +1,21 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclil.cli import main
+from nclil import lil, verify
+from nclil.cli import COMMANDS, build_parser, main
 
 
 def read_json(path):
@@ -102,12 +110,21 @@ class TestVerifyCommands:
         assert rc == 0
         assert len(read_csv(out / "trials.csv")) == 4
 
-    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--workers", "-3"]])
-    def test_expineq_bad_count_exits_one(self, tmp_path, capsys, flag):
-        rc = main(["verify-expineq", *flag, "--lambda-points", "2",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
+    @pytest.mark.parametrize("argv", [
+        ["verify-expineq", "--trials", "0"],
+        ["verify-expineq", "--workers", "-3"],
+        ["verify-expineq", "--lambda-points", "0"],
+        ["verify-doob", "--trials-per-kind", "0"],
+        ["verify-dualdoob", "--trials-per-kind", "0"],
+        ["verify-chebyshev", "--trials", "0"],
+        ["verify-chebyshev", "--t-points", "0"],
+        ["verify-scalarineq", "--count", "-1"],
+    ], ids=":".join)
+    def test_empty_sweep_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
         assert "config error:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_bad_numeric_list(self, tmp_path, capsys):
         rc = main(["verify-expineq", "--eps", "0.1,zebra",
@@ -204,6 +221,145 @@ class TestBaselineAndDemo:
         rep = read_json(out / "reproducer.json")
         assert rep["command"] == "demo-semicircular"
         assert rep["ks_first"] > 0.0001
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestConfigErrors:
+    """Bad values and bad config files end in exit 1 and `config error:`."""
+
+    @pytest.mark.parametrize("command", ["lil-run", "baseline-scalar"])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, json.dumps({"horizon": "abc"}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: horizon:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read"),
+        ("{\"samples\": ", "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+    ], ids=["missing", "malformed", "list"])
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        cfg = str(tmp_path / "absent.json") if text is None else _write(tmp_path, text)
+        assert main(["verify-ce", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lil-run", "--model", "tensor:x:3"],
+        ["lil-run", "--generator", "dense"],
+        ["verify-doob", "--p", ""],
+        ["verify-doob", "--trials-per-kind", "1", "--p", "4,nan"],
+        ["lil-run", "--horizon", "2000", "--paths", "8", "--variance", "nan"],
+        ["baseline-scalar", "--horizon", "1e3"],
+        ["verify-ce", "--seed", "-1"],
+    ], ids=":".join)
+    def test_bad_value_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_lists_from_text_or_array_resolve_alike(self, tmp_path):
+        flags, cfg = tmp_path / "flags", tmp_path / "cfg"
+        base = ["verify-doob", "--trials-per-kind", "1", "--kinds", "diagonal"]
+        assert main([*base, "--p", "4,6", "--out", str(flags)]) == 0
+        cfg_file = _write(tmp_path, json.dumps({"p": [4, 6], "kinds": ["diagonal"]}))
+        assert main([*base[:3], "--config", cfg_file, "--out", str(cfg)]) == 0
+        assert (read_json(flags / "resolved-config.json")
+                == read_json(cfg / "resolved-config.json"))
+
+
+# Option strings of every subcommand; the generated parser must keep them.
+OPTIONS = {
+    "verify-ce": {"--samples"},
+    "verify-expineq": {"--trials", "--eps", "--lambda-points", "--workers"},
+    "verify-doob": {"--trials-per-kind", "--p", "--kinds", "--workers"},
+    "verify-dualdoob": {"--trials-per-kind", "--p", "--kinds", "--workers"},
+    "verify-chebyshev": {"--trials", "--t-points", "--workers"},
+    "verify-scalarineq": {"--count"},
+    "lil-run": {"--horizon", "--paths", "--law", "--variance", "--eta", "--delta",
+                "--delta-prime", "--eps", "--eps-prime", "--beta", "--checkpoints",
+                "--window-decades", "--model", "--generator", "--bound-scale", "--chunk",
+                "--allow-uncertified"},
+    "baseline-scalar": {"--paths", "--horizon", "--law", "--chunk", "--per-path"},
+    "demo-semicircular": {"--size", "--steps", "--checkpoints", "--ks-tol"},
+}
+COMMON = {"-h", "--help", "--out", "--config", "--seed"}
+
+
+def test_option_strings_are_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(OPTIONS)
+    for name, sp in subparsers.items():
+        got = {s for action in sp._actions for s in action.option_strings}
+        assert got == OPTIONS[name] | COMMON, name
+
+
+def _not_int_text(t):
+    try:
+        int(t)
+    except ValueError:
+        return True
+    return False
+
+
+def _not_number_text(t):
+    try:
+        return not math.isfinite(float(t))
+    except ValueError:
+        return True
+
+
+_DICTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+_LISTS = st.lists(st.one_of(st.booleans(), _DICTS), min_size=1, max_size=2)
+_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False))
+# JSON values whose type never fits a key, chosen by the kind of its default.
+WRONG = {
+    bool: st.one_of(_NUMBERS, st.text(max_size=5), _LISTS, _DICTS),
+    int: st.one_of(st.booleans(), st.floats().filter(lambda x: not x.is_integer()),
+                   st.text(max_size=5).filter(_not_int_text), _LISTS, _DICTS),
+    float: st.one_of(st.booleans(), st.text(max_size=5).filter(_not_number_text),
+                     _LISTS, _DICTS),
+    str: st.one_of(st.booleans(), _NUMBERS, _LISTS, _DICTS),
+    list: st.one_of(st.booleans(), _NUMBERS, _DICTS, _LISTS, st.just([])),
+    "model": st.one_of(st.booleans(), _NUMBERS, _LISTS, _DICTS,
+                       st.text(max_size=5).filter(lambda t: t.count(":") != 2)),
+}
+KEYS = [(name, key) for name, cmd in COMMANDS.items() for key in cmd.keys]
+ENTRY_POINTS = [(verify, name) for name in dir(verify) if name.startswith("sweep_")] + [
+    (lil, "run_lil_experiment"), (lil, "scalar_kolmogorov_baseline"),
+    (lil, "semicircular_demo")]
+
+
+def _kind(key, default):
+    if key == "model":
+        return "model"
+    if default is None:                 # eps_prime: a number or null
+        return float
+    return list if isinstance(default, tuple) else type(default)
+
+
+@pytest.mark.parametrize("command, key", KEYS, ids=[f"{c}:{k}" for c, k in KEYS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_config_file_values_of_wrong_type_are_rejected(command, key, data):
+    default = COMMANDS[command].keys[key][1]
+    value = data.draw(WRONG[_kind(key, default)], label=key)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for module, name in ENTRY_POINTS:
+            mp.setattr(module, name, lambda *a, **k: pytest.fail("a run started"))
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = Path(tmp) / "o"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert err.getvalue().startswith(f"config error: {key}:")
+        assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("nclil") is None, reason="entry point not installed")

@@ -32,11 +32,11 @@ def two_spin_path():
     d1 = Operator(np.kron(sz, np.eye(2)), hermitian=True)
     d2 = Operator(np.kron(np.eye(2), sz), hermitian=True)
     diffs = [d1, d2]
-    ops, s2, u = bracket_norms(model, diffs)
+    _, s2, u = bracket_norms(model, diffs)
     partials = [d1, d1 + d2]
     return MartingalePath(final=partials[-1], s2=s2, u=u,
                           dnorm=np.array([1.0, 1.0]), model=model,
-                          differences=diffs, partials=partials, bracket_ops=ops)
+                          differences=diffs, partials=partials)
 
 
 class TestExpMoment:

@@ -1,6 +1,5 @@
 """Martingale generators, bracket profiles, stopping rule."""
 
-import io
 import math
 
 import numpy as np
@@ -9,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclil import (AlgebraModel, ConfigError, NclilError, bracket_norms,
-                   gen_diagonal_martingale, gen_gue_increments,
-                   gen_model_martingale, gen_tensor_martingale,
-                   growth_profile, gue_matrix, iterlog, iterlog_seq,
+                   gen_diagonal_martingale, gen_model_martingale,
+                   gen_tensor_martingale, gue_matrix, iterlog, iterlog_seq,
                    law_variance_factor, lp_norm, normalized_trace,
                    sample_step_increments, stopping_indices, stream_rng,
-                   validate_differences, write_path_summary)
+                   validate_differences)
 
 E_E = math.exp(math.e)
 
@@ -140,9 +138,8 @@ class TestGenerators:
         model = AlgebraModel("tensor", 2, 8)
         prof = np.full(8, 0.3)
         path = gen_tensor_martingale(model, alpha_profile=prof, seed=3, base_scale=0.5)
-        gp = growth_profile(path)
-        # realized alpha should track the request from step 2 on
-        realized = gp.alpha[1:]
+        # realized alpha_n = ||d_n|| u_n / s_n should track the request from step 2 on
+        realized = (path.dnorm * path.u / np.sqrt(path.s2))[1:]
         np.testing.assert_allclose(realized, 0.3, rtol=0.35)
 
     def test_diagonal_martingale_exact_bracket(self):
@@ -180,19 +177,3 @@ class TestGenerators:
         ev = np.linalg.eigvalsh(h)
         assert ev.min() > -2.5 and ev.max() < 2.5
 
-    def test_gue_increment_list(self):
-        incs = gen_gue_increments(size=20, steps=5, seed=1)
-        assert len(incs) == 5 and incs[0].dim == 20
-        with pytest.raises(ConfigError):
-            gen_gue_increments(size=3000, steps=10**4)
-
-
-class TestSummaries:
-    def test_csv_columns(self):
-        model = AlgebraModel("tensor", 2, 4)
-        path = gen_model_martingale(model, seed=8)
-        buf = io.StringIO()
-        write_path_summary(path, buf)
-        header = buf.getvalue().splitlines()[0].split(",")
-        assert header == ["n", "s2", "u", "dnorm", "alpha"]
-        assert len(buf.getvalue().splitlines()) == 5
