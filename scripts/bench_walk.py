@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Time the layers of the streaming ensemble walk on their own.
+
+One pass streams ``--chunks`` chunks of ``--chunk`` steps x ``--paths``
+paths through ``nclil.lil._walk`` with the engines' increment draw, and
+splits the wall time into three layers:
+
+- ``draw``: ``sample_step_increments`` for one chunk (sign blocks and
+  ``rng.permuted``);
+- ``walk``: what ``_walk`` adds around the draw (cumsum along the steps
+  and the carried sum);
+- ``consume``: abs, normalize by sqrt(n L(n)) and the running max per
+  path, in place on the chunk.  This step is a copy of the in-window loop
+  of ``scalar_kolmogorov_baseline``, not a call into it, so it must be
+  kept in step with that loop by hand.
+
+Each layer is reported in seconds per chunk as the median and min/max over
+``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
+
+    PYTHONPATH=src python scripts/bench_walk.py --repeats 5 --out walk.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import envstamp  # noqa: E402
+import nclil  # noqa: E402
+from nclil.lil import _walk  # noqa: E402
+from nclil.martingales import iterlog_seq, sample_step_increments  # noqa: E402
+from nclil.rng import stream_rng  # noqa: E402
+
+LAYERS = ("draw", "walk", "consume")
+
+
+def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
+    """Seconds per layer for one walk over chunks x chunk steps."""
+    total = chunks * chunk
+    rng = stream_rng(seed, label=f"baseline-{law}")
+    scale = 1.0 if law == "rademacher" else 3.0 ** 0.5
+    ns = np.arange(1, total + 1, dtype=np.float64)
+    den = np.sqrt(ns * iterlog_seq(ns))
+    runmax = np.zeros(paths)
+    spent = dict.fromkeys(LAYERS, 0.0)
+
+    def draw(pos, take, out):
+        t0 = time.perf_counter()
+        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out)
+        spent["draw"] += time.perf_counter() - t0
+        return block
+
+    walk = _walk(draw, paths, total, chunk)
+    walked = 0.0
+    while True:
+        t0 = time.perf_counter()
+        try:
+            pos, C = next(walk)
+        except StopIteration:
+            break
+        t1 = time.perf_counter()
+        walked += t1 - t0
+        np.abs(C, out=C)
+        C /= den[pos:pos + len(C), None]
+        np.maximum(runmax, C.max(axis=0), out=runmax)
+        spent["consume"] += time.perf_counter() - t1
+    spent["walk"] = walked - spent["draw"]
+    return {k: v / chunks for k, v in spent.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--law", choices=("rademacher", "uniform"), default="rademacher")
+    ap.add_argument("--paths", type=int, default=4096)
+    ap.add_argument("--chunk", type=int, default=2048)
+    ap.add_argument("--chunks", type=int, default=8)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", type=Path, default=None, help="write the JSON here too")
+    args = ap.parse_args(argv)
+    if min(args.paths, args.chunk, args.chunks, args.repeats) < 1 or args.paths % 2:
+        ap.error("sizes must be >= 1 and --paths even")
+
+    one_pass(args.law, args.paths, args.chunk, 1, args.seed)        # warm-up
+    passes = [one_pass(args.law, args.paths, args.chunk, args.chunks, args.seed)
+              for _ in range(args.repeats)]
+    layers = {}
+    for name in LAYERS + ("total",):
+        xs = [sum(p.values()) if name == "total" else p[name] for p in passes]
+        layers[name] = {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
+    result = {
+        "unit": "s per chunk",
+        "config": {k: getattr(args, k) for k in ("law", "paths", "chunk", "chunks",
+                                                 "repeats", "seed")},
+        "layers": layers,
+        "path_steps_per_s": args.chunk * args.paths / layers["total"]["median"],
+        "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
+    }
+    text = json.dumps(result, indent=2)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,8 +34,7 @@ from .martingales import (MartingalePath, PathEnsemble, StoppingRule,
 from .operators import (Operator, Projection, SpectralDecomposition,
                         apply_function, dense_operator, diagonal_operator,
                         eigenvalues, identity, lp_norm, min_eigenvalue,
-                        normalized_trace, operator_from_json,
-                        operator_to_json, pos_part, psd_sqrt,
+                        normalized_trace, pos_part, psd_sqrt,
                         real_statistic, singular_number, singular_values,
                         spectral_decomposition, spectral_projection,
                         symmetrize)
@@ -64,12 +63,11 @@ __all__ = [
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
     "identity", "iterlog", "iterlog_seq", "ks_distance",
     "law_variance_factor", "lp_norm", "min_eigenvalue", "normalized_trace",
-    "operator_from_json", "operator_to_json", "pos_part", "probc_upper",
-    "psd_sqrt", "random_full_element", "random_level_element",
-    "real_statistic", "run_lil_experiment", "sample_step_increments",
-    "scalar_kolmogorov_baseline", "scalar_power_exp_bound",
-    "semicircle_cdf", "semicircular_demo", "singular_number",
-    "singular_values", "spectral_decomposition", "spectral_projection",
-    "stopping_indices", "stream_rng", "symmetrize", "validate_differences",
-    "verify_ce_axioms", "write_rows_csv",
+    "pos_part", "probc_upper", "psd_sqrt", "random_full_element",
+    "random_level_element", "real_statistic", "run_lil_experiment",
+    "sample_step_increments", "scalar_kolmogorov_baseline",
+    "scalar_power_exp_bound", "semicircle_cdf", "semicircular_demo",
+    "singular_number", "singular_values", "spectral_decomposition",
+    "spectral_projection", "stopping_indices", "stream_rng", "symmetrize",
+    "validate_differences", "verify_ce_axioms", "write_rows_csv",
 ]

@@ -72,10 +72,6 @@ class AlgebraModel:
     def to_json(self) -> dict:
         return {"kind": self.kind, "m": self.m, "n": self.n}
 
-    @staticmethod
-    def from_json(obj: dict) -> "AlgebraModel":
-        return AlgebraModel(str(obj["kind"]), int(obj["m"]), int(obj["n"]))
-
 
 def _check_level(model: AlgebraModel, k: int):
     if not 0 <= k <= model.n:

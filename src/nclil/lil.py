@@ -392,24 +392,32 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
         checkpoints=cps)
 
 
-def _walk(draw: Callable[[int, int], np.ndarray], paths: int, total: int,
+def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int, total: int,
           chunk: int) -> Iterator[tuple]:
-    """Chunked partial sums of an ensemble walk.
+    """Chunked partial sums of an ensemble walk, steps-major.
 
-    ``draw(pos, take)`` returns a fresh (take, paths) array of the
-    increments of steps pos+1 .. pos+take; the walk may write into it.
-    Yields (pos, C) with C[p, j] = S_{pos+j+1} of path p, which the
-    consumer may overwrite.  The paths-major layout lets per-path work walk
-    contiguous memory, so running maxima need only segmented reductions.
+    One (chunk, paths) buffer serves the whole walk.  ``draw(pos, take,
+    out)`` writes the increments of steps pos+1 .. pos+take into ``out``
+    (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
+    with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
+    valid only until the walk resumes, which overwrites it, and the
+    consumer may overwrite it in place.  Within a chunk each path's running
+    sum adds one step at a time along axis 0, and the sum carried from the
+    earlier chunks is added last; that order fixes the rounding, so the
+    sums depend on ``chunk`` only through it.
     """
+    buf = np.empty((int(min(chunk, total)), paths))
     S = np.zeros(paths)
     pos = 0
     while pos < total:
         take = int(min(chunk, total - pos))
-        C = np.ascontiguousarray(draw(pos, take).T)
-        np.cumsum(C, axis=1, out=C)
-        C += S[:, None]
-        S = C[:, -1].copy()
+        C = draw(pos, take, buf[:take])
+        # Row by row: np.cumsum along axis 0 strides across rows and is about
+        # 15x slower at 4096 paths; both add in the same order.
+        for prev, row in zip(C, C[1:]):
+            np.add(row, prev, row)
+        C += S
+        S[:] = C[-1]
         yield pos, C
         pos += take
 
@@ -424,8 +432,8 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     norm = np.sqrt(s2) * u
     rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
 
-    def draw(pos: int, take: int) -> np.ndarray:
-        return sample_step_increments(rng, cfg.law, scale, P, steps=take)
+    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
+        return sample_step_increments(rng, cfg.law, scale, P, steps=take, out=out)
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
         ks, B = rule.ks, rule.blocks
@@ -438,25 +446,27 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         cp_rows = np.zeros((len(cp_steps), P))
         sec = 0
         for pos, C in _walk(draw, P, total, cfg.chunk):
-            take = C.shape[1]
-            absC = np.abs(C, out=C)
-            R = absC / norm[pos:pos + take][None, :]
-            lo_cp = np.searchsorted(cp_steps, pos, side="right")
-            hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
-            for j in range(lo_cp, hi_cp):
-                cp_rows[j] = R[:, int(cp_steps[j]) - pos - 1]
+            take = len(C)
+            np.abs(C, out=C)
+            # Sections tile steps 1..total, so this loop normalizes every row
+            # of C once, right after its |S| has gone into the prefix max.
             while sec < n_sections:
                 a = max(int(ks[sec]), pos)
                 b = min(int(ks[sec + 1]), pos + take)
                 if b > a:
-                    sl = slice(a - pos, b - pos)
-                    np.maximum(blockmax[sec], R[:, sl].max(axis=1), out=blockmax[sec])
-                    np.maximum(prefix, absC[:, sl].max(axis=1), out=prefix)
+                    rows = C[a - pos:b - pos]
+                    np.maximum(prefix, rows.max(axis=0), out=prefix)
+                    rows /= norm[a:b, None]
+                    np.maximum(blockmax[sec], rows.max(axis=0), out=blockmax[sec])
                 if int(ks[sec + 1]) <= pos + take:
                     snapshots[sec] = prefix
                     sec += 1
                 else:
                     break
+            lo_cp = np.searchsorted(cp_steps, pos, side="right")
+            hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
+            for j in range(lo_cp, hi_cp):
+                cp_rows[j] = C[int(cp_steps[j]) - pos - 1]
 
         exceed = blockmax[1:B + 1] > pars.threshold        # rows: block n = 1..B
         theory_thr = pars.beta * (1.0 + pars.delta) * norm[ks[2:] - 1]
@@ -601,20 +611,22 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
     scale = 1.0 if cfg.law == "rademacher" else math.sqrt(3.0)
 
-    def draw(pos: int, take: int) -> np.ndarray:
+    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
         if cfg.law == "alternating":
-            steps = np.where((np.arange(pos + 1, pos + take + 1) % 2) == 1, 1.0, -1.0)
-            return np.repeat(steps[:, None], P, axis=1)
-        return sample_step_increments(rng, cfg.law, scale, P, steps=take)
+            out[:] = np.where((np.arange(pos + 1, pos + take + 1) % 2) == 1, 1.0, -1.0)[:, None]
+            return out
+        return sample_step_increments(rng, cfg.law, scale, P, steps=take, out=out)
 
     runmax = np.zeros(P)
     for pos, C in _walk(draw, P, N, cfg.chunk):
-        take = C.shape[1]
+        take = len(C)
         if pos + take > lo:
             first = max(lo + 1, pos + 1)
             ns = np.arange(first, pos + take + 1, dtype=np.float64)
-            seg = np.abs(C[:, first - pos - 1:]) / np.sqrt(ns * iterlog_seq(ns))[None, :]
-            np.maximum(runmax, seg.max(axis=1), out=runmax)
+            rows = C[first - pos - 1:]
+            np.abs(rows, out=rows)
+            rows /= np.sqrt(ns * iterlog_seq(ns))[:, None]
+            np.maximum(runmax, rows.max(axis=0), out=runmax)
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

@@ -130,22 +130,20 @@ class MartingalePath:
 
 
 def bracket_norms(model: AlgebraModel, diffs: Sequence[Operator]):
-    """Cumulative predictable brackets of a difference sequence.
+    """Cumulative predictable bracket norms of a difference sequence.
 
-    Returns (bracket_ops, s2, u) where bracket_ops[i] is
-    sum_{k<=i+1} E_{k-1}(d_k^2), s2[i] is its operator norm and
-    u[i] = iterlog(s2[i])^(1/2).
+    Returns (s2, u) where s2[i] is the operator norm of the bracket
+    sum_{k<=i+1} E_{k-1}(d_k^2) and u[i] = iterlog(s2[i])^(1/2).  Only the
+    running bracket is held, never one operator per step.
     """
-    ops = []
     s2 = np.empty(len(diffs))
     acc = None
     for i, d in enumerate(diffs):
         sq = op.symmetrize(d.adjoint() @ d)
         inc = conditional_expectation(model, sq, i)  # E_{k-1} with k = i+1
         acc = inc if acc is None else acc + inc
-        ops.append(acc)
         s2[i] = op.lp_norm(acc, np.inf)
-    return ops, s2, np.sqrt(iterlog_seq(s2))
+    return s2, np.sqrt(iterlog_seq(s2))
 
 
 def validate_differences(model: AlgebraModel, diffs: Sequence[Operator]) -> float:
@@ -250,7 +248,7 @@ def _assemble_dense_path(model, diffs, seed_meta):
     for d in diffs:
         acc = d if acc is None else acc + d
         partials.append(acc)
-    _, s2, u = bracket_norms(model, diffs)
+    s2, u = bracket_norms(model, diffs)
     dnorm = np.array([op.lp_norm(d, np.inf) for d in diffs])
     resid = validate_differences(model, diffs)
     if resid > MD_RESIDUAL_TOL:
@@ -337,26 +335,34 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
 
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
-                           paths: int, steps: int = 1) -> np.ndarray:
+                           paths: int, steps: int = 1,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """(steps, paths) block of centered bounded increments, |d| <= scale.
 
     Each step is sign-balanced across the ensemble: exactly half the paths
     get each sign (rademacher) or a mirrored magnitude (uniform), so the
     realized cross-path mean of every step is zero to rounding while the
-    per-path marginal law is unchanged.
+    per-path marginal law is unchanged.  The block is written into ``out``
+    (a C-contiguous float64 (steps, paths) array, returned) when given,
+    else into a fresh array; the draws are the same either way.
     """
     if law not in _LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {_LAWS}")
     if paths < 2 or paths % 2:
         raise ConfigError("need an even number of paths >= 2")
     half = paths // 2
+    if out is None:
+        out = np.empty((steps, paths))
+    elif out.shape != (steps, paths):
+        raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
     if law == "rademacher":
-        block = np.concatenate(
-            [np.full((steps, half), scale), np.full((steps, half), -scale)], axis=1)
+        out[:, :half] = scale
+        out[:, half:] = -scale
     else:
         mags = rng.uniform(0.0, scale, size=(steps, half))
-        block = np.concatenate([mags, -mags], axis=1)
-    return rng.permuted(block, axis=1)
+        out[:, :half] = mags
+        np.negative(mags, out=out[:, half:])
+    return rng.permuted(out, axis=1, out=out)
 
 
 def law_variance_factor(law: str) -> float:

@@ -359,33 +359,3 @@ def singular_number(x: Operator, t: float) -> float:
         return 0.0
     return float(s[j])
 
-
-def operator_to_json(x: Operator) -> dict:
-    """JSON-serializable description; diagonal operators use a compact form."""
-    if x.diagonal:
-        out = {"dim": x.dim, "diag": np.real(x.data).tolist(), "hermitian": x.hermitian}
-        if np.iscomplexobj(x.data) and np.max(np.abs(x.data.imag)) > 0:
-            out["diag_im"] = x.data.imag.tolist()
-        return out
-    return {
-        "dim": x.dim,
-        "re": x.data.real.tolist(),
-        "im": x.data.imag.tolist(),
-        "hermitian": x.hermitian,
-    }
-
-
-def operator_from_json(obj: dict) -> Operator:
-    dim = int(obj["dim"])
-    if "diag" in obj:
-        vals = np.asarray(obj["diag"], dtype=np.float64)
-        if "diag_im" in obj:
-            vals = vals + 1j * np.asarray(obj["diag_im"], dtype=np.float64)
-        if vals.shape != (dim,):
-            raise ShapeError("diagonal length disagrees with dim")
-        return Operator(vals, hermitian=bool(obj.get("hermitian", False)), diagonal=True)
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ShapeError("entry arrays disagree with dim")
-    return Operator(re + 1j * im, hermitian=bool(obj.get("hermitian", False)))

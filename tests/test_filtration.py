@@ -36,10 +36,6 @@ class TestModel:
             AlgebraModel("tensor", 2, 20)
         AlgebraModel("diagonal", 10, 6)   # 1e6 sample points is fine
 
-    def test_json_roundtrip(self):
-        m = AlgebraModel("pinching", 3, 2)
-        assert AlgebraModel.from_json(m.to_json()) == m
-
 
 class TestTensorCE:
     def test_level0_is_trace(self, rng):

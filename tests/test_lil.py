@@ -11,7 +11,10 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    Projection, SemicircleConfig, ks_distance,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
-from nclil.lil import _BC_TOLERANCES, _bc_checks, _walk
+from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
+                       _checkpoint_steps, _Realization, _walk)
+from nclil.martingales import iterlog_seq, law_variance_factor
+from nclil.rng import stream_rng
 
 
 class TestParameters:
@@ -171,10 +174,130 @@ class TestBlockCore:
 
     def test_walk_carries_partial_sums_across_chunks(self):
         incs = np.random.default_rng(0).standard_normal((23, 4))
-        chunks = list(_walk(lambda pos, take: incs[pos:pos + take], 4, 23, chunk=5))
+        # Exact in the documented order: cumsum within the chunk, then the carry.
+        expected, carry = [], 0.0
+        for pos in range(0, 23, 5):
+            part = np.cumsum(incs[pos:pos + 5], axis=0) + carry
+            carry = part[-1]
+            expected.append(part)
+
+        def draw(pos, take, out):
+            out[:] = incs[pos:pos + take]
+            return out
+
+        # The walk reuses one buffer, so each chunk is copied as it comes.
+        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23, chunk=5)]
         assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
-        walked = np.concatenate([C for _, C in chunks], axis=1)
-        np.testing.assert_allclose(walked, np.cumsum(incs, axis=0).T, rtol=1e-12)
+        assert [len(C) for _, C in chunks] == [5, 5, 5, 5, 3]
+        walked = np.concatenate([C for _, C in chunks], axis=0)
+        np.testing.assert_array_equal(walked, np.concatenate(expected, axis=0))
+        np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
+
+    def test_walk_hands_out_one_buffer(self):
+        seen = []
+
+        def draw(pos, take, out):
+            seen.append(out)
+            out[:] = 1.0
+            return out
+
+        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10, chunk=4)]
+        assert sums == [4.0, 8.0, 10.0]
+        assert all(np.shares_memory(seen[0], o) for o in seen[1:])
+
+
+def _paths_major_walk(rng, law, scale, paths, total, chunk):
+    """The paths-major walk the steps-major one replaced, kept as a reference:
+    fresh chunked draws, transpose, cumsum along the steps, then the carry."""
+    half = paths // 2
+    S = np.zeros(paths)
+    pos = 0
+    while pos < total:
+        take = min(chunk, total - pos)
+        if law == "rademacher":
+            block = np.concatenate([np.full((take, half), scale),
+                                    np.full((take, half), -scale)], axis=1)
+        else:
+            mags = rng.uniform(0.0, scale, size=(take, half))
+            block = np.concatenate([mags, -mags], axis=1)
+        C = np.ascontiguousarray(rng.permuted(block, axis=1).T)
+        np.cumsum(C, axis=1, out=C)
+        C += S[:, None]
+        S = C[:, -1].copy()
+        yield C
+        pos += take
+
+
+def _reference_stream_report(cfg):
+    """The streaming engine's report, realized from the reference walk."""
+    pars, N, P = cfg.params, cfg.horizon, cfg.paths
+    scale = math.sqrt(cfg.variance / law_variance_factor(cfg.law))
+    s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
+    u = np.sqrt(iterlog_seq(s2))
+    norm = np.sqrt(s2) * u
+
+    def realize(rule, used):
+        ks, B = rule.ks, rule.blocks
+        total = int(ks[-1])
+        rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
+        absS = np.abs(np.concatenate(
+            list(_paths_major_walk(rng, cfg.law, scale, P, total, cfg.chunk)), axis=1))
+        R = absS / norm[None, :total]
+        sections = range(len(ks) - 1)
+        blockmax = np.array([R[:, ks[i]:ks[i + 1]].max(axis=1, initial=-np.inf)
+                             for i in sections])
+        snapshots = np.array([absS[:, :ks[i + 1]].max(axis=1, initial=0.0) for i in sections])
+        cp_steps = _checkpoint_steps(total, cfg.checkpoints)
+        cp_rows = R[:, cp_steps - 1].T
+        exceed = blockmax[1:B + 1] > pars.threshold
+        exceed_theory = snapshots[1:B + 1] > (pars.beta * (1.0 + pars.delta)
+                                              * norm[ks[2:] - 1])[:, None]
+        used_ix = np.asarray(used)
+        kept = ~exceed[used_ix - 1].any(axis=0)
+        kept_rows = cp_rows[:, kept]
+        return _Realization(
+            semantics="empirical", q_block=exceed.mean(axis=1),
+            q_theory=exceed_theory.mean(axis=1),
+            e=Projection(kept.astype(np.float64), diagonal=True), deficit=float((~kept).mean()),
+            levels=s2[ks[used_ix + 1] - 1],
+            kept_sup=blockmax[used_ix][:, kept].max(axis=1, initial=-np.inf),
+            cp_steps=cp_steps, cp_stats={"r_max_all": cp_rows.max(axis=1).tolist(),
+                                         "r_max_kept": kept_rows.max(axis=1).tolist(),
+                                         "r_mean_kept": kept_rows.mean(axis=1).tolist()})
+
+    return _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
+                         realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
+                         knob="the variance")
+
+
+class TestWalkRegression:
+    """Bit-identity of the steps-major walk and its consumers with the
+    paths-major reference, at an odd chunk size and a non-unit variance."""
+
+    @pytest.mark.parametrize("paths", [64, 512])
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_streaming_report_matches_reference(self, law, paths):
+        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=6000, paths=paths,
+                           law=law, variance=0.37, seed=4, chunk=333, strict=False)
+        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg)
+        assert ref.deficit > 0.0          # some paths exceed, so e is not trivial
+        assert json.dumps(got.to_json(), sort_keys=True) == \
+               json.dumps(ref.to_json(), sort_keys=True)
+        assert got.checkpoints == ref.checkpoints
+        np.testing.assert_array_equal(got.e.diag_array(), ref.e.diag_array())
+
+    @pytest.mark.parametrize("paths", [64, 512])
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_baseline_per_path_matches_reference(self, law, paths):
+        cfg = BaselineConfig(paths=paths, horizon=5000, law=law, seed=6, chunk=333)
+        rng = stream_rng(cfg.seed, label=f"baseline-{law}")
+        scale = 1.0 if law == "rademacher" else math.sqrt(3.0)
+        S = np.concatenate(list(_paths_major_walk(rng, law, scale, cfg.paths, cfg.horizon,
+                                                  cfg.chunk)), axis=1)
+        lo = cfg.horizon // 10
+        ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
+        expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
+        np.testing.assert_array_equal(scalar_kolmogorov_baseline(cfg).per_path, expected)
 
 
 class TestBaseline:

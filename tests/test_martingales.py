@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclil import (AlgebraModel, ConfigError, NclilError, bracket_norms,
-                   gen_diagonal_martingale, gen_model_martingale,
-                   gen_tensor_martingale, gue_matrix, iterlog, iterlog_seq,
-                   law_variance_factor, lp_norm, normalized_trace,
-                   sample_step_increments, stopping_indices, stream_rng,
-                   validate_differences)
+from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
+                   bracket_norms, gen_diagonal_martingale,
+                   gen_model_martingale, gen_tensor_martingale, gue_matrix,
+                   iterlog, iterlog_seq, law_variance_factor, lp_norm,
+                   normalized_trace, sample_step_increments, stopping_indices,
+                   stream_rng, validate_differences)
 
 E_E = math.exp(math.e)
 
@@ -47,6 +47,25 @@ class TestSampling:
         assert block.shape == (40, 64)
         np.testing.assert_allclose(block.sum(axis=1), 0.0, atol=1e-12)
         assert np.max(np.abs(block)) <= 0.7 + 1e-15
+
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_out_buffer_matches_fresh_draw(self, law):
+        buf = np.full((50, 64), np.nan)
+        rng_out, rng_fresh = stream_rng(5), stream_rng(5)
+        for steps in (37, 11):
+            got = sample_step_increments(rng_out, law, 0.7, paths=64, steps=steps,
+                                         out=buf[:steps])
+            fresh = sample_step_increments(rng_fresh, law, 0.7, paths=64, steps=steps)
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, fresh)
+            np.testing.assert_array_equal(np.sort(got, axis=1)[:, ::-1],
+                                          -np.sort(got, axis=1))   # exact balance
+        assert rng_out.random() == rng_fresh.random()
+
+    def test_out_shape_checked(self):
+        with pytest.raises(ShapeError):
+            sample_step_increments(stream_rng(0), "uniform", 1.0, paths=8, steps=3,
+                                   out=np.empty((4, 8)))
 
     def test_rademacher_values(self):
         rng = stream_rng(3)
@@ -129,9 +148,8 @@ class TestGenerators:
     def test_bracket_norms_consistent(self):
         model = AlgebraModel("pinching", 2, 4)
         path = gen_model_martingale(model, seed=8)
-        ops, s2, u = bracket_norms(model, path.differences)
+        s2, u = bracket_norms(model, path.differences)
         np.testing.assert_allclose(s2, path.s2, rtol=1e-12)
-        assert all(o.hermitian for o in ops)
         assert np.all(u >= 1.0)
 
     def test_alpha_growth_profile(self):

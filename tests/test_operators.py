@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from nclil import (NclilError, Operator, Projection, ShapeError,
                    apply_function, dense_operator, diagonal_operator,
                    eigenvalues, identity, lp_norm, min_eigenvalue,
-                   normalized_trace, operator_from_json, operator_to_json,
-                   pos_part, psd_sqrt, singular_number, singular_values,
-                   spectral_decomposition, spectral_projection, stream_rng,
-                   symmetrize)
+                   normalized_trace, pos_part, psd_sqrt, singular_number,
+                   singular_values, spectral_decomposition,
+                   spectral_projection, stream_rng, symmetrize)
 
 from conftest import random_diag, random_general, random_hermitian
 
@@ -277,19 +276,3 @@ class TestSingularNumbers:
         x = random_general(rng, 5)
         sv = singular_values(x)
         assert np.all(np.diff(sv) <= 0)
-
-
-class TestSerialization:
-    def test_dense_roundtrip(self, rng):
-        x = random_hermitian(rng, 5)
-        y = operator_from_json(operator_to_json(x))
-        assert y.hermitian
-        np.testing.assert_allclose(y.dense_array(), x.dense_array())
-
-    def test_diag_roundtrip(self):
-        x = diagonal_operator([1.0, -2.5])
-        blob = operator_to_json(x)
-        assert "diag" in blob
-        y = operator_from_json(blob)
-        assert y.diagonal
-        np.testing.assert_allclose(y.diag_array(), x.diag_array())
