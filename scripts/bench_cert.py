@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Time the certificate layers of the dense LIL engine on their own.
+
+The families are those of the benchmark's ``dense`` workload
+(``lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified``,
+model generator, seed 0).  They are recorded from one run of
+``run_lil_experiment``, whose ``probc_upper`` calls come in pairs per
+nonempty block: the block family r_m, m = k_n+1 .. k_{n+1}, then the
+prefix family x_1 .. x_{k_{n+1}}, each with its threshold.  One pass
+times, per family kind (block, prefix):
+
+- ``certificate``: ``column_maximal_norm_bounds(family, p=4)``;
+- ``probc``: ``probc_upper`` against that certificate.
+
+A separate counting pass wraps ``numpy.linalg.eigvalsh`` and reports its
+calls and seconds by the dimension of the matrix it solves, which is the
+stored dimension of the operator.  Seconds are per pass, as the median and
+min/max over ``--repeats`` passes, with the environment stamp of
+``perfbench/envstamp.py``.
+
+    PYTHONPATH=src python scripts/bench_cert.py --repeats 5 --out cert.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import envstamp  # noqa: E402
+import nclil  # noqa: E402
+from nclil import (AlgebraModel, LILParameters, LILRunConfig,  # noqa: E402
+                   run_lil_experiment)
+from nclil import lil  # noqa: E402
+from nclil.inequalities import column_maximal_norm_bounds, probc_upper  # noqa: E402
+
+LAYERS = ("certificate.block", "certificate.prefix", "probc.block", "probc.prefix")
+WORKLOAD = "lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified --seed 0"
+
+
+def dense_families() -> list:
+    """(kind, family, threshold) for every block of the dense workload's run."""
+    cfg = LILRunConfig(params=LILParameters(eta=1.2), horizon=8, seed=0,
+                       model=AlgebraModel("tensor", 2, 8), strict=False)
+    calls = []
+
+    def recording(xs, t, dominator):
+        calls.append((list(xs), t))
+        return probc_upper(xs, t, dominator)
+
+    lil.probc_upper = recording
+    try:
+        run_lil_experiment(cfg)
+    finally:
+        lil.probc_upper = probc_upper
+    return [(("block", "prefix")[i % 2], xs, t) for i, (xs, t) in enumerate(calls)]
+
+
+def timed_pass(families: list) -> dict:
+    spent = dict.fromkeys(LAYERS, 0.0)
+    for kind, family, thr in families:
+        t0 = time.perf_counter()
+        cb = column_maximal_norm_bounds(family, p=4.0)
+        t1 = time.perf_counter()
+        probc_upper(family, thr, cb.certificate)
+        spent[f"certificate.{kind}"] += t1 - t0
+        spent[f"probc.{kind}"] += time.perf_counter() - t1
+    return spent
+
+
+def eigvalsh_pass(families: list) -> dict:
+    """{dim: [calls, seconds]} of the eigvalsh calls made by one timed pass."""
+    by_dim = defaultdict(lambda: [0, 0.0])
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = original(a, *args, **kwargs)
+        entry = by_dim[int(np.shape(a)[-1])]
+        entry[0] += 1
+        entry[1] += time.perf_counter() - t0
+        return out
+
+    np.linalg.eigvalsh = counted
+    try:
+        timed_pass(families)
+    finally:
+        np.linalg.eigvalsh = original
+    return dict(by_dim)
+
+
+def spread(xs: list) -> dict:
+    return {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", type=Path, default=None, help="write the JSON here too")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+
+    families = dense_families()
+    timed_pass(families)                                   # warm-up
+    passes = [timed_pass(families) for _ in range(args.repeats)]
+    counts = [eigvalsh_pass(families) for _ in range(args.repeats)]
+    layers = {name: spread([p[name] for p in passes]) for name in LAYERS}
+    layers["total"] = spread([sum(p.values()) for p in passes])
+    eig = {}
+    for dim in sorted({d for c in counts for d in c}):
+        eig[str(dim)] = {"calls": counts[0].get(dim, [0])[0],
+                         "s": spread([c.get(dim, [0, 0.0])[1] for c in counts])}
+    result = {
+        "unit": "s per pass over all families",
+        "config": {"workload": WORKLOAD, "repeats": args.repeats},
+        "families": {kind: sum(1 for f in families if f[0] == kind)
+                     for kind in ("block", "prefix")},
+        "layers": layers,
+        "eigvalsh_by_dim": eig,
+        "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
+    }
+    text = json.dumps(result, indent=2)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

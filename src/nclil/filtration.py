@@ -17,6 +17,10 @@ concrete realizations are provided:
 
 All three satisfy the module property, trace preservation, the tower rule,
 positivity and L_p contractivity, which verify_ce_axioms samples.
+
+Dense level-k elements are stored at their level: the m^k block y with
+multiplicity m^(n-k) in the model's own layout (y (x) 1 for tensor,
+1 (x) y for pinching), so E_k and everything built on it work at m^k.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import ConfigError, ShapeError
 from .operators import Operator
 from .rng import stream_rng
 
-DENSE_DIM_CAP = 4096       # dense kinds refuse to build beyond this
+DENSE_DIM_CAP = 4096       # largest dense block: the level-n block of a model
 DIAGONAL_DIM_CAP = 1 << 24
 CE_AXIOM_TOL = 1e-8
 
@@ -78,22 +82,39 @@ def _check_level(model: AlgebraModel, k: int):
         raise ConfigError(f"level {k} outside 0..{model.n}")
 
 
-def _check_element(model: AlgebraModel, x: Operator):
+def _as_element(model: AlgebraModel, x: Operator) -> tuple[Operator, int]:
+    """(x, level of its stored block) after the storage checks.
+
+    A level embedding that is not one of this model's levels (another
+    layout, or a block size that is not a power of m) is lifted to its
+    ambient matrix and counts as level n.
+    """
     if x.dim != model.dim:
         raise ShapeError(f"operator dim {x.dim} does not match model dim {model.dim}")
     if model.kind == "diagonal" and not x.diagonal:
         raise ShapeError("diagonal models act on diagonally stored operators")
     if model.kind != "diagonal" and x.diagonal:
         raise ShapeError(f"{model.kind} model needs dense storage")
+    if x.mult == 1:
+        return x, model.n
+    level, size = 0, x.data.shape[0]
+    while size % model.m == 0:
+        level, size = level + 1, size // model.m
+    if x.layout != model.kind or size != 1:
+        return Operator(x._block_at(1), hermitian=x.hermitian), model.n
+    return x, level
 
 
 def conditional_expectation(model: AlgebraModel, x: Operator, k: int) -> Operator:
-    """Trace-preserving conditional expectation of x onto level k."""
+    """Trace-preserving conditional expectation of x onto level k.
+
+    Dense results are stored at level k (or at the level of x when that is
+    lower, since then x lies in level k and is returned as it is).
+    """
     _check_level(model, k)
-    _check_element(model, x)
-    if k == model.n:
+    x, level = _as_element(model, x)
+    if level <= k:
         return x
-    m = model.m
     if model.kind == "diagonal":
         cells = model.level_dim(k)
         width = model.dim // cells
@@ -101,17 +122,13 @@ def conditional_expectation(model: AlgebraModel, x: Operator, k: int) -> Operato
         means = v.mean(axis=1)
         out = np.repeat(means, width)
         return Operator(out, hermitian=x.hermitian, diagonal=True)
-    da = model.level_dim(k)        # kept part
-    db = model.dim // da           # averaged part
-    t = x.data.reshape(da, db, da, db)
+    da = model.level_dim(k)           # kept part
+    db = x.data.shape[0] // da        # averaged part of the stored block
     if model.kind == "tensor":
-        y = np.einsum("ajbj->ab", t) / db
-        out = np.kron(y, np.eye(db))
+        y = np.einsum("ajbj->ab", x.data.reshape(da, db, da, db)) / db
     else:  # pinching: blocks of size m^k on the diagonal, then average them
-        t = x.data.reshape(db, da, db, da)
-        y = np.einsum("iaib->ab", t) / db
-        out = np.kron(np.eye(db), y)
-    return Operator(out, hermitian=x.hermitian)
+        y = np.einsum("iaib->ab", x.data.reshape(db, da, db, da)) / db
+    return Operator(y, hermitian=x.hermitian, mult=model.dim // da, layout=model.kind)
 
 
 def random_level_element(model: AlgebraModel, k: int, rng: np.random.Generator,
@@ -132,11 +149,7 @@ def random_level_element(model: AlgebraModel, k: int, rng: np.random.Generator,
         y = 0.5 * (y + y.conj().T)
     if not hermitian and not positive:
         y = g / np.sqrt(d)
-    if model.kind == "tensor":
-        out = np.kron(y, np.eye(rest))
-    else:
-        out = np.kron(np.eye(rest), y)
-    return Operator(out, hermitian=hermitian or positive)
+    return Operator(y, hermitian=hermitian or positive, mult=rest, layout=model.kind)
 
 
 def random_full_element(model: AlgebraModel, rng: np.random.Generator,

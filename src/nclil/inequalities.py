@@ -148,8 +148,13 @@ class ColumnNormBounds:
         return self.lower / self.upper
 
 
-def _feasibilize(a: Operator, cons: Sequence[Operator], rounds: int = 60) -> Operator:
-    """Push a up by positive parts of its worst violation until it dominates."""
+def _feasibilize(a: Operator, cons: Sequence[Operator],
+                 rounds: int = 60) -> tuple[Operator, bool]:
+    """Push a up by positive parts of its worst violation until it dominates.
+
+    Returns (a, converged).  Convergence means every gap is above -1e-12,
+    which already passes _is_feasible; only an unconverged a needs that check.
+    """
     for _ in range(rounds):
         worst_gap, worst = 0.0, None
         for c in cons:
@@ -157,9 +162,9 @@ def _feasibilize(a: Operator, cons: Sequence[Operator], rounds: int = 60) -> Ope
             if gap < worst_gap:
                 worst_gap, worst = gap, c
         if worst is None or worst_gap > -1e-12:
-            return a
+            return a, True
         a = a + op.pos_part(worst - a)
-    return a
+    return a, False
 
 
 def _is_feasible(a: Operator, cons: Sequence[Operator], scale: float) -> bool:
@@ -174,7 +179,8 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float, max_iters: int 
     x_i* x_i: the full sum (always feasible) and a feasibilized version of
     the last column seed a shrink-and-repair descent that only ever steps
     to certified-feasible iterates, so the final upper bound never relies
-    on the optimizer having converged.
+    on the optimizer having converged.  The constraints x_i* x_i are lifted
+    once to the family's largest common block, where the whole search runs.
     """
     if len(xs) == 0:
         raise ConfigError("need at least one operator")
@@ -183,27 +189,27 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float, max_iters: int 
         raise ConfigError(f"p must be >= 2, got {p}")
     cons = []
     seen = set()
-    for x in xs:
-        c = op.symmetrize(x.adjoint() @ x)
-        key = c.data.tobytes()
+    squares = [op.symmetrize(x.adjoint() @ x) for x in xs]
+    scale = max(op.lp_norm(c, np.inf) for c in squares)
+    for c in op.lift_common(squares):
+        key = (c.layout, c.data.shape, c.data.tobytes())
         if key not in seen:      # duplicated columns add no constraint
             seen.add(key)
             cons.append(c)
-    scale = max(op.lp_norm(c, np.inf) for c in cons)
 
     def objective(a: Operator) -> float:
         return op.lp_norm(a, p / 2.0) ** 0.5
 
     candidates = [("sum", sum(cons))]
-    last = _feasibilize(cons[-1], cons)
-    if _is_feasible(last, cons, scale):
+    last, converged = _feasibilize(cons[-1], cons)
+    if converged or _is_feasible(last, cons, scale):
         candidates.append(("last-column", last))
-    name, best = min(candidates, key=lambda kv: objective(kv[1]))
-    best_obj = objective(best)
+    name, best, best_obj = min(((name, a, objective(a)) for name, a in candidates),
+                               key=lambda t: t[2])
     iters = 0
     for iters in range(1, max_iters + 1):
-        trial = _feasibilize(shrink * best, cons)
-        if not _is_feasible(trial, cons, scale):
+        trial, converged = _feasibilize(shrink * best, cons)
+        if not (converged or _is_feasible(trial, cons, scale)):
             break
         obj = objective(trial)
         if obj >= best_obj * (1.0 - rel_tol):
@@ -327,12 +333,13 @@ def probc_upper(xs: Sequence[Operator], t: float, dominator: Operator) -> ProbcR
     b = dominator
     if not b.hermitian:
         raise NclilError("dominator must be hermitian")
-    scale = op.lp_norm(b, np.inf)
-    if op.min_eigenvalue(b) < -1e-10 * (1.0 + scale):
+    ev = op.eigenvalues(b)
+    scale = float(max(abs(ev[0]), abs(ev[-1])))
+    if ev[0] < -1e-10 * (1.0 + scale):
         raise NclilError("dominator must be positive semidefinite")
-    bsq = b @ b
+    bsq = op.symmetrize(b @ b)
     for x in xs:
-        gap = op.min_eigenvalue(op.symmetrize(bsq) - op.symmetrize(x.adjoint() @ x))
+        gap = op.min_eigenvalue(bsq - op.symmetrize(x.adjoint() @ x))
         if gap < -FEAS_TOL * (1.0 + scale * scale):
             raise NclilError(f"dominator fails to dominate the family (gap {gap:.3e})")
     e = op.spectral_projection(b, -math.inf, t)

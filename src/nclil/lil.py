@@ -490,11 +490,12 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
                          knob="the variance")
 
 
-def _intersect_projections(projs: Sequence[Projection], dim: int,
-                           diagonal: bool = False) -> Projection:
+def _intersect_projections(projs: Sequence[Projection], model: AlgebraModel) -> Projection:
     """Projection onto the common range, via the kernel of the deficiency sum."""
     if not projs:
-        return Projection(np.ones(dim) if diagonal else np.eye(dim), diagonal=diagonal)
+        if model.kind == "diagonal":
+            return Projection(np.ones(model.dim), diagonal=True)
+        return Projection(np.eye(1), mult=model.dim, layout=model.kind)
     deficiency = sum(p.complement() for p in projs)
     cut = 1e-10 * (1.0 + len(projs))
     return op.spectral_projection(op.symmetrize(deficiency), -math.inf, cut)
@@ -529,8 +530,7 @@ def _run_dense(cfg: LILRunConfig) -> TailReport:
             q_block.append(qb)
             q_theory.append(qt)
 
-        e = _intersect_projections([block_projs[n] for n in used if n in block_projs],
-                                   path.final.dim, diagonal=path.final.diagonal)
+        e = _intersect_projections([block_projs[n] for n in used if n in block_projs], model)
         used_steps = [m for n in used for m in rule.block_steps(n)]
         cp_steps = _checkpoint_steps(len(rs), min(cfg.checkpoints, len(rs)))
         cp_rs = [rs[int(m) - 1] for m in cp_steps]

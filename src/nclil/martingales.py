@@ -242,13 +242,14 @@ def _resolve_bounds(bound_seq, alpha_profile, horizon: int, base_scale: float):
     return None, prof
 
 
-def _assemble_dense_path(model, diffs, seed_meta):
+def _assemble_dense_path(model, diffs, seed_meta, s2):
+    """Path of the differences with bracket profile ``s2``."""
     partials = []
     acc = None
     for d in diffs:
         acc = d if acc is None else acc + d
         partials.append(acc)
-    s2, u = bracket_norms(model, diffs)
+    u = np.sqrt(iterlog_seq(s2))
     dnorm = np.array([op.lp_norm(d, np.inf) for d in diffs])
     resid = validate_differences(model, diffs)
     if resid > MD_RESIDUAL_TOL:
@@ -270,7 +271,9 @@ def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, alpha_profile=Non
     past algebra, which couples the difference to the history without
     changing its norm.  ||d_k||_inf is set by the bound sequence, or
     adaptively as alpha_k s_{k-1}/u_{k-1} when a growth profile is given
-    (the first step then uses base_scale).
+    (the first step then uses base_scale).  d_k is stored at level k as
+    the block w_{k-1} (x) a_k, and the bracket profile accumulated for the
+    adaptive scale is handed to the path as it is.
     """
     if model.kind != "tensor":
         raise ConfigError("tensor martingales need a tensor model")
@@ -282,6 +285,7 @@ def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, alpha_profile=Non
     bounds, prof = _resolve_bounds(bound_seq, alpha_profile, horizon, base_scale)
     rng = stream_rng(seed, label=f"tensor-mart-{model.m}-{model.n}")
     diffs = []
+    s2 = np.empty(horizon)
     acc_bracket = None
     s2_prev = 0.0
     for k in range(1, horizon + 1):
@@ -295,14 +299,14 @@ def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, alpha_profile=Non
         past = model.level_dim(k - 1)
         w = np.eye(past) if coupling == "none" else _haar_sa_unitary(rng, past)
         rest = model.dim // (past * model.m)
-        d = Operator(np.kron(np.kron(w, a), np.eye(rest)), hermitian=True)
+        d = Operator(np.kron(w, a), hermitian=True, mult=rest, layout="tensor")
         diffs.append(d)
         sq = op.symmetrize(d.adjoint() @ d)
         inc = conditional_expectation(model, sq, k - 1)
         acc_bracket = inc if acc_bracket is None else acc_bracket + inc
-        s2_prev = op.lp_norm(acc_bracket, np.inf)
+        s2_prev = s2[k - 1] = op.lp_norm(acc_bracket, np.inf)
     meta = {"generator": "tensor", "coupling": coupling, "seed": seed}
-    return _assemble_dense_path(model, diffs, meta)
+    return _assemble_dense_path(model, diffs, meta, s2)
 
 
 def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
@@ -331,7 +335,7 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
             raise NclilError(f"level {k} produced no nonzero centered element")
         diffs.append(d)
     meta = {"generator": "model", "kind": model.kind, "seed": seed}
-    return _assemble_dense_path(model, diffs, meta)
+    return _assemble_dense_path(model, diffs, meta, bracket_norms(model, diffs)[0])
 
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,

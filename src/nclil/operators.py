@@ -6,6 +6,12 @@ computed against tau.  Two storage layouts coexist: dense complex square
 matrices, and vectors of diagonal entries for multiplication operators on
 a finite sample space.  Mixed arithmetic promotes to dense.
 
+A dense operator may be level-embedded: it stores a block y of size d
+and a multiplicity r, and stands for the dim = d*r matrix y (x) 1_r
+(layout "tensor") or 1_r (x) y (layout "pinching").  Spectral routines
+run on the block, since tau and every L_p norm are the same on y and on
+its embedding.
+
 Operators are immutable.  The ``hermitian`` flag is part of the value and
 is validated at construction; spectral routines require it.
 """
@@ -13,7 +19,7 @@ is validated at construction; spectral routines require it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +40,9 @@ def real_statistic(z, context: str = "statistic") -> float:
     return float(z.real)
 
 
+_LAYOUTS = ("tensor", "pinching")
+
+
 class Operator:
     """Immutable element of a matrix algebra with normalized trace.
 
@@ -41,14 +50,29 @@ class Operator:
     diagonal entries (diagonal storage).  Scalar multiples, sums and
     operator products are available through the usual Python operators,
     with ``@`` denoting the operator product.
+
+    Dense storage is level-embedded: ``data`` holds a block y and the
+    operator is y (x) 1_mult (``layout`` "tensor") or 1_mult (x) y
+    (``layout`` "pinching"); with ``mult`` 1 it is y itself and ``layout``
+    is None.  ``dim`` is always the ambient dimension.  A sum or product of
+    two operators stored at different blocks first lifts the smaller block
+    with kron against an identity, which is exact; only ``dense_array()``
+    materializes the ambient matrix.
     """
 
-    __slots__ = ("data", "hermitian", "diagonal")
+    __slots__ = ("data", "hermitian", "diagonal", "mult", "layout")
 
-    def __init__(self, data, hermitian: bool = False, diagonal: bool | None = None):
+    def __init__(self, data, hermitian: bool = False, diagonal: bool | None = None,
+                 mult: int = 1, layout: str | None = None):
         arr = np.array(data)
         if diagonal is None:
             diagonal = arr.ndim == 1
+        if mult != 1:
+            if diagonal or mult < 1 or layout not in _LAYOUTS:
+                raise ShapeError(f"a level embedding needs dense storage, mult >= 1 and a "
+                                 f"layout in {_LAYOUTS}, got mult={mult}, layout={layout!r}")
+        else:
+            layout = None
         if diagonal:
             if arr.ndim != 1 or arr.size == 0:
                 raise ShapeError("diagonal storage requires a nonempty vector")
@@ -75,19 +99,34 @@ class Operator:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "hermitian", bool(hermitian))
         object.__setattr__(self, "diagonal", bool(diagonal))
+        object.__setattr__(self, "mult", int(mult))
+        object.__setattr__(self, "layout", layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
 
     @property
     def dim(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.data.shape[0]) * self.mult
+
+    def _like(self, data, hermitian: bool) -> "Operator":
+        """A dense operator with the same embedding as self."""
+        return Operator(data, hermitian=hermitian, mult=self.mult, layout=self.layout)
+
+    def _block_at(self, mult: int) -> np.ndarray:
+        """The dense block of self at multiplicity mult (a divisor of self.mult)."""
+        if mult == self.mult:
+            return self.data
+        eye = np.eye(self.mult // mult)
+        if self.layout == "tensor":
+            return np.kron(self.data, eye)
+        return np.kron(eye, self.data)
 
     def dense_array(self) -> np.ndarray:
-        """Dense complex matrix of entries (copies)."""
+        """Dense complex ambient matrix of entries (copies)."""
         if self.diagonal:
             return np.diag(self.data.astype(np.complex128))
-        return np.array(self.data)
+        return np.array(self._block_at(1))
 
     def diag_array(self) -> np.ndarray:
         if not self.diagonal:
@@ -97,20 +136,26 @@ class Operator:
     def adjoint(self) -> "Operator":
         if self.diagonal:
             return Operator(np.conj(self.data), hermitian=self.hermitian, diagonal=True)
-        return Operator(self.data.conj().T, hermitian=self.hermitian)
+        return self._like(self.data.conj().T, self.hermitian)
 
     def _coerce(self, other: "Operator"):
+        """Both operands at one common storage: (a, b, diagonal, mult, layout)."""
+        if (self.mult == other.mult and self.layout == other.layout
+                and self.diagonal == other.diagonal and self.data.shape == other.data.shape):
+            return self.data, other.data, self.diagonal, self.mult, self.layout
         if self.dim != other.dim:
             raise ShapeError(f"dimension mismatch {self.dim} vs {other.dim}")
-        if self.diagonal and other.diagonal:
-            return self.data, other.data, True
-        return self.dense_array(), other.dense_array(), False
+        if self.diagonal or other.diagonal:
+            return self.dense_array(), other.dense_array(), False, 1, None
+        mult, layout = _common_embedding((self, other))
+        return self._block_at(mult), other._block_at(mult), False, mult, layout
 
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b, diag = self._coerce(other)
-        return Operator(a + b, hermitian=self.hermitian and other.hermitian, diagonal=diag)
+        a, b, diag, mult, layout = self._coerce(other)
+        return Operator(a + b, hermitian=self.hermitian and other.hermitian, diagonal=diag,
+                        mult=mult, layout=layout)
 
     def __radd__(self, other):
         if other == 0:  # lets sum() start from 0
@@ -120,39 +165,69 @@ class Operator:
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b, diag = self._coerce(other)
-        return Operator(a - b, hermitian=self.hermitian and other.hermitian, diagonal=diag)
+        a, b, diag, mult, layout = self._coerce(other)
+        return Operator(a - b, hermitian=self.hermitian and other.hermitian, diagonal=diag,
+                        mult=mult, layout=layout)
 
     def __neg__(self):
-        return Operator(-self.data, hermitian=self.hermitian, diagonal=self.diagonal)
+        return Operator(-self.data, hermitian=self.hermitian, diagonal=self.diagonal,
+                        mult=self.mult, layout=self.layout)
 
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
         herm = self.hermitian and np.isrealobj(np.asarray(c))
-        return Operator(self.data * c, hermitian=bool(herm), diagonal=self.diagonal)
+        return Operator(self.data * c, hermitian=bool(herm), diagonal=self.diagonal,
+                        mult=self.mult, layout=self.layout)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b, diag = self._coerce(other)
+        a, b, diag, mult, layout = self._coerce(other)
         if diag:
             herm = self.hermitian and other.hermitian  # commuting real diagonals
             return Operator(a * b, hermitian=herm, diagonal=True)
-        return Operator(a @ b, hermitian=False)
+        return Operator(a @ b, hermitian=False, mult=mult, layout=layout)
 
     def __repr__(self):
         kind = "diag" if self.diagonal else "dense"
-        return f"Operator({kind}, dim={self.dim}, hermitian={self.hermitian})"
+        level = f", block={self.data.shape[0]}, {self.layout}" if self.mult > 1 else ""
+        return f"Operator({kind}, dim={self.dim}{level}, hermitian={self.hermitian})"
+
+
+def _common_embedding(xs) -> tuple:
+    """(mult, layout) of the largest common storage of dense operators xs.
+
+    That is the smallest multiplicity among them when they share a layout
+    and it divides every multiplicity, else the ambient matrix.
+    """
+    mult = min(x.mult for x in xs)
+    layouts = {x.layout for x in xs if x.mult > 1}
+    if mult == 1 or len(layouts) != 1 or any(x.mult % mult for x in xs):
+        return 1, None
+    return mult, layouts.pop()
+
+
+def lift_common(xs: Sequence[Operator]) -> list:
+    """The dense operators xs, each stored at the family's largest common block.
+
+    Lifting is exact: the ambient matrices do not change.
+    """
+    xs = list(xs)
+    mult, layout = _common_embedding(xs)
+    return [x if x.mult == mult else
+            Operator(x._block_at(mult), hermitian=x.hermitian, mult=mult, layout=layout)
+            for x in xs]
 
 
 class Projection(Operator):
     """Orthogonal projection: self-adjoint and idempotent within PROJ_ATOL."""
 
-    def __init__(self, data, diagonal: bool | None = None):
-        super().__init__(data, hermitian=True, diagonal=diagonal)
+    def __init__(self, data, diagonal: bool | None = None, mult: int = 1,
+                 layout: str | None = None):
+        super().__init__(data, hermitian=True, diagonal=diagonal, mult=mult, layout=layout)
         if self.diagonal:
             v = self.data
             resid = float(np.max(np.abs(v * v - v)))
@@ -169,7 +244,8 @@ class Projection(Operator):
     def complement(self) -> "Projection":
         if self.diagonal:
             return Projection(1.0 - self.data, diagonal=True)
-        return Projection(np.eye(self.dim) - self.data)
+        return Projection(np.eye(self.data.shape[0]) - self.data, mult=self.mult,
+                          layout=self.layout)
 
 
 def dense_operator(entries, hermitian: bool = False) -> Operator:
@@ -193,7 +269,7 @@ def symmetrize(x: Operator) -> Operator:
     if x.diagonal:
         return Operator(x.data.real if np.iscomplexobj(x.data) else x.data, hermitian=True, diagonal=True)
     a = x.data
-    return Operator(0.5 * (a + a.conj().T), hermitian=True)
+    return x._like(0.5 * (a + a.conj().T), True)
 
 
 def normalized_trace(x: Operator):
@@ -201,14 +277,17 @@ def normalized_trace(x: Operator):
     if x.diagonal:
         t = np.mean(x.data)
     else:
-        t = np.trace(x.data) / x.dim
+        t = np.trace(x.data) / x.data.shape[0]
     if x.hermitian:
         return real_statistic(t, "trace of hermitian operator")
     return complex(t)
 
 
 def eigenvalues(x: Operator) -> np.ndarray:
-    """Ascending real eigenvalues; requires the hermitian flag."""
+    """Ascending real eigenvalues of the stored block; requires the hermitian flag.
+
+    Each one has multiplicity ``x.mult`` in the ambient operator.
+    """
     if not x.hermitian:
         raise NclilError("eigenvalues requires a hermitian operator")
     if x.diagonal:
@@ -217,7 +296,7 @@ def eigenvalues(x: Operator) -> np.ndarray:
 
 
 def singular_values(x: Operator) -> np.ndarray:
-    """Descending singular values."""
+    """Descending singular values of the stored block (multiplicity ``x.mult``)."""
     if x.diagonal:
         return np.sort(np.abs(x.data))[::-1]
     if x.hermitian:
@@ -246,7 +325,10 @@ def lp_norm(x: Operator, p: float) -> float:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and a unitary of eigenvectors (columns)."""
+    """Eigenvalues (ascending) and a unitary of eigenvectors (columns).
+
+    For a level-embedded operator both belong to the stored block.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -256,14 +338,14 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-_DECOMP_DIM_CAP = 2048  # materializing eigenvectors beyond this is a bug
+_DECOMP_DIM_CAP = 2048  # materializing eigenvectors of a larger block is a bug
 
 
 def spectral_decomposition(x: Operator) -> SpectralDecomposition:
     if not x.hermitian:
         raise NclilError("spectral decomposition requires a hermitian operator")
-    if x.dim > _DECOMP_DIM_CAP:
-        raise ShapeError(f"refusing dense eigenvectors at dim {x.dim}")
+    if x.data.shape[0] > _DECOMP_DIM_CAP:
+        raise ShapeError(f"refusing dense eigenvectors at block dim {x.data.shape[0]}")
     if x.diagonal:
         vals = x.data.real.astype(np.float64)
         order = np.argsort(vals, kind="stable")
@@ -288,7 +370,7 @@ def apply_function(x: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operat
     sd = spectral_decomposition(x)
     out = _eval_on_spectrum(f, sd.eigenvalues)
     u = sd.eigenvectors
-    return Operator((u * out) @ u.conj().T, hermitian=True)
+    return x._like((u * out) @ u.conj().T, True)
 
 
 def _eval_on_spectrum(f, vals: np.ndarray) -> np.ndarray:
@@ -325,7 +407,7 @@ def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
     ind = (sd.eigenvalues > lo + ENDPOINT_FUZZ) & (sd.eigenvalues <= hi + ENDPOINT_FUZZ)
     u = sd.eigenvectors
     p = (u * ind.astype(np.float64)) @ u.conj().T
-    return Projection(0.5 * (p + p.conj().T))
+    return Projection(0.5 * (p + p.conj().T), mult=x.mult, layout=x.layout)
 
 
 def pos_part(x: Operator) -> Operator:
@@ -335,8 +417,9 @@ def pos_part(x: Operator) -> Operator:
 
 def psd_sqrt(x: Operator) -> Operator:
     """Square root of a nominally psd operator; negative float dust is clipped."""
-    floor = -PROJ_ATOL * (1.0 + lp_norm(x, np.inf))
-    if min_eigenvalue(x) < floor:
+    ev = eigenvalues(x)
+    floor = -PROJ_ATOL * (1.0 + float(max(abs(ev[0]), abs(ev[-1]))))
+    if ev[0] < floor:
         raise NclilError("operator is not positive semidefinite")
     return apply_function(x, lambda t: np.sqrt(np.clip(t, 0.0, None)))
 
@@ -348,7 +431,8 @@ def singular_number(x: Operator, t: float) -> float:
     right-continuous step function jumping at multiples of 1/dim, so the
     infimum closes to the descending singular value with 1-based index
     floor(t*dim) + 1 (zero past the smallest one).  The small additive
-    fuzz keeps t*dim stable when t is an exact multiple of 1/dim.
+    fuzz keeps t*dim stable when t is an exact multiple of 1/dim.  Each
+    singular value of the stored block repeats ``x.mult`` times.
     """
     t = float(t)
     if not 0.0 < t < 1.0:
@@ -357,5 +441,5 @@ def singular_number(x: Operator, t: float) -> float:
     s = singular_values(x)
     if j >= x.dim:
         return 0.0
-    return float(s[j])
+    return float(s[j // x.mult])
 

@@ -1,23 +1,8 @@
-import numpy as np
 import pytest
 
-from nclil import dense_operator, diagonal_operator, stream_rng
+from nclil import stream_rng
 
 
 @pytest.fixture
 def rng():
     return stream_rng(20240817)
-
-
-def random_hermitian(rng, d, scale=1.0):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return dense_operator(scale * (g + g.conj().T) / 2.0, hermitian=True)
-
-
-def random_general(rng, d, scale=1.0):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return dense_operator(scale * g)
-
-
-def random_diag(rng, d, scale=1.0):
-    return diagonal_operator(scale * rng.standard_normal(d))

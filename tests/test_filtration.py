@@ -14,7 +14,7 @@ from nclil import (AlgebraModel, ConfigError, conditional_expectation,
                    normalized_trace, random_full_element,
                    random_level_element, stream_rng, verify_ce_axioms)
 
-from conftest import random_hermitian
+from operator_samples import random_hermitian
 
 
 class TestModel:

@@ -22,7 +22,7 @@ from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    normalized_trace, probc_upper, random_level_element,
                    scalar_power_exp_bound, stream_rng, symmetrize)
 
-from conftest import random_hermitian
+from operator_samples import random_hermitian
 
 
 def two_spin_path():

@@ -19,7 +19,7 @@ from nclil import (NclilError, Operator, Projection, ShapeError,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
 
-from conftest import random_diag, random_general, random_hermitian
+from operator_samples import random_diag, random_general, random_hermitian
 
 
 def brute_singular_number(mat: np.ndarray, t: float, step: float) -> float:
