@@ -2,8 +2,8 @@
 """Time the layers of the streaming ensemble walk on their own.
 
 One pass streams ``--chunks`` chunks of ``--chunk`` steps x ``--paths``
-paths through ``nclil.lil._walk`` with the engines' increment draw, and
-splits the wall time into three layers:
+paths through ``nclil.martingales._walk`` with the engines' increment
+draw, and splits the wall time into three layers:
 
 - ``draw``: ``sample_step_increments`` for one chunk (sign blocks and
   ``rng.permuted``);
@@ -35,8 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import _walk  # noqa: E402
-from nclil.martingales import iterlog_seq, sample_step_increments  # noqa: E402
+from nclil.martingales import (_STEP_LAWS, _step_bound, _walk, iterlog_seq,  # noqa: E402
+                               sample_step_increments)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
@@ -46,7 +46,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
     """Seconds per layer for one walk over chunks x chunk steps."""
     total = chunks * chunk
     rng = stream_rng(seed, label=f"baseline-{law}")
-    scale = 1.0 if law == "rademacher" else 3.0 ** 0.5
+    scale = _step_bound(law, 1.0)
     ns = np.arange(1, total + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))
     runmax = np.zeros(paths)
@@ -78,7 +78,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--law", choices=("rademacher", "uniform"), default="rademacher")
+    ap.add_argument("--law", choices=tuple(_STEP_LAWS), default="rademacher")
     ap.add_argument("--paths", type=int, default=4096)
     ap.add_argument("--chunk", type=int, default=2048)
     ap.add_argument("--chunks", type=int, default=8)

@@ -25,11 +25,10 @@ from .lil import (BaselineConfig, BaselineReport, BlockRow, LILParameters,
                   LILRunConfig, SemicircleConfig, TailReport, TrendReport,
                   ks_distance, run_lil_experiment, scalar_kolmogorov_baseline,
                   semicircle_cdf, semicircular_demo)
-from .martingales import (MartingalePath, PathEnsemble, StoppingRule,
-                          bracket_norms, gen_diagonal_martingale,
-                          gen_model_martingale, gen_tensor_martingale,
-                          gue_matrix, iterlog, iterlog_seq,
-                          law_variance_factor, sample_step_increments,
+from .martingales import (MartingalePath, StoppingRule, bracket_norms,
+                          gen_diagonal_martingale, gen_model_martingale,
+                          gen_tensor_martingale, gue_matrix, iterlog,
+                          iterlog_seq, sample_step_increments,
                           stopping_indices, validate_differences)
 from .operators import (Operator, Projection, SpectralDecomposition,
                         apply_function, dense_operator, diagonal_operator,
@@ -52,7 +51,7 @@ __all__ = [
     "DualDoobCheck", "ExpIneqParams", "ExpMomentResult",
     "HypothesisViolation", "InsufficientHorizonError", "LILParameters",
     "LILRunConfig", "MartingalePath", "NclilError", "Operator",
-    "PathEnsemble", "ProbcResult", "Projection", "ScalarBoundResult",
+    "ProbcResult", "Projection", "ScalarBoundResult",
     "SemicircleConfig", "ShapeError", "SpectralDecomposition",
     "StoppingRule", "SweepResult", "TailReport", "TrendReport",
     "apply_function", "block_tail_bound", "bracket_norms",
@@ -62,7 +61,7 @@ __all__ = [
     "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
     "identity", "iterlog", "iterlog_seq", "ks_distance",
-    "law_variance_factor", "lp_norm", "min_eigenvalue", "normalized_trace",
+    "lp_norm", "min_eigenvalue", "normalized_trace",
     "pos_part", "probc_upper", "psd_sqrt", "random_full_element",
     "random_level_element", "real_statistic", "run_lil_experiment",
     "sample_step_increments", "scalar_kolmogorov_baseline",

@@ -18,7 +18,7 @@ import numpy as np
 from . import operators as op
 from .errors import ConfigError, HypothesisViolation, NclilError
 from .filtration import AlgebraModel, conditional_expectation
-from .martingales import MartingalePath, iterlog
+from .martingales import MD_RESIDUAL_TOL, MartingalePath, iterlog
 from .operators import Operator
 
 CENTER_TOL = 1e-9       # hypothesis i: |tau(x_n)|
@@ -248,7 +248,7 @@ def doob_consequence_check(path: MartingalePath, p: float, first: int = 1,
     """
     if p < 4.0:
         raise ConfigError(f"p must be >= 4, got {p}")
-    if path.md_residual > 1e-9:
+    if path.md_residual > MD_RESIDUAL_TOL:
         raise NclilError(f"input is not a martingale (residual {path.md_residual:.3e})")
     last = path.horizon if last is None else int(last)
     if not 1 <= first <= last <= path.horizon:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (StoppingRule, gen_model_martingale,
-                          gen_tensor_martingale, gue_matrix, iterlog,
-                          iterlog_seq, law_variance_factor,
-                          sample_step_increments, stopping_indices)
+from .martingales import (_STEP_LAWS, StoppingRule, _step_bound, _walk,
+                          gen_model_martingale, gen_tensor_martingale, gue_matrix,
+                          iterlog, iterlog_seq, sample_step_increments,
+                          stopping_indices)
 from .operators import Projection
 from .rng import stream_rng
 
@@ -238,6 +238,7 @@ class LILRunConfig:
                 raise ConfigError("paths must be even and >= 2")
             if self.variance <= 0:
                 raise ConfigError("variance must be positive")
+            _step_bound(self.law, self.variance)      # rejects a law outside the table
         if self.generator not in ("tensor", "model"):
             raise ConfigError(f"unknown dense generator {self.generator!r}")
         if self.checkpoints < 2:
@@ -392,41 +393,11 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
         checkpoints=cps)
 
 
-def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int, total: int,
-          chunk: int) -> Iterator[tuple]:
-    """Chunked partial sums of an ensemble walk, steps-major.
-
-    One (chunk, paths) buffer serves the whole walk.  ``draw(pos, take,
-    out)`` writes the increments of steps pos+1 .. pos+take into ``out``
-    (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
-    with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
-    valid only until the walk resumes, which overwrites it, and the
-    consumer may overwrite it in place.  Within a chunk each path's running
-    sum adds one step at a time along axis 0, and the sum carried from the
-    earlier chunks is added last; that order fixes the rounding, so the
-    sums depend on ``chunk`` only through it.
-    """
-    buf = np.empty((int(min(chunk, total)), paths))
-    S = np.zeros(paths)
-    pos = 0
-    while pos < total:
-        take = int(min(chunk, total - pos))
-        C = draw(pos, take, buf[:take])
-        # Row by row: np.cumsum along axis 0 strides across rows and is about
-        # 15x slower at 4096 paths; both add in the same order.
-        for prev, row in zip(C, C[1:]):
-            np.add(row, prev, row)
-        C += S
-        S[:] = C[-1]
-        yield pos, C
-        pos += take
-
-
 def _run_streaming(cfg: LILRunConfig) -> TailReport:
     """Exceptional sets realized per path: e keeps the paths that never exceed."""
     pars = cfg.params
     N, P = cfg.horizon, cfg.paths
-    scale = math.sqrt(cfg.variance / law_variance_factor(cfg.law))   # per-step difference bound
+    scale = _step_bound(cfg.law, cfg.variance)      # per-step difference bound
     s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
     u = np.sqrt(iterlog_seq(s2))
     norm = np.sqrt(s2) * u
@@ -562,7 +533,7 @@ class BaselineConfig:
             raise ConfigError("paths must be even and >= 2")
         if self.horizon < 10:
             raise ConfigError("horizon must be >= 10")
-        if self.law not in ("rademacher", "uniform", "alternating"):
+        if self.law != "alternating" and self.law not in _STEP_LAWS:
             raise ConfigError(f"unsupported baseline law {self.law!r}")
         if self.chunk < 1:
             raise ConfigError("chunk must be >= 1")
@@ -609,7 +580,8 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
     rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
-    scale = 1.0 if cfg.law == "rademacher" else math.sqrt(3.0)
+    # the deterministic control +1, -1, +1, ... is not a centered law of the table
+    scale = 1.0 if cfg.law == "alternating" else _step_bound(cfg.law, 1.0)
 
     def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
         if cfg.law == "alternating":

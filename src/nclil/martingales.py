@@ -5,17 +5,23 @@ exist.  Dense paths live on a filtered AlgebraModel and keep their actual
 difference operators, so the martingale property and the bracket are
 recomputed honestly through the conditional expectations.  Path-carrier
 ensembles represent a classical scalar martingale through P simultaneous
-sample paths (a multiplication-operator surrogate of dimension P); their
-brackets and difference bounds are exact by the choice of increment law,
-and increments are sign-balanced within each step so realized traces of
-differences vanish to rounding.
+sample paths (a multiplication-operator surrogate of dimension P) and keep
+only the final values; their brackets and difference bounds are exact by
+the choice of increment law, and increments are sign-balanced within each
+step so realized traces of differences vanish to rounding.
+
+The centered step laws live in one table, which fixes each law's ratio
+Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
+every ensemble engine draws at.  One chunked walker, ``_walk``, sums the
+increments of every ensemble: the streaming LIL engine, the scalar
+baseline and ``gen_diagonal_martingale``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +33,17 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_PARTIALS_CAP = 1 << 23      # max horizon*paths floats materialized by generators
+_CHUNK_CAP = 1 << 23         # floats per walk chunk of gen_diagonal_martingale
 
-_LAWS = ("rademacher", "uniform")
+# Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
+_STEP_LAWS = {"rademacher": 1.0, "uniform": 1.0 / 3.0}
+
+
+def _step_bound(law: str, variance):
+    """Per-step bound sqrt(variance / ratio) of a law with the given variance."""
+    if law not in _STEP_LAWS:
+        raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
+    return np.sqrt(variance / _STEP_LAWS[law])
 
 
 def iterlog(x: float) -> float:
@@ -54,15 +68,6 @@ def iterlog_seq(xs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Classical carrier: P simultaneous sample paths of one scalar law."""
-
-    paths: int
-    law: str
-    horizon: int
-
-
 @dataclass
 class MartingalePath:
     """A finite martingale with its realized bracket and norm profiles.
@@ -78,10 +83,8 @@ class MartingalePath:
     u: np.ndarray
     dnorm: np.ndarray
     model: AlgebraModel | None = None
-    ensemble: PathEnsemble | None = None
     differences: list[Operator] | None = None
     partials: list[Operator] | None = None
-    increments: np.ndarray | None = None   # ensemble kinds, when retained
     md_residual: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -100,21 +103,11 @@ class MartingalePath:
     def horizon(self) -> int:
         return len(self.s2)
 
-    @property
-    def is_ensemble(self) -> bool:
-        return self.ensemble is not None
-
     def s2_of(self, n: int) -> float:
         """s^2_n, with s^2_0 = 0."""
         if n == 0:
             return 0.0
         return float(self.s2[n - 1])
-
-    def u_of(self, n: int) -> float:
-        return float(self.u[n - 1])
-
-    def dnorm_of(self, n: int) -> float:
-        return float(self.dnorm[n - 1])
 
     def partial(self, n: int) -> Operator:
         """x_n (1-indexed); requires retained partial sums."""
@@ -124,8 +117,6 @@ class MartingalePath:
             return self.final
         if self.partials is not None:
             return self.partials[n - 1]
-        if self.increments is not None:
-            return Operator(self.increments[:n].sum(axis=0), hermitian=True, diagonal=True)
         raise NclilError("partial sums were not retained for this path")
 
 
@@ -350,8 +341,8 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     (a C-contiguous float64 (steps, paths) array, returned) when given,
     else into a fresh array; the draws are the same either way.
     """
-    if law not in _LAWS:
-        raise ConfigError(f"unknown increment law {law!r}, expected one of {_LAWS}")
+    if law not in _STEP_LAWS:
+        raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
     if paths < 2 or paths % 2:
         raise ConfigError("need an even number of paths >= 2")
     half = paths // 2
@@ -369,21 +360,44 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     return rng.permuted(out, axis=1, out=out)
 
 
-def law_variance_factor(law: str) -> float:
-    """Var(d)/scale^2 for a unit of the given law."""
-    return 1.0 if law == "rademacher" else 1.0 / 3.0
+def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int, total: int,
+          chunk: int) -> Iterator[tuple]:
+    """Chunked partial sums of an ensemble walk, steps-major.
+
+    One (chunk, paths) buffer serves the whole walk.  ``draw(pos, take,
+    out)`` writes the increments of steps pos+1 .. pos+take into ``out``
+    (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
+    with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
+    valid only until the walk resumes, which overwrites it, and the
+    consumer may overwrite it in place.  Within a chunk each path's running
+    sum adds one step at a time along axis 0, and the sum carried from the
+    earlier chunks is added last; that order fixes the rounding, so the
+    sums depend on ``chunk`` only through it.
+    """
+    buf = np.empty((int(min(chunk, total)), paths))
+    S = np.zeros(paths)
+    pos = 0
+    while pos < total:
+        take = int(min(chunk, total - pos))
+        C = draw(pos, take, buf[:take])
+        # Row by row: np.cumsum along axis 0 strides across rows and is about
+        # 15x slower at 4096 paths; both add in the same order.
+        for prev, row in zip(C, C[1:]):
+            np.add(row, prev, row)
+        C += S
+        S[:] = C[-1]
+        yield pos, C
+        pos += take
 
 
 def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademacher",
-                            variance=1.0, seed: int = 0,
-                            keep_increments: bool | None = None) -> MartingalePath:
+                            variance=1.0, seed: int = 0) -> MartingalePath:
     """Scalar martingale carried by an ensemble of P sample paths.
 
     The bracket and the difference bounds are exact by the law (variance
     profile ``variance`` per step), not estimated from the sample; the
-    sample only carries the distributional statistics.  Increments are
-    retained when the horizon*paths product stays small enough, or on
-    request.
+    sample only carries the distributional statistics.  Only the final
+    values S_horizon of the paths are kept.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -392,37 +406,29 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
         v = np.full(horizon, float(v))
     if v.shape != (horizon,) or np.any(v <= 0):
         raise ConfigError("variance profile must be positive with one entry per step")
-    if keep_increments is None:
-        keep_increments = horizon * paths <= _PARTIALS_CAP
-    if keep_increments and horizon * paths > _PARTIALS_CAP:
-        raise ConfigError(f"refusing to materialize {horizon}x{paths} increments")
-    factor = law_variance_factor(law)
-    scales = np.sqrt(v / factor)           # ess-sup of each increment
+    scales = _step_bound(law, v)           # ess-sup of each increment
     rng = stream_rng(seed, label=f"diag-mart-{law}")
-    s = np.zeros(paths)
-    kept = [] if keep_increments else None
     max_step_mean = 0.0
-    chunk = max(1, min(horizon, _PARTIALS_CAP // max(paths, 1)))
-    done = 0
-    while done < horizon:
-        take = min(chunk, horizon - done)
-        block = sample_step_increments(rng, law, 1.0, paths, steps=take)
-        block *= scales[done:done + take, None]
+
+    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
+        nonlocal max_step_mean
+        block = sample_step_increments(rng, law, 1.0, paths, steps=take, out=out)
+        block *= scales[pos:pos + take, None]
+        # before the walk sums the block in place: the realized mean of each step
         max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
-        s += block.sum(axis=0)
-        if kept is not None:
-            kept.append(block)
-        done += take
+        return block
+
+    # The chunk length fixes the rounding of non-integer sums (see _walk).
+    chunk = max(1, min(horizon, _CHUNK_CAP // max(paths, 1)))
+    for _, C in _walk(draw, paths, horizon, chunk):
+        pass
     s2 = np.cumsum(v)
-    path = MartingalePath(
-        final=Operator(s, hermitian=True, diagonal=True),
+    return MartingalePath(
+        final=Operator(C[-1].copy(), hermitian=True, diagonal=True),
         s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=scales,
-        ensemble=PathEnsemble(paths=paths, law=law, horizon=horizon),
-        increments=np.concatenate(kept, axis=0) if kept is not None else None,
         md_residual=max_step_mean,
         meta={"law": law, "seed": seed, "bracket_exact": True, "centering_exact": True,
               "max_step_mean": max_step_mean})
-    return path
 
 
 def gue_matrix(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import ConfigError
-from .filtration import AlgebraModel, random_full_element, verify_ce_axioms
+from .filtration import (CE_AXIOM_TOL, AlgebraModel, random_full_element,
+                         verify_ce_axioms)
 from .inequalities import (ExpIneqParams, chebyshev_bound,
                            column_maximal_norm_bounds, doob_consequence_check,
                            dual_doob_check, exp_moment_sides,
@@ -102,7 +103,7 @@ def sweep_ce(models: Sequence[AlgebraModel] | None = None, samples: int = 100,
     return SweepResult(
         name="ce-axioms", rows=rows, violations=violations,
         summary={"models": len(models), "samples": samples,
-                 "worst_residual": worst, "tol": 1e-8})
+                 "worst_residual": worst, "tol": CE_AXIOM_TOL})
 
 
 def _draw_martingale(rng: np.random.Generator, kind: str, seed: int):
@@ -124,7 +125,7 @@ def _draw_martingale(rng: np.random.Generator, kind: str, seed: int):
         law = "rademacher" if rng.random() < 0.5 else "uniform"
         variance = float(np.exp(0.4 * rng.standard_normal()))
         return gen_diagonal_martingale(horizon, paths=512, law=law, variance=variance,
-                                       seed=seed, keep_increments=False), f"ensemble:{law}:N={horizon}"
+                                       seed=seed), f"ensemble:{law}:N={horizon}"
     raise ConfigError(f"unknown martingale kind {kind!r}")
 
 

@@ -255,6 +255,8 @@ class TestConfigErrors:
         ["verify-doob", "--p", ""],
         ["verify-doob", "--trials-per-kind", "1", "--p", "4,nan"],
         ["lil-run", "--horizon", "2000", "--paths", "8", "--variance", "nan"],
+        ["lil-run", "--law", "gaussian"],
+        ["lil-run", "--law", "alternating"],
         ["baseline-scalar", "--horizon", "1e3"],
         ["verify-ce", "--seed", "-1"],
     ], ids=":".join)

@@ -21,6 +21,7 @@ from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    gen_tensor_martingale, identity, lp_norm, min_eigenvalue,
                    normalized_trace, probc_upper, random_level_element,
                    scalar_power_exp_bound, stream_rng, symmetrize)
+from nclil.martingales import MD_RESIDUAL_TOL
 
 from operator_samples import random_hermitian
 
@@ -119,6 +120,14 @@ class TestColumnBounds:
         path = two_spin_path()
         with pytest.raises(ConfigError):
             doob_consequence_check(path, 3.0)
+
+    def test_doob_md_residual_edge(self):
+        path = two_spin_path()
+        path.md_residual = MD_RESIDUAL_TOL
+        assert doob_consequence_check(path, 4.0).holds
+        path.md_residual = np.nextafter(MD_RESIDUAL_TOL, 1.0)
+        with pytest.raises(NclilError):
+            doob_consequence_check(path, 4.0)
 
 
 class TestDualDoob:

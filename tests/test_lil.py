@@ -12,8 +12,8 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
-                       _checkpoint_steps, _Realization, _walk)
-from nclil.martingales import iterlog_seq, law_variance_factor
+                       _checkpoint_steps, _Realization)
+from nclil.martingales import _walk, iterlog_seq
 from nclil.rng import stream_rng
 
 
@@ -231,7 +231,7 @@ def _paths_major_walk(rng, law, scale, paths, total, chunk):
 def _reference_stream_report(cfg):
     """The streaming engine's report, realized from the reference walk."""
     pars, N, P = cfg.params, cfg.horizon, cfg.paths
-    scale = math.sqrt(cfg.variance / law_variance_factor(cfg.law))
+    scale = math.sqrt(cfg.variance / (1.0 if cfg.law == "rademacher" else 1.0 / 3.0))
     s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
     u = np.sqrt(iterlog_seq(s2))
     norm = np.sqrt(s2) * u

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
                    bracket_norms, gen_diagonal_martingale,
                    gen_model_martingale, gen_tensor_martingale, gue_matrix,
-                   iterlog, iterlog_seq, law_variance_factor, lp_norm,
-                   normalized_trace, sample_step_increments, stopping_indices,
-                   stream_rng, validate_differences)
+                   iterlog, iterlog_seq, lp_norm, normalized_trace,
+                   sample_step_increments, stopping_indices, stream_rng,
+                   validate_differences)
+from nclil import martingales
 
 E_E = math.exp(math.e)
 
@@ -78,8 +79,13 @@ class TestSampling:
             sample_step_increments(rng, "rademacher", 1.0, paths=7)
 
     def test_variance_factor(self):
-        assert law_variance_factor("rademacher") == 1.0
-        assert abs(law_variance_factor("uniform") - 1.0 / 3.0) < 1e-15
+        assert martingales._STEP_LAWS == {"rademacher": 1.0, "uniform": 1.0 / 3.0}
+        assert martingales._step_bound("uniform", 1.0) == math.sqrt(3.0)
+        for law in ("gaussian", "alternating"):
+            with pytest.raises(ConfigError):
+                martingales._step_bound(law, 1.0)
+            with pytest.raises(ConfigError):
+                gen_diagonal_martingale(horizon=10, paths=8, law=law)
 
 
 class TestStoppingRule:
@@ -164,7 +170,6 @@ class TestGenerators:
         path = gen_diagonal_martingale(horizon=500, paths=64, law="uniform",
                                        variance=2.0, seed=5)
         np.testing.assert_allclose(path.s2, 2.0 * np.arange(1, 501), rtol=1e-12)
-        assert path.is_ensemble
         assert path.md_residual < 1e-12
         assert path.meta["bracket_exact"]
 
@@ -174,19 +179,6 @@ class TestGenerators:
         np.testing.assert_allclose(path.s2, np.cumsum(v), rtol=1e-12)
         np.testing.assert_allclose(path.dnorm, np.sqrt(v), rtol=1e-12)
 
-    def test_diagonal_partials_when_kept(self):
-        path = gen_diagonal_martingale(horizon=50, paths=32, seed=5,
-                                       keep_increments=True)
-        x10 = path.partial(10)
-        assert x10.diagonal
-        assert abs(normalized_trace(x10)) < 1e-12
-        np.testing.assert_allclose(path.partial(50).diag_array(),
-                                   path.final.diag_array(), atol=1e-12)
-
-    def test_memory_guard(self):
-        with pytest.raises(ConfigError):
-            gen_diagonal_martingale(horizon=10**6, paths=4096, keep_increments=True)
-
     def test_gue_normalization(self):
         rng = stream_rng(17)
         h = gue_matrix(rng, 300)
@@ -195,3 +187,46 @@ class TestGenerators:
         ev = np.linalg.eigvalsh(h)
         assert ev.min() > -2.5 and ev.max() < 2.5
 
+
+def _hand_loop_diagonal(horizon, paths, law, variance, seed, cap):
+    """gen_diagonal_martingale's own summing loop before it moved onto the
+    shared walker, kept as a reference: (final values, s2, dnorm, max step mean)."""
+    v = np.asarray(variance, dtype=np.float64)
+    if v.ndim == 0:
+        v = np.full(horizon, float(v))
+    scales = np.sqrt(v / (1.0 if law == "rademacher" else 1.0 / 3.0))
+    rng = stream_rng(seed, label=f"diag-mart-{law}")
+    s = np.zeros(paths)
+    max_step_mean = 0.0
+    chunk = max(1, min(horizon, cap // paths))
+    done = 0
+    while done < horizon:
+        take = min(chunk, horizon - done)
+        block = sample_step_increments(rng, law, 1.0, paths, steps=take)
+        block *= scales[done:done + take, None]
+        max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
+        s += block.sum(axis=0)
+        done += take
+    return s, np.cumsum(v), scales, max_step_mean
+
+
+class TestDiagonalRegression:
+    """Bit-identity of the walker-based ensemble generator with the hand loop,
+    over several chunks with a short last one."""
+
+    @pytest.mark.parametrize("variance", [0.37, np.linspace(0.5, 1.5, 30)],
+                             ids=["scalar", "profile"])
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_matches_hand_loop(self, monkeypatch, law, variance):
+        paths, horizon, cap = 64, 30, 64 * 7          # chunks of 7, 7, 7, 7, 2 steps
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", cap)
+        path = gen_diagonal_martingale(horizon, paths=paths, law=law, variance=variance,
+                                       seed=11)
+        final, s2, dnorm, max_step_mean = _hand_loop_diagonal(horizon, paths, law,
+                                                              variance, 11, cap)
+        np.testing.assert_array_equal(path.final.diag_array(), final)
+        np.testing.assert_array_equal(path.s2, s2)
+        np.testing.assert_array_equal(path.dnorm, dnorm)
+        assert path.md_residual == max_step_mean
+        assert path.meta == {"law": law, "seed": 11, "bracket_exact": True,
+                             "centering_exact": True, "max_step_mean": max_step_mean}

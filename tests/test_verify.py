@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nclil.errors import ConfigError
-from nclil.filtration import AlgebraModel
+from nclil.filtration import CE_AXIOM_TOL, AlgebraModel
 from nclil.verify import (SweepResult, default_ce_models, sweep_ce,
                           sweep_chebyshev, sweep_doob, sweep_dual_doob,
                           sweep_expineq, sweep_scalar_bound, write_rows_csv)
@@ -58,6 +58,7 @@ class TestCeSweep:
         assert res.ok
         assert len(res.rows) == 2
         assert res.summary["worst_residual"] <= 1e-8
+        assert res.summary["tol"] == CE_AXIOM_TOL
         assert all("model" in r for r in res.rows)
 
 
