@@ -5,8 +5,10 @@ One pass streams ``--chunks`` chunks of ``--chunk`` steps x ``--paths``
 paths through ``nclil.martingales._walk`` with the engines' increment
 draw, and splits the wall time into three layers:
 
-- ``draw``: ``sample_step_increments`` for one chunk (sign blocks and
-  ``rng.permuted``);
+- ``draw``: ``sample_step_increments`` for one chunk, the iid draw
+  (``balanced=False``) that ``lil-run`` and ``baseline-scalar`` make:
+  unpacked bits of random 64-bit words for rademacher, one double per
+  path-step for uniform;
 - ``walk``: what ``_walk`` adds around the draw (cumsum along the steps
   and the carried sum);
 - ``consume``: abs, normalize by sqrt(n L(n)) and the running max per
@@ -54,7 +56,8 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
 
     def draw(pos, take, out):
         t0 = time.perf_counter()
-        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out)
+        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out,
+                                       balanced=False)
         spent["draw"] += time.perf_counter() - t0
         return block
 

@@ -7,8 +7,12 @@ recomputed honestly through the conditional expectations.  Path-carrier
 ensembles represent a classical scalar martingale through P simultaneous
 sample paths (a multiplication-operator surrogate of dimension P) and keep
 only the final values; their brackets and difference bounds are exact by
-the choice of increment law, and increments are sign-balanced within each
-step so realized traces of differences vanish to rounding.
+the choice of increment law.  The streaming engines draw iid increments,
+so every path is marginally a random walk of its law.
+``gen_diagonal_martingale`` alone sign-balances each step across the
+ensemble, so that the realized trace of every difference vanishes to
+rounding (hypothesis (i), which the exponential-moment sweep checks on
+its paths).
 
 The centered step laws live in one table, which fixes each law's ratio
 Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
@@ -34,6 +38,7 @@ from .rng import stream_rng
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
 _CHUNK_CAP = 1 << 23         # floats per walk chunk of gen_diagonal_martingale
+_BITS_PIECE = 1 << 20        # unpacked sign bits (bytes) per piece of an iid rademacher draw
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
 _STEP_LAWS = {"rademacher": 1.0, "uniform": 1.0 / 3.0}
@@ -331,25 +336,45 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
                            paths: int, steps: int = 1,
-                           out: np.ndarray | None = None) -> np.ndarray:
+                           out: np.ndarray | None = None,
+                           balanced: bool = True) -> np.ndarray:
     """(steps, paths) block of centered bounded increments, |d| <= scale.
 
-    Each step is sign-balanced across the ensemble: exactly half the paths
-    get each sign (rademacher) or a mirrored magnitude (uniform), so the
-    realized cross-path mean of every step is zero to rounding while the
-    per-path marginal law is unchanged.  The block is written into ``out``
-    (a C-contiguous float64 (steps, paths) array, returned) when given,
-    else into a fresh array; the draws are the same either way.
+    With ``balanced`` (what ``gen_diagonal_martingale`` draws) each step is
+    sign-balanced across the ensemble: exactly half the paths get each sign
+    (rademacher) or a mirrored magnitude (uniform), so the realized
+    cross-path mean of every step is zero to rounding while the per-path
+    marginal law is unchanged.  Without it (what the streaming engines
+    draw) the increments are iid: a rademacher step takes its signs from
+    the bits of ceil(paths / 64) whole 64-bit words, a uniform one takes
+    one double per path, so the draws of step k never depend on how the
+    steps are split into blocks.  The block is written into ``out`` (a
+    C-contiguous float64 (steps, paths) array, returned) when given, else
+    into a fresh array; the draws are the same either way.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
     if paths < 2 or paths % 2:
         raise ConfigError("need an even number of paths >= 2")
-    half = paths // 2
     if out is None:
         out = np.empty((steps, paths))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
+    if not balanced:
+        if law == "rademacher":
+            words = -(-paths // 64)
+            piece = max(1, _BITS_PIECE // paths)     # rows unpacked at a time
+            for a in range(0, steps, piece):
+                w = rng.integers(0, np.iinfo(np.uint64).max, size=(min(piece, steps - a), words),
+                                 dtype=np.uint64, endpoint=True)
+                bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
+                np.multiply(bits, 2.0 * scale, out=out[a:a + len(w)])
+        else:
+            rng.random(out=out)
+            out *= 2.0 * scale
+        out -= scale
+        return out
+    half = paths // 2
     if law == "rademacher":
         out[:, :half] = scale
         out[:, half:] = -scale

@@ -208,19 +208,21 @@ class TestBlockCore:
 
 def _paths_major_walk(rng, law, scale, paths, total, chunk):
     """The paths-major walk the steps-major one replaced, kept as a reference:
-    fresh chunked draws, transpose, cumsum along the steps, then the carry."""
-    half = paths // 2
+    fresh chunked iid draws, transpose, cumsum along the steps, then the carry.
+    A rademacher step takes its signs from the low bits of ceil(paths / 64)
+    whole 64-bit words, a uniform one maps one double per path onto [-b, b)."""
     S = np.zeros(paths)
     pos = 0
     while pos < total:
         take = min(chunk, total - pos)
         if law == "rademacher":
-            block = np.concatenate([np.full((take, half), scale),
-                                    np.full((take, half), -scale)], axis=1)
+            words = rng.integers(0, np.iinfo(np.uint64).max, size=(take, -(-paths // 64)),
+                                 dtype=np.uint64, endpoint=True)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
+            block = np.where(bits == 1, scale, -scale)
         else:
-            mags = rng.uniform(0.0, scale, size=(take, half))
-            block = np.concatenate([mags, -mags], axis=1)
-        C = np.ascontiguousarray(rng.permuted(block, axis=1).T)
+            block = rng.random((take, paths)) * (2.0 * scale) - scale
+        C = np.ascontiguousarray(block.T)
         np.cumsum(C, axis=1, out=C)
         C += S[:, None]
         S = C[:, -1].copy()
@@ -298,6 +300,75 @@ class TestWalkRegression:
         ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
         expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
         np.testing.assert_array_equal(scalar_kolmogorov_baseline(cfg).per_path, expected)
+
+
+class TestChunkInvariance:
+    """An iid rademacher step draws whole words, so --chunk changes neither the
+    draws nor (integer sums) the rounding."""
+
+    @pytest.mark.parametrize("paths", [6, 64, 4096])
+    def test_outputs_equal_across_chunks(self, paths):
+        runs = [run_lil_experiment(LILRunConfig(params=LILParameters(eps_prime=0.02),
+                                                horizon=6000, paths=paths, seed=2,
+                                                strict=False, **kw)).to_json()
+                for kw in ({}, {"chunk": 333})]
+        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+        per_path = [scalar_kolmogorov_baseline(BaselineConfig(paths=paths, horizon=5000,
+                                                              seed=2, **kw)).per_path
+                    for kw in ({}, {"chunk": 333})]
+        np.testing.assert_array_equal(per_path[0], per_path[1])
+
+
+def _srw_window_exceedance(N, c):
+    """P(max over n in (N//10, N] of |S_n|/sqrt(n L(n)) > c) for a simple random
+    walk S, by a forward DP over the law of S_n with an absorbing barrier.
+    The statistic is formed in the baseline's own floating-point order."""
+    lo = N // 10
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    den = np.sqrt(ns * iterlog_seq(ns))
+    absval = np.abs(np.arange(-N, N + 1, dtype=np.float64))
+    p = np.zeros(2 * N + 1)
+    p[N] = 1.0
+    absorbed = 0.0
+    for n in range(1, N + 1):
+        q = np.zeros_like(p)
+        q[1:] = 0.5 * p[:-1]
+        q[:-1] += 0.5 * p[1:]
+        p = q
+        if n > lo:
+            out = absval / den[n - 1] > c
+            absorbed += float(p[out].sum())
+            p[out] = 0.0
+    return absorbed
+
+
+def _srw_window_exceedance_brute(L, c):
+    """The same probability by enumerating all 2^L sign sequences."""
+    signs = 1 - 2 * ((np.arange(2 ** L)[:, None] >> np.arange(L)) & 1)
+    S = np.cumsum(signs, axis=1).astype(np.float64)
+    lo = L // 10
+    ns = np.arange(lo + 1, L + 1, dtype=np.float64)
+    stat = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1)
+    return float(np.count_nonzero(stat > c)) / 2 ** L
+
+
+class TestExactLaw:
+    """The iid rademacher walk against its exact law."""
+
+    @pytest.mark.parametrize("L, c", [(12, 1.0), (16, 1.2), (16, 2.0), (14, 1.5)])
+    def test_dp_matches_enumeration(self, L, c):
+        exact = _srw_window_exceedance(L, c)
+        assert 0.0 < exact < 1.0
+        assert exact == _srw_window_exceedance_brute(L, c)
+
+    def test_baseline_frac_above_2_on_exact_law(self):
+        N, P = 2000, 4096
+        exact = _srw_window_exceedance(N, 2.0)
+        assert exact == pytest.approx(0.06648, abs=5e-6)
+        sd = math.sqrt(exact * (1.0 - exact) / P)
+        for seed in range(4):
+            rep = scalar_kolmogorov_baseline(BaselineConfig(paths=P, horizon=N, seed=seed))
+            assert abs(rep.frac_above_2 - exact) <= 4.0 * sd, (seed, rep.frac_above_2)
 
 
 class TestBaseline:

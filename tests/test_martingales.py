@@ -67,6 +67,10 @@ class TestSampling:
         with pytest.raises(ShapeError):
             sample_step_increments(stream_rng(0), "uniform", 1.0, paths=8, steps=3,
                                    out=np.empty((4, 8)))
+        for law in ("rademacher", "uniform"):
+            with pytest.raises(ShapeError):
+                sample_step_increments(stream_rng(0), law, 1.0, paths=8, steps=3,
+                                       out=np.empty((4, 8)), balanced=False)
 
     def test_rademacher_values(self):
         rng = stream_rng(3)
@@ -77,6 +81,39 @@ class TestSampling:
         rng = stream_rng(0)
         with pytest.raises(ConfigError):
             sample_step_increments(rng, "rademacher", 1.0, paths=7)
+
+    @pytest.mark.parametrize("paths", [6, 70])
+    def test_iid_rademacher_values(self, paths):
+        block = sample_step_increments(stream_rng(3), "rademacher", 0.7, paths=paths,
+                                       steps=400, balanced=False)
+        assert block.shape == (400, paths)
+        assert set(np.unique(block)) == {-0.7, 0.7}
+        assert np.any(block.sum(axis=1) != 0.0)       # steps are not balanced
+
+    def test_iid_uniform_bounded(self):
+        block = sample_step_increments(stream_rng(3), "uniform", 0.7, paths=70, steps=400,
+                                       balanced=False)
+        assert np.max(np.abs(block)) <= 0.7
+        assert block.min() < -0.69 and block.max() > 0.69
+
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_iid_out_buffer_matches_fresh_draw(self, monkeypatch, law):
+        monkeypatch.setattr(martingales, "_BITS_PIECE", 70 * 4)   # pieces of 4 rows
+        buf = np.full((50, 70), np.nan)
+        rng_out, rng_fresh, rng_whole = stream_rng(5), stream_rng(5), stream_rng(5)
+        fresh = []
+        for steps in (37, 11):
+            got = sample_step_increments(rng_out, law, 0.7, paths=70, steps=steps,
+                                         out=buf[:steps], balanced=False)
+            fresh.append(sample_step_increments(rng_fresh, law, 0.7, paths=70, steps=steps,
+                                                balanced=False))
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, fresh[-1])
+        # step k's draws do not depend on how the steps are split into blocks
+        whole = sample_step_increments(rng_whole, law, 0.7, paths=70, steps=48,
+                                       balanced=False)
+        np.testing.assert_array_equal(np.concatenate(fresh), whole)
+        assert rng_out.random() == rng_fresh.random() == rng_whole.random()
 
     def test_variance_factor(self):
         assert martingales._STEP_LAWS == {"rademacher": 1.0, "uniform": 1.0 / 3.0}
