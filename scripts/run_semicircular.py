@@ -7,6 +7,6 @@ import sys
 from nclil.cli import main
 
 if __name__ == "__main__":
-    args = ["demo-semicircular", "--size", "200", "--steps", "10000",
-            "--checkpoints", "100,1000,10000", "--out", "out/demo-semicircular"]
+    args = ["demo-semicircular", "--size", "200", "--checkpoints", "100,1000,10000",
+            "--out", "out/demo-semicircular"]
     sys.exit(main(args + sys.argv[1:]))

@@ -31,10 +31,9 @@ from .martingales import (MartingalePath, StoppingRule, bracket_norms,
                           iterlog_seq, sample_step_increments,
                           stopping_indices, validate_differences)
 from .operators import (Operator, Projection, SpectralDecomposition,
-                        apply_function, dense_operator, diagonal_operator,
-                        eigenvalues, identity, lp_norm, min_eigenvalue,
-                        normalized_trace, pos_part, psd_sqrt,
-                        real_statistic, singular_number, singular_values,
+                        apply_function, eigenvalues, identity, lp_norm,
+                        min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
+                        real_statistic, singular_values,
                         spectral_decomposition, spectral_projection,
                         symmetrize)
 from .rng import stream_rng
@@ -56,8 +55,8 @@ __all__ = [
     "StoppingRule", "SweepResult", "TailReport", "TrendReport",
     "apply_function", "block_tail_bound", "bracket_norms",
     "chebyshev_bound", "column_maximal_norm_bounds",
-    "conditional_expectation", "default_ce_models", "dense_operator",
-    "diagonal_operator", "doob_consequence_check", "dual_doob_check",
+    "conditional_expectation", "default_ce_models",
+    "doob_consequence_check", "dual_doob_check",
     "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
     "identity", "iterlog", "iterlog_seq", "ks_distance",
@@ -66,7 +65,7 @@ __all__ = [
     "random_level_element", "real_statistic", "run_lil_experiment",
     "sample_step_increments", "scalar_kolmogorov_baseline",
     "scalar_power_exp_bound", "semicircle_cdf", "semicircular_demo",
-    "singular_number", "singular_values", "spectral_decomposition",
+    "singular_values", "spectral_decomposition",
     "spectral_projection", "stopping_indices", "stream_rng", "symmetrize",
     "validate_differences", "verify_ce_axioms", "write_rows_csv",
 ]

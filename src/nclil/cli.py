@@ -159,7 +159,7 @@ _LIL_PARAMS = {"eta": _float, "delta": _float, "delta_prime": _float, "eps": _fl
                "eps_prime": lambda v: None if v is None else _float(v), "beta": _float}
 _LIL_RUN = {"horizon": _int, "paths": _int, "law": _str, "variance": _float, "seed": _int,
             "checkpoints": _int, "window_decades": _float, "model": _model,
-            "generator": _str, "bound_scale": _float, "strict": _bool, "chunk": _int}
+            "generator": _str, "bound_scale": _float, "strict": _bool}
 
 
 def _lil_run(cfg: dict, args) -> Outcome:
@@ -231,13 +231,12 @@ COMMANDS = {
         (("--allow-uncertified", "strict", "keep uncertified blocks instead of failing"),)),
     "baseline-scalar": Command(
         "classical random-walk calibration",
-        _keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str,
-                                   "seed": _int, "chunk": _int}),
+        _keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str, "seed": _int}),
         _baseline, (("--per-path", None, "write per-path maxima"),)),
     "demo-semicircular": Command(
         "matrix sum edge statistics",
-        {**_keys(lil.SemicircleConfig, {"size": _int, "steps": _int,
-                                        "checkpoints": _list(_int), "seed": _int}),
+        {**_keys(lil.SemicircleConfig, {"size": _int, "checkpoints": _list(_int),
+                                        "seed": _int}),
          "ks_tol": (_float, 0.05)},
         _semicircle),
 }

@@ -26,7 +26,6 @@ multiplicity m^(n-k) in the model's own layout (y (x) 1 for tensor,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .rng import stream_rng
 DENSE_DIM_CAP = 4096       # largest dense block: the level-n block of a model
 DIAGONAL_DIM_CAP = 1 << 24
 CE_AXIOM_TOL = 1e-8
+_CE_CONTRACTION_PS = (1.0, 2.0, 4.0, np.inf)   # exponents of the L_p contraction check
 
 _KINDS = ("tensor", "pinching", "diagonal")
 
@@ -197,8 +197,7 @@ def _opnorm(x: Operator) -> float:
     return op.lp_norm(x, np.inf)
 
 
-def verify_ce_axioms(model: AlgebraModel, samples: int = 100, seed: int = 0,
-                     ps: Sequence[float] = (1.0, 2.0, 4.0, np.inf)) -> CEAxiomReport:
+def verify_ce_axioms(model: AlgebraModel, samples: int = 100, seed: int = 0) -> CEAxiomReport:
     """Sample the conditional-expectation axioms and report worst residuals.
 
     Per sample: draw levels j <= k, a full random x, and a, b in level k;
@@ -233,7 +232,7 @@ def verify_ce_axioms(model: AlgebraModel, samples: int = 100, seed: int = 0,
         esq = conditional_expectation(model, sq, k)
         rep.positivity = max(rep.positivity, max(0.0, -op.min_eigenvalue(esq)))
 
-        for p in ps:
+        for p in _CE_CONTRACTION_PS:
             gap = op.lp_norm(ex, p) - op.lp_norm(x, p)
             rep.contraction = max(rep.contraction, gap)
     return rep

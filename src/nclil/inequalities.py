@@ -26,6 +26,10 @@ BRACKET_TOL = 1e-9      # hypothesis iii: negative part allowed in D^2 - bracket
 HOLD_TOL = 1e-10        # slack on log-scale inequality comparisons
 FEAS_TOL = 1e-8         # certificate domination slack
 _EXP_CAP = 700.0        # beyond this, report inf and keep the log form
+_FEAS_ROUNDS = 60       # repair rounds of one feasibilization
+_SEARCH_ITERS = 500     # shrink-and-repair steps of the column-norm search
+_SHRINK = 0.9           # factor of one shrink step
+_SEARCH_REL_TOL = 1e-6  # relative objective gain below which the search stops
 
 
 def _log_mean_exp(values: np.ndarray, weights_log: float) -> float:
@@ -148,14 +152,13 @@ class ColumnNormBounds:
         return self.lower / self.upper
 
 
-def _feasibilize(a: Operator, cons: Sequence[Operator],
-                 rounds: int = 60) -> tuple[Operator, bool]:
+def _feasibilize(a: Operator, cons: Sequence[Operator]) -> tuple[Operator, bool]:
     """Push a up by positive parts of its worst violation until it dominates.
 
     Returns (a, converged).  Convergence means every gap is above -1e-12,
     which already passes _is_feasible; only an unconverged a needs that check.
     """
-    for _ in range(rounds):
+    for _ in range(_FEAS_ROUNDS):
         worst_gap, worst = 0.0, None
         for c in cons:
             gap = op.min_eigenvalue(a - c)
@@ -171,8 +174,7 @@ def _is_feasible(a: Operator, cons: Sequence[Operator], scale: float) -> bool:
     return all(op.min_eigenvalue(a - c) >= -FEAS_TOL * (1.0 + scale) for c in cons)
 
 
-def column_maximal_norm_bounds(xs: Sequence[Operator], p: float, max_iters: int = 500,
-                               shrink: float = 0.9, rel_tol: float = 1e-6) -> ColumnNormBounds:
+def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBounds:
     """Certified enclosure of || (x_i)_i ||_{L_p(l_inf)} for p >= 2.
 
     Upper bounds are searched over positive operators dominating every
@@ -207,12 +209,12 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float, max_iters: int 
     name, best, best_obj = min(((name, a, objective(a)) for name, a in candidates),
                                key=lambda t: t[2])
     iters = 0
-    for iters in range(1, max_iters + 1):
-        trial, converged = _feasibilize(shrink * best, cons)
+    for iters in range(1, _SEARCH_ITERS + 1):
+        trial, converged = _feasibilize(_SHRINK * best, cons)
         if not (converged or _is_feasible(trial, cons, scale)):
             break
         obj = objective(trial)
-        if obj >= best_obj * (1.0 - rel_tol):
+        if obj >= best_obj * (1.0 - _SEARCH_REL_TOL):
             break
         best, best_obj = trial, obj
     cert = op.psd_sqrt(best)

@@ -32,7 +32,7 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (_STEP_LAWS, StoppingRule, _step_bound, _walk,
+from .martingales import (StoppingRule, _step_bound, _walk,
                           gen_model_martingale, gen_tensor_martingale, gue_matrix,
                           iterlog, iterlog_seq, sample_step_increments,
                           stopping_indices)
@@ -228,7 +228,6 @@ class LILRunConfig:
     checkpoints: int = 200
     window_decades: float = 1.0
     strict: bool = True
-    chunk: int = 2048
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -245,8 +244,6 @@ class LILRunConfig:
             raise ConfigError("need at least two checkpoints")
         if self.window_decades <= 0:
             raise ConfigError("window_decades must be positive")
-        if self.chunk < 1:
-            raise ConfigError("chunk must be >= 1")
 
     def to_json(self) -> dict:
         out = {
@@ -255,7 +252,6 @@ class LILRunConfig:
             "seed": self.seed, "generator": self.generator,
             "bound_scale": self.bound_scale, "checkpoints": self.checkpoints,
             "window_decades": self.window_decades, "strict": self.strict,
-            "chunk": self.chunk,
             "model": None if self.model is None else self.model.to_json(),
         }
         return out
@@ -266,6 +262,14 @@ def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     report = (_run_streaming if cfg.model is None else _run_dense)(cfg)
     report.runtime_seconds = time.perf_counter() - start
     return report
+
+
+def _iid_draw(rng: np.random.Generator, law: str, scale: float, paths: int) -> Callable:
+    """The walk's draw for iid increments of one law, |d| <= scale."""
+    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
+        return sample_step_increments(rng, law, scale, paths, steps=take, out=out,
+                                      balanced=False)
+    return draw
 
 
 def _checkpoint_steps(total: int, count: int) -> np.ndarray:
@@ -401,11 +405,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
     u = np.sqrt(iterlog_seq(s2))
     norm = np.sqrt(s2) * u
-    rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
-
-    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
-        return sample_step_increments(rng, cfg.law, scale, P, steps=take, out=out,
-                                      balanced=False)
+    draw = _iid_draw(stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}"), cfg.law, scale, P)
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
         ks, B = rule.ks, rule.blocks
@@ -417,7 +417,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_rows = np.zeros((len(cp_steps), P))
         sec = 0
-        for pos, C in _walk(draw, P, total, cfg.chunk):
+        for pos, C in _walk(draw, P, total):
             take = len(C)
             np.abs(C, out=C)
             # Sections tile steps 1..total, so this loop normalizes every row
@@ -527,21 +527,17 @@ class BaselineConfig:
     horizon: int = 1_000_000
     law: str = "rademacher"
     seed: int = 0
-    chunk: int = 4096
 
     def __post_init__(self):
         if self.paths < 2 or self.paths % 2:
             raise ConfigError("paths must be even and >= 2")
         if self.horizon < 10:
             raise ConfigError("horizon must be >= 10")
-        if self.law != "alternating" and self.law not in _STEP_LAWS:
-            raise ConfigError(f"unsupported baseline law {self.law!r}")
-        if self.chunk < 1:
-            raise ConfigError("chunk must be >= 1")
+        _step_bound(self.law, 1.0)      # rejects a law outside the table
 
     def to_json(self) -> dict:
         return {"paths": self.paths, "horizon": self.horizon, "law": self.law,
-                "seed": self.seed, "chunk": self.chunk}
+                "seed": self.seed}
 
 
 @dataclass
@@ -580,19 +576,10 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     start = time.perf_counter()
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
-    rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
-    # the deterministic control +1, -1, +1, ... is not a centered law of the table
-    scale = 1.0 if cfg.law == "alternating" else _step_bound(cfg.law, 1.0)
-
-    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
-        if cfg.law == "alternating":
-            out[:] = np.where((np.arange(pos + 1, pos + take + 1) % 2) == 1, 1.0, -1.0)[:, None]
-            return out
-        return sample_step_increments(rng, cfg.law, scale, P, steps=take, out=out,
-                                      balanced=False)
-
+    draw = _iid_draw(stream_rng(cfg.seed, label=f"baseline-{cfg.law}"), cfg.law,
+                     _step_bound(cfg.law, 1.0), P)
     runmax = np.zeros(P)
-    for pos, C in _walk(draw, P, N, cfg.chunk):
+    for pos, C in _walk(draw, P, N):
         take = len(C)
         if pos + take > lo:
             first = max(lo + 1, pos + 1)
@@ -626,21 +613,18 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 @dataclass
 class SemicircleConfig:
     size: int = 200
-    steps: int = 10_000
     checkpoints: tuple = (100, 1000, 10_000)
     seed: int = 0
 
     def __post_init__(self):
         if self.size < 50:
             raise ConfigError("matrix size must be >= 50")
-        if self.steps < max(self.checkpoints):
-            raise ConfigError("steps must reach the last checkpoint")
-        if any(c < 1 for c in self.checkpoints) or list(self.checkpoints) != sorted(set(self.checkpoints)):
+        cps = list(self.checkpoints)
+        if not cps or cps[0] < 1 or cps != sorted(set(cps)):
             raise ConfigError("checkpoints must be increasing positive integers")
 
     def to_json(self) -> dict:
-        return {"size": self.size, "steps": self.steps,
-                "checkpoints": list(self.checkpoints), "seed": self.seed}
+        return {"size": self.size, "checkpoints": list(self.checkpoints), "seed": self.seed}
 
 
 @dataclass

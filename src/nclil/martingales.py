@@ -1,4 +1,4 @@
-"""Matrix martingales: brackets, growth profiles, stopping rules, generators.
+"""Matrix martingales: brackets, stopping rules, generators, the ensemble walker.
 
 Martingale data moves through the package as a MartingalePath.  Two kinds
 exist.  Dense paths live on a filtered AlgebraModel and keep their actual
@@ -37,7 +37,7 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_CHUNK_CAP = 1 << 23         # floats per walk chunk of gen_diagonal_martingale
+_CHUNK_CAP = 1 << 23         # floats in the one chunk buffer of a walk (64 MiB)
 _BITS_PIECE = 1 << 20        # unpacked sign bits (bytes) per piece of an iid rademacher draw
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
@@ -219,33 +219,27 @@ def _traceless_site(rng: np.random.Generator, m: int, norm: float) -> np.ndarray
     raise NclilError("failed to draw a nonzero traceless site operator")
 
 
-def _resolve_bounds(bound_seq, alpha_profile, horizon: int, base_scale: float):
-    if bound_seq is not None and alpha_profile is not None:
-        raise ConfigError("give either explicit bounds or a growth profile, not both")
-    if bound_seq is not None:
-        b = np.asarray(bound_seq, dtype=np.float64)
-        if b.shape != (horizon,) or np.any(b <= 0):
-            raise ConfigError("bound sequence must be positive with one entry per step")
-        return b, None
-    if alpha_profile is None:
-        return np.full(horizon, float(base_scale)), None
-    if callable(alpha_profile):
-        prof = np.array([float(alpha_profile(n)) for n in range(1, horizon + 1)])
-    else:
-        prof = np.asarray(alpha_profile, dtype=np.float64)
-    if prof.shape != (horizon,) or np.any(prof <= 0):
-        raise ConfigError("growth profile must be positive with one entry per step")
-    return None, prof
+def _dense_bounds(model: AlgebraModel, bound_seq, horizon: int | None):
+    """(horizon, per-step norm bounds) of a dense generator; no bounds means unit bounds."""
+    horizon = model.n if horizon is None else int(horizon)
+    if not 1 <= horizon <= model.n:
+        raise ConfigError(f"horizon must lie in 1..{model.n}")
+    if bound_seq is None:
+        return horizon, np.ones(horizon)
+    b = np.asarray(bound_seq, dtype=np.float64)
+    if b.shape != (horizon,) or np.any(b <= 0):
+        raise ConfigError("bound sequence must be positive with one entry per step")
+    return horizon, b
 
 
-def _assemble_dense_path(model, diffs, seed_meta, s2):
-    """Path of the differences with bracket profile ``s2``."""
+def _assemble_dense_path(model, diffs, meta):
+    """Path of the differences, with its bracket profile from ``bracket_norms``."""
+    s2, u = bracket_norms(model, diffs)
     partials = []
     acc = None
     for d in diffs:
         acc = d if acc is None else acc + d
         partials.append(acc)
-    u = np.sqrt(iterlog_seq(s2))
     dnorm = np.array([op.lp_norm(d, np.inf) for d in diffs])
     resid = validate_differences(model, diffs)
     if resid > MD_RESIDUAL_TOL:
@@ -253,69 +247,47 @@ def _assemble_dense_path(model, diffs, seed_meta, s2):
     return MartingalePath(
         final=partials[-1], s2=s2, u=u, dnorm=dnorm, model=model,
         differences=list(diffs), partials=partials,
-        md_residual=resid, meta=seed_meta)
+        md_residual=resid, meta=meta)
 
 
-def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, alpha_profile=None,
-                          coupling: str = "haar", seed: int = 0, horizon: int | None = None,
-                          base_scale: float = 1.0) -> MartingalePath:
+def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, coupling: str = "haar",
+                          seed: int = 0, horizon: int | None = None) -> MartingalePath:
     """Martingale adapted to a tensor filtration, one difference per level.
 
     Differences take the form d_k = w_{k-1} (x) a_k (x) 1 with a_k a
     traceless hermitian site operator (so E_{k-1} d_k = 0 exactly) and
     w_{k-1} either the identity or a random self-adjoint unitary of the
     past algebra, which couples the difference to the history without
-    changing its norm.  ||d_k||_inf is set by the bound sequence, or
-    adaptively as alpha_k s_{k-1}/u_{k-1} when a growth profile is given
-    (the first step then uses base_scale).  d_k is stored at level k as
-    the block w_{k-1} (x) a_k, and the bracket profile accumulated for the
-    adaptive scale is handed to the path as it is.
+    changing its norm.  ||d_k||_inf is the k-th entry of the bound
+    sequence (unit bounds when none is given).  d_k is stored at level k
+    as the block w_{k-1} (x) a_k.
     """
     if model.kind != "tensor":
         raise ConfigError("tensor martingales need a tensor model")
     if coupling not in ("none", "haar"):
         raise ConfigError(f"unknown coupling {coupling!r}")
-    horizon = model.n if horizon is None else int(horizon)
-    if not 1 <= horizon <= model.n:
-        raise ConfigError(f"horizon must lie in 1..{model.n}")
-    bounds, prof = _resolve_bounds(bound_seq, alpha_profile, horizon, base_scale)
+    horizon, bounds = _dense_bounds(model, bound_seq, horizon)
     rng = stream_rng(seed, label=f"tensor-mart-{model.m}-{model.n}")
     diffs = []
-    s2 = np.empty(horizon)
-    acc_bracket = None
-    s2_prev = 0.0
     for k in range(1, horizon + 1):
-        if prof is None:
-            m_k = float(bounds[k - 1])
-        elif k == 1:
-            m_k = float(base_scale)
-        else:
-            m_k = float(prof[k - 1]) * math.sqrt(s2_prev) / math.sqrt(iterlog(s2_prev))
-        a = _traceless_site(rng, model.m, m_k)
+        a = _traceless_site(rng, model.m, float(bounds[k - 1]))
         past = model.level_dim(k - 1)
         w = np.eye(past) if coupling == "none" else _haar_sa_unitary(rng, past)
         rest = model.dim // (past * model.m)
-        d = Operator(np.kron(w, a), hermitian=True, mult=rest, layout="tensor")
-        diffs.append(d)
-        sq = op.symmetrize(d.adjoint() @ d)
-        inc = conditional_expectation(model, sq, k - 1)
-        acc_bracket = inc if acc_bracket is None else acc_bracket + inc
-        s2_prev = s2[k - 1] = op.lp_norm(acc_bracket, np.inf)
-    meta = {"generator": "tensor", "coupling": coupling, "seed": seed}
-    return _assemble_dense_path(model, diffs, meta, s2)
+        diffs.append(Operator(np.kron(w, a), hermitian=True, mult=rest, layout="tensor"))
+    return _assemble_dense_path(model, diffs,
+                                {"generator": "tensor", "coupling": coupling, "seed": seed})
 
 
 def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
-                         horizon: int | None = None, base_scale: float = 1.0) -> MartingalePath:
+                         horizon: int | None = None) -> MartingalePath:
     """Martingale on any filtered model: d_k = y_k - E_{k-1}(y_k).
 
     y_k is a random hermitian element of level k, so d_k lies in level k
-    and is exactly centered; it is then rescaled to the requested norm.
+    and is exactly centered; it is then rescaled to the k-th entry of the
+    bound sequence (unit bounds when none is given).
     """
-    horizon = model.n if horizon is None else int(horizon)
-    if not 1 <= horizon <= model.n:
-        raise ConfigError(f"horizon must lie in 1..{model.n}")
-    bounds, _ = _resolve_bounds(bound_seq, None, horizon, base_scale)
+    horizon, bounds = _dense_bounds(model, bound_seq, horizon)
     rng = stream_rng(seed, label=f"model-mart-{model.kind}-{model.m}-{model.n}")
     diffs = []
     for k in range(1, horizon + 1):
@@ -330,8 +302,8 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
         if d is None:
             raise NclilError(f"level {k} produced no nonzero centered element")
         diffs.append(d)
-    meta = {"generator": "model", "kind": model.kind, "seed": seed}
-    return _assemble_dense_path(model, diffs, meta, bracket_norms(model, diffs)[0])
+    return _assemble_dense_path(model, diffs,
+                                {"generator": "model", "kind": model.kind, "seed": seed})
 
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
@@ -385,11 +357,13 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     return rng.permuted(out, axis=1, out=out)
 
 
-def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int, total: int,
-          chunk: int) -> Iterator[tuple]:
+def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int,
+          total: int) -> Iterator[tuple]:
     """Chunked partial sums of an ensemble walk, steps-major.
 
-    One (chunk, paths) buffer serves the whole walk.  ``draw(pos, take,
+    One (chunk, paths) buffer serves the whole walk, with chunk =
+    _CHUNK_CAP // paths steps (at least one, at most ``total``), so it holds
+    at most max(_CHUNK_CAP, paths) floats.  ``draw(pos, take,
     out)`` writes the increments of steps pos+1 .. pos+take into ``out``
     (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
     with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
@@ -397,9 +371,10 @@ def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int, total:
     consumer may overwrite it in place.  Within a chunk each path's running
     sum adds one step at a time along axis 0, and the sum carried from the
     earlier chunks is added last; that order fixes the rounding, so the
-    sums depend on ``chunk`` only through it.
+    sums depend on the chunk only through it.
     """
-    buf = np.empty((int(min(chunk, total)), paths))
+    chunk = max(1, min(total, _CHUNK_CAP // max(paths, 1)))
+    buf = np.empty((chunk, paths))
     S = np.zeros(paths)
     pos = 0
     while pos < total:
@@ -443,9 +418,7 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
         max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
         return block
 
-    # The chunk length fixes the rounding of non-integer sums (see _walk).
-    chunk = max(1, min(horizon, _CHUNK_CAP // max(paths, 1)))
-    for _, C in _walk(draw, paths, horizon, chunk):
+    for _, C in _walk(draw, paths, horizon):
         pass
     s2 = np.cumsum(v)
     return MartingalePath(

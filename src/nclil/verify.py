@@ -19,7 +19,7 @@ import numpy as np
 
 from . import operators as op
 from .errors import ConfigError
-from .filtration import (CE_AXIOM_TOL, AlgebraModel, random_full_element,
+from .filtration import (_KINDS, CE_AXIOM_TOL, AlgebraModel, random_full_element,
                          verify_ce_axioms)
 from .inequalities import (ExpIneqParams, chebyshev_bound,
                            column_maximal_norm_bounds, doob_consequence_check,
@@ -67,6 +67,13 @@ def _require_at_least(least: int, **counts: int) -> None:
     for name, value in counts.items():
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def _require_kinds(kinds: Sequence[str]) -> None:
+    """Reject an unknown model kind up front, before any trial of a known one runs."""
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown kind {kind!r}, expected one of {_KINDS}")
 
 
 def _run_trials(fn: Callable, args_list: Iterable[tuple], workers: int = 1) -> list:
@@ -204,6 +211,7 @@ def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0)
                kinds: Sequence[str] = ("tensor", "pinching", "diagonal"),
                seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials_per_kind=trials_per_kind)
+    _require_kinds(kinds)
     if min(ps) < 4.0:
         raise ConfigError(f"doob check needs p >= 4, got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
@@ -242,6 +250,7 @@ def sweep_dual_doob(trials_per_kind: int = 50, ps: Sequence[float] = (1.0, 1.5, 
                     kinds: Sequence[str] = ("tensor", "pinching", "diagonal"),
                     seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials_per_kind=trials_per_kind)
+    _require_kinds(kinds)
     if min(ps) < 1.0 or max(ps) > 2.0:
         raise ConfigError(f"dual doob check needs p in [1, 2], got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]

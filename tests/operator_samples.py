@@ -5,7 +5,7 @@ unique so that it cannot resolve to a helper module of another test
 directory collected in the same pytest run.
 """
 
-from nclil import dense_operator, diagonal_operator
+from nclil.operators import dense_operator, diagonal_operator
 
 
 def random_hermitian(rng, d, scale=1.0):

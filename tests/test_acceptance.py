@@ -174,8 +174,7 @@ def test_diagonal_ensemble_projection_and_series(diagonal_run):
 
 def test_semicircular_edge_trend_and_spectral_law():
     t0 = perf_counter()
-    rep = semicircular_demo(SemicircleConfig(size=200, steps=10_000,
-                                             checkpoints=(100, 1000, 10_000),
+    rep = semicircular_demo(SemicircleConfig(size=200, checkpoints=(100, 1000, 10_000),
                                              seed=0))
     dt = perf_counter() - t0
     stats = {r["n"]: r["stat"] for r in rep.rows}

@@ -182,6 +182,7 @@ class TestLilRun:
     @pytest.mark.parametrize("command", ["lil-run", "baseline-scalar"])
     @pytest.mark.parametrize("chunk", ["0", "-1"])
     def test_bad_chunk_exits_one(self, tmp_path, capsys, command, chunk):
+        # the walker sizes its own chunk, so --chunk is an unknown option
         rc = main([command, "--horizon", "2000", "--paths", "8", "--chunk", chunk,
                    "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -206,7 +207,7 @@ class TestBaselineAndDemo:
 
     def test_demo_ok(self, tmp_path):
         out = tmp_path / "o"
-        rc = main(["demo-semicircular", "--size", "60", "--steps", "400",
+        rc = main(["demo-semicircular", "--size", "60",
                    "--checkpoints", "20,400", "--ks-tol", "0.3",
                    "--out", str(out)])
         assert rc == 0
@@ -214,7 +215,7 @@ class TestBaselineAndDemo:
 
     def test_demo_tight_tolerance_exits_two(self, tmp_path):
         out = tmp_path / "o"
-        rc = main(["demo-semicircular", "--size", "60", "--steps", "400",
+        rc = main(["demo-semicircular", "--size", "60",
                    "--checkpoints", "20,400", "--ks-tol", "0.0001",
                    "--out", str(out)])
         assert rc == 2
@@ -257,6 +258,8 @@ class TestConfigErrors:
         ["lil-run", "--horizon", "2000", "--paths", "8", "--variance", "nan"],
         ["lil-run", "--law", "gaussian"],
         ["lil-run", "--law", "alternating"],
+        ["baseline-scalar", "--law", "alternating"],
+        ["demo-semicircular", "--steps", "10000"],
         ["baseline-scalar", "--horizon", "1e3"],
         ["verify-ce", "--seed", "-1"],
     ], ids=":".join)
@@ -265,6 +268,28 @@ class TestConfigErrors:
         assert main([*argv, "--out", str(out)]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("lil-run", "chunk"), ("baseline-scalar", "chunk"), ("demo-semicircular", "steps")])
+    def test_removed_key_in_config_file_exits_one(self, tmp_path, capsys, command, key):
+        cfg = _write(tmp_path, json.dumps({key: 2048}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: unknown config keys ['{key}']" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, fn_name", [("verify-doob", "_doob_trial"),
+                                                  ("verify-dualdoob", "_dual_doob_trial")])
+    def test_unknown_kind_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                    command, fn_name):
+        calls = []
+        trial = getattr(verify, fn_name)
+        monkeypatch.setattr(verify, fn_name, lambda args: calls.append(args) or trial(args))
+        rc = main([command, "--trials-per-kind", "3", "--kinds", "tensor,foo",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: unknown kind 'foo'" in capsys.readouterr().err
+        assert calls == []
 
     def test_lists_from_text_or_array_resolve_alike(self, tmp_path):
         flags, cfg = tmp_path / "flags", tmp_path / "cfg"
@@ -286,10 +311,10 @@ OPTIONS = {
     "verify-scalarineq": {"--count"},
     "lil-run": {"--horizon", "--paths", "--law", "--variance", "--eta", "--delta",
                 "--delta-prime", "--eps", "--eps-prime", "--beta", "--checkpoints",
-                "--window-decades", "--model", "--generator", "--bound-scale", "--chunk",
+                "--window-decades", "--model", "--generator", "--bound-scale",
                 "--allow-uncertified"},
-    "baseline-scalar": {"--paths", "--horizon", "--law", "--chunk", "--per-path"},
-    "demo-semicircular": {"--size", "--steps", "--checkpoints", "--ks-tol"},
+    "baseline-scalar": {"--paths", "--horizon", "--law", "--per-path"},
+    "demo-semicircular": {"--size", "--checkpoints", "--ks-tol"},
 }
 COMMON = {"-h", "--help", "--out", "--config", "--seed"}
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclil import (AlgebraModel, ConfigError, conditional_expectation,
-                   dense_operator, diagonal_operator, identity, lp_norm,
-                   normalized_trace, random_full_element,
+                   identity, lp_norm, normalized_trace, random_full_element,
                    random_level_element, stream_rng, verify_ce_axioms)
+from nclil.operators import dense_operator, diagonal_operator
 
 from operator_samples import random_hermitian
 

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    HypothesisViolation, MartingalePath, NclilError, Operator,
                    block_tail_bound, bracket_norms, chebyshev_bound,
-                   column_maximal_norm_bounds, dense_operator,
-                   diagonal_operator, doob_consequence_check, dual_doob_check,
-                   exp_moment_sides, gen_model_martingale,
+                   column_maximal_norm_bounds, doob_consequence_check,
+                   dual_doob_check, exp_moment_sides, gen_model_martingale,
                    gen_tensor_martingale, identity, lp_norm, min_eigenvalue,
                    normalized_trace, probc_upper, random_level_element,
                    scalar_power_exp_bound, stream_rng, symmetrize)
+from nclil.operators import dense_operator, diagonal_operator
 from nclil.martingales import MD_RESIDUAL_TOL
 
 from operator_samples import random_hermitian

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from nclil import (AlgebraModel, LILParameters, LILRunConfig, Operator,
-                   ShapeError, conditional_expectation, dense_operator,
-                   eigenvalues, lp_norm, pos_part, psd_sqrt,
-                   random_level_element, run_lil_experiment, singular_number,
-                   singular_values, spectral_decomposition, spectral_projection,
-                   stream_rng, symmetrize)
+                   ShapeError, conditional_expectation, eigenvalues, lp_norm,
+                   pos_part, psd_sqrt, random_level_element,
+                   run_lil_experiment, singular_values,
+                   spectral_decomposition, spectral_projection, stream_rng,
+                   symmetrize)
 from nclil import lil
+from nclil.operators import dense_operator, singular_number
 
 MODELS = [("tensor", 2, 4), ("tensor", 3, 3), ("pinching", 2, 4), ("pinching", 3, 3)]
 

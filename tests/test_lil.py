@@ -13,6 +13,7 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
                        _checkpoint_steps, _Realization)
+from nclil import martingales
 from nclil.martingales import _walk, iterlog_seq
 from nclil.rng import stream_rng
 
@@ -108,9 +109,6 @@ class TestStreamingEngine:
             LILRunConfig(checkpoints=1)
         with pytest.raises(ConfigError):
             LILRunConfig(variance=0.0)
-        for chunk in (0, -1):
-            with pytest.raises(ConfigError):
-                LILRunConfig(chunk=chunk)
 
     def test_variance_scales_blocks(self):
         a = run_lil_experiment(LILRunConfig(horizon=20000, paths=64, seed=1))
@@ -172,7 +170,8 @@ class TestBlockCore:
         assert not past["limsup_below_threshold_ok"] and not past["ok"]
         assert bc(limsup=math.nan)["ok"]
 
-    def test_walk_carries_partial_sums_across_chunks(self):
+    def test_walk_carries_partial_sums_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", 5 * 4)    # chunks of 5 steps
         incs = np.random.default_rng(0).standard_normal((23, 4))
         # Exact in the documented order: cumsum within the chunk, then the carry.
         expected, carry = [], 0.0
@@ -186,14 +185,15 @@ class TestBlockCore:
             return out
 
         # The walk reuses one buffer, so each chunk is copied as it comes.
-        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23, chunk=5)]
+        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23)]
         assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
         assert [len(C) for _, C in chunks] == [5, 5, 5, 5, 3]
         walked = np.concatenate([C for _, C in chunks], axis=0)
         np.testing.assert_array_equal(walked, np.concatenate(expected, axis=0))
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
-    def test_walk_hands_out_one_buffer(self):
+    def test_walk_hands_out_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", 4 * 2)     # chunks of 4 steps
         seen = []
 
         def draw(pos, take, out):
@@ -201,9 +201,26 @@ class TestBlockCore:
             out[:] = 1.0
             return out
 
-        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10, chunk=4)]
+        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10)]
         assert sums == [4.0, 8.0, 10.0]
         assert all(np.shares_memory(seen[0], o) for o in seen[1:])
+
+    @pytest.mark.parametrize("paths, total, rows", [
+        (6, 100, 16), (6, 10, 10), (100, 50, 1), (150, 50, 1)])
+    def test_walk_buffer_stays_within_the_cap(self, monkeypatch, paths, total, rows):
+        cap = 100
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", cap)
+        buffers = []
+
+        def draw(pos, take, out):
+            buffers.append(out.base)
+            out[:] = 1.0
+            return out
+
+        for _ in _walk(draw, paths, total):
+            pass
+        assert {b.shape for b in buffers} == {(rows, paths)}
+        assert buffers[0].size <= max(cap, paths)
 
 
 def _paths_major_walk(rng, law, scale, paths, total, chunk):
@@ -230,7 +247,7 @@ def _paths_major_walk(rng, law, scale, paths, total, chunk):
         pos += take
 
 
-def _reference_stream_report(cfg):
+def _reference_stream_report(cfg, chunk):
     """The streaming engine's report, realized from the reference walk."""
     pars, N, P = cfg.params, cfg.horizon, cfg.paths
     scale = math.sqrt(cfg.variance / (1.0 if cfg.law == "rademacher" else 1.0 / 3.0))
@@ -243,7 +260,7 @@ def _reference_stream_report(cfg):
         total = int(ks[-1])
         rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
         absS = np.abs(np.concatenate(
-            list(_paths_major_walk(rng, cfg.law, scale, P, total, cfg.chunk)), axis=1))
+            list(_paths_major_walk(rng, cfg.law, scale, P, total, chunk)), axis=1))
         R = absS / norm[None, :total]
         sections = range(len(ks) - 1)
         blockmax = np.array([R[:, ks[i]:ks[i + 1]].max(axis=1, initial=-np.inf)
@@ -272,16 +289,20 @@ def _reference_stream_report(cfg):
                          knob="the variance")
 
 
+_ODD_CHUNK = 333       # rows per walk chunk under a patched _CHUNK_CAP
+
+
 class TestWalkRegression:
     """Bit-identity of the steps-major walk and its consumers with the
     paths-major reference, at an odd chunk size and a non-unit variance."""
 
     @pytest.mark.parametrize("paths", [64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_streaming_report_matches_reference(self, law, paths):
+    def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
         cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=6000, paths=paths,
-                           law=law, variance=0.37, seed=4, chunk=333, strict=False)
-        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg)
+                           law=law, variance=0.37, seed=4, strict=False)
+        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, _ODD_CHUNK)
         assert ref.deficit > 0.0          # some paths exceed, so e is not trivial
         assert json.dumps(got.to_json(), sort_keys=True) == \
                json.dumps(ref.to_json(), sort_keys=True)
@@ -290,12 +311,13 @@ class TestWalkRegression:
 
     @pytest.mark.parametrize("paths", [64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_baseline_per_path_matches_reference(self, law, paths):
-        cfg = BaselineConfig(paths=paths, horizon=5000, law=law, seed=6, chunk=333)
+    def test_baseline_per_path_matches_reference(self, monkeypatch, law, paths):
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
+        cfg = BaselineConfig(paths=paths, horizon=5000, law=law, seed=6)
         rng = stream_rng(cfg.seed, label=f"baseline-{law}")
         scale = 1.0 if law == "rademacher" else math.sqrt(3.0)
         S = np.concatenate(list(_paths_major_walk(rng, law, scale, cfg.paths, cfg.horizon,
-                                                  cfg.chunk)), axis=1)
+                                                  _ODD_CHUNK)), axis=1)
         lo = cfg.horizon // 10
         ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
         expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
@@ -303,20 +325,24 @@ class TestWalkRegression:
 
 
 class TestChunkInvariance:
-    """An iid rademacher step draws whole words, so --chunk changes neither the
-    draws nor (integer sums) the rounding."""
+    """An iid rademacher step draws whole words, so the walk's chunk changes
+    neither the draws nor (integer sums) the rounding."""
 
     @pytest.mark.parametrize("paths", [6, 64, 4096])
-    def test_outputs_equal_across_chunks(self, paths):
-        runs = [run_lil_experiment(LILRunConfig(params=LILParameters(eps_prime=0.02),
-                                                horizon=6000, paths=paths, seed=2,
-                                                strict=False, **kw)).to_json()
-                for kw in ({}, {"chunk": 333})]
-        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
-        per_path = [scalar_kolmogorov_baseline(BaselineConfig(paths=paths, horizon=5000,
-                                                              seed=2, **kw)).per_path
-                    for kw in ({}, {"chunk": 333})]
-        np.testing.assert_array_equal(per_path[0], per_path[1])
+    def test_outputs_equal_across_chunks(self, monkeypatch, paths):
+        def outputs():
+            run = run_lil_experiment(LILRunConfig(params=LILParameters(eps_prime=0.02),
+                                                  horizon=6000, paths=paths, seed=2,
+                                                  strict=False)).to_json()
+            per_path = scalar_kolmogorov_baseline(BaselineConfig(paths=paths, horizon=5000,
+                                                                 seed=2)).per_path
+            return json.dumps(run, sort_keys=True), per_path
+
+        default = outputs()
+        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
+        odd = outputs()
+        assert default[0] == odd[0]
+        np.testing.assert_array_equal(default[1], odd[1])
 
 
 def _srw_window_exceedance(N, c):
@@ -372,13 +398,6 @@ class TestExactLaw:
 
 
 class TestBaseline:
-    def test_alternating_path_vanishes(self):
-        cfg = BaselineConfig(paths=8, horizon=2000, law="alternating", seed=0)
-        rep = scalar_kolmogorov_baseline(cfg)
-        assert rep.median < 0.1
-        assert rep.preasymptotic
-        assert np.ptp(rep.per_path) == 0.0    # identical deterministic paths
-
     def test_rademacher_small(self):
         cfg = BaselineConfig(paths=128, horizon=5000, seed=4)
         rep = scalar_kolmogorov_baseline(cfg)
@@ -389,11 +408,9 @@ class TestBaseline:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BaselineConfig(paths=3)
-        with pytest.raises(ConfigError):
-            BaselineConfig(law="gaussian")
-        for chunk in (0, -1):
+        for law in ("gaussian", "alternating"):
             with pytest.raises(ConfigError):
-                BaselineConfig(chunk=chunk)
+                BaselineConfig(law=law)
 
 
 class TestSemicircle:
@@ -413,7 +430,7 @@ class TestSemicircle:
         assert ks_distance(vals, semicircle_cdf) <= 1.0 / 200 + 1e-3
 
     def test_demo_trend(self):
-        cfg = SemicircleConfig(size=60, steps=400, checkpoints=(20, 400), seed=2)
+        cfg = SemicircleConfig(size=60, checkpoints=(20, 400), seed=2)
         rep = semicircular_demo(cfg)
         assert rep.trend_ok
         assert rep.rows[0]["n"] == 20 and rep.rows[-1]["n"] == 400
@@ -422,7 +439,6 @@ class TestSemicircle:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SemicircleConfig(size=10)
-        with pytest.raises(ConfigError):
-            SemicircleConfig(checkpoints=(100, 50), steps=1000)
-        with pytest.raises(ConfigError):
-            SemicircleConfig(checkpoints=(100, 2000), steps=1000)
+        for checkpoints in ((100, 50), (0, 50), ()):
+            with pytest.raises(ConfigError):
+                SemicircleConfig(checkpoints=checkpoints)

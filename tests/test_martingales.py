@@ -195,14 +195,6 @@ class TestGenerators:
         np.testing.assert_allclose(s2, path.s2, rtol=1e-12)
         assert np.all(u >= 1.0)
 
-    def test_alpha_growth_profile(self):
-        model = AlgebraModel("tensor", 2, 8)
-        prof = np.full(8, 0.3)
-        path = gen_tensor_martingale(model, alpha_profile=prof, seed=3, base_scale=0.5)
-        # realized alpha_n = ||d_n|| u_n / s_n should track the request from step 2 on
-        realized = (path.dnorm * path.u / np.sqrt(path.s2))[1:]
-        np.testing.assert_allclose(realized, 0.3, rtol=0.35)
-
     def test_diagonal_martingale_exact_bracket(self):
         path = gen_diagonal_martingale(horizon=500, paths=64, law="uniform",
                                        variance=2.0, seed=5)

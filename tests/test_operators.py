@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclil import (NclilError, Operator, Projection, ShapeError,
-                   apply_function, dense_operator, diagonal_operator,
-                   eigenvalues, identity, lp_norm, min_eigenvalue,
-                   normalized_trace, pos_part, psd_sqrt, singular_number,
+                   apply_function, eigenvalues, identity, lp_norm,
+                   min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
+from nclil.operators import dense_operator, diagonal_operator, singular_number
 
 from operator_samples import random_diag, random_general, random_hermitian
 
