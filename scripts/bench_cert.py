@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the certificate layers of the dense LIL engine on their own.
+"""Time the certificate layers of the dense LIL engine and the doob sweep on their own.
 
 The families are those of the benchmark's ``dense`` workload
 (``lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified``,
@@ -14,9 +14,18 @@ times, per family kind (block, prefix):
 
 A separate counting pass wraps ``numpy.linalg.eigvalsh`` and reports its
 calls and seconds by the dimension of the matrix it solves, which is the
-stored dimension of the operator.  Seconds are per pass, as the median and
-min/max over ``--repeats`` passes, with the environment stamp of
-``perfbench/envstamp.py``.
+stored dimension of the operator.
+
+The ``doob`` layer takes the 24 families x_1 .. x_n of
+``verify-doob --trials-per-kind 8`` (seed 0), recorded from one sweep,
+and searches each with ``column_maximal_norm_bounds`` at p = 4, 6, 8, the
+sweep's p values.  ``doob.cold`` clears the search's one-entry memo
+before every p, so each call descends from scratch; ``doob.shared``
+clears it only before each family's first p, so the other two walk the
+first call's iterates.  Both report their ``_feasibilize`` calls per pass.
+
+Seconds are per pass, as the median and min/max over ``--repeats``
+passes, with the environment stamp of ``perfbench/envstamp.py``.
 
     PYTHONPATH=src python scripts/bench_cert.py --repeats 5 --out cert.json
 """
@@ -39,11 +48,14 @@ import envstamp  # noqa: E402
 import nclil  # noqa: E402
 from nclil import (AlgebraModel, LILParameters, LILRunConfig,  # noqa: E402
                    run_lil_experiment)
-from nclil import lil  # noqa: E402
-from nclil.inequalities import column_maximal_norm_bounds, probc_upper  # noqa: E402
+from nclil import inequalities, lil, verify  # noqa: E402
+from nclil.inequalities import (column_maximal_norm_bounds,  # noqa: E402
+                                doob_consequence_check, probc_upper)
 
 LAYERS = ("certificate.block", "certificate.prefix", "probc.block", "probc.prefix")
 WORKLOAD = "lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified --seed 0"
+DOOB_WORKLOAD = "verify-doob --trials-per-kind 8 --seed 0"
+DOOB_PS = (4.0, 6.0, 8.0)
 
 
 def dense_families() -> list:
@@ -62,6 +74,46 @@ def dense_families() -> list:
     finally:
         lil.probc_upper = probc_upper
     return [(("block", "prefix")[i % 2], xs, t) for i, (xs, t) in enumerate(calls)]
+
+
+def doob_families() -> list:
+    """x_1 .. x_n of every trial of the doob sweep, as its Doob checks see them."""
+    paths = []
+
+    def recording(path, p, *args, **kwargs):
+        paths.append(path)
+        return doob_consequence_check(path, p, *args, **kwargs)
+
+    verify.doob_consequence_check = recording
+    try:
+        verify.sweep_doob(trials_per_kind=8, ps=DOOB_PS[:1], seed=0)
+    finally:
+        verify.doob_consequence_check = doob_consequence_check
+    return [[path.partial(i) for i in range(1, path.horizon + 1)] for path in paths]
+
+
+def doob_pass(families: list, shared: bool) -> tuple:
+    """(seconds, _feasibilize calls) of one search of every family at every p."""
+    calls = [0]
+    feasibilize = inequalities._feasibilize
+
+    def counted(*args):
+        calls[0] += 1
+        return feasibilize(*args)
+
+    inequalities._feasibilize = counted
+    spent = 0.0
+    try:
+        for family in families:
+            for j, p in enumerate(DOOB_PS):
+                if j == 0 or not shared:
+                    inequalities._last_descent = None
+                t0 = time.perf_counter()
+                column_maximal_norm_bounds(family, p)
+                spent += time.perf_counter() - t0
+    finally:
+        inequalities._feasibilize = feasibilize
+    return spent, calls[0]
 
 
 def timed_pass(families: list) -> dict:
@@ -115,16 +167,23 @@ def main(argv=None) -> int:
     counts = [eigvalsh_pass(families) for _ in range(args.repeats)]
     layers = {name: spread([p[name] for p in passes]) for name in LAYERS}
     layers["total"] = spread([sum(p.values()) for p in passes])
+    doob = doob_families()
+    doob_runs = {mode: [doob_pass(doob, shared) for _ in range(args.repeats)]
+                 for mode, shared in (("cold", False), ("shared", True))}
+    for mode, runs in doob_runs.items():
+        layers[f"doob.{mode}"] = spread([s for s, _ in runs])
     eig = {}
     for dim in sorted({d for c in counts for d in c}):
         eig[str(dim)] = {"calls": counts[0].get(dim, [0])[0],
                          "s": spread([c.get(dim, [0, 0.0])[1] for c in counts])}
     result = {
         "unit": "s per pass over all families",
-        "config": {"workload": WORKLOAD, "repeats": args.repeats},
-        "families": {kind: sum(1 for f in families if f[0] == kind)
-                     for kind in ("block", "prefix")},
+        "config": {"workload": WORKLOAD, "doob_workload": DOOB_WORKLOAD,
+                   "doob_ps": list(DOOB_PS), "repeats": args.repeats},
+        "families": {**{kind: sum(1 for f in families if f[0] == kind)
+                        for kind in ("block", "prefix")}, "doob": len(doob)},
         "layers": layers,
+        "feasibilize_calls": {f"doob.{mode}": runs[0][1] for mode, runs in doob_runs.items()},
         "eigvalsh_by_dim": eig,
         "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
     }

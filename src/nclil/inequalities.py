@@ -25,6 +25,9 @@ CENTER_TOL = 1e-9       # hypothesis i: |tau(x_n)|
 BRACKET_TOL = 1e-9      # hypothesis iii: negative part allowed in D^2 - bracket
 HOLD_TOL = 1e-10        # slack on log-scale inequality comparisons
 FEAS_TOL = 1e-8         # certificate domination slack
+REPAIR_GAP_TOL = 1e-12  # a repair round ends once every domination gap is above -this
+ENCLOSURE_REL_TOL = 1e-8   # relative slack of lower <= upper in the column-norm enclosure
+ENCLOSURE_ABS_TOL = 1e-12  # absolute slack of the same comparison
 _EXP_CAP = 700.0        # beyond this, report inf and keep the log form
 _FEAS_ROUNDS = 60       # repair rounds of one feasibilization
 _SEARCH_ITERS = 500     # shrink-and-repair steps of the column-norm search
@@ -155,8 +158,9 @@ class ColumnNormBounds:
 def _feasibilize(a: Operator, cons: Sequence[Operator]) -> tuple[Operator, bool]:
     """Push a up by positive parts of its worst violation until it dominates.
 
-    Returns (a, converged).  Convergence means every gap is above -1e-12,
-    which already passes _is_feasible; only an unconverged a needs that check.
+    Returns (a, converged).  Convergence means every gap is above
+    -REPAIR_GAP_TOL, which already passes _is_feasible; only an unconverged
+    a needs that check.
     """
     for _ in range(_FEAS_ROUNDS):
         worst_gap, worst = 0.0, None
@@ -164,7 +168,7 @@ def _feasibilize(a: Operator, cons: Sequence[Operator]) -> tuple[Operator, bool]
             gap = op.min_eigenvalue(a - c)
             if gap < worst_gap:
                 worst_gap, worst = gap, c
-        if worst is None or worst_gap > -1e-12:
+        if worst is None or worst_gap > -REPAIR_GAP_TOL:
             return a, True
         a = a + op.pos_part(worst - a)
     return a, False
@@ -172,6 +176,56 @@ def _feasibilize(a: Operator, cons: Sequence[Operator]) -> tuple[Operator, bool]
 
 def _is_feasible(a: Operator, cons: Sequence[Operator], scale: float) -> bool:
     return all(op.min_eigenvalue(a - c) >= -FEAS_TOL * (1.0 + scale) for c in cons)
+
+
+def _require_enclosure(lower: float, upper: float) -> None:
+    if lower > upper * (1.0 + ENCLOSURE_REL_TOL) + ENCLOSURE_ABS_TOL:
+        raise NclilError("certified lower bound exceeds certified upper bound")
+
+
+class _Descent:
+    """The shrink-and-repair descent of one family of lifted constraints.
+
+    Nothing in it depends on p: the start candidates are the full sum and
+    the feasibilized last constraint, and each start's iterates are
+    a_{j+1} = feasibilize(_SHRINK a_j), kept while they stay certified
+    feasible.  p only picks the start and the step where the search stops,
+    so every p of one family walks the same chains, computed on demand.
+    A chain that ends in None has met its first infeasible trial.
+    """
+
+    def __init__(self, key: tuple, cons: list, scale: float):
+        self.key, self.cons, self.scale = key, cons, scale
+        self.starts = [("sum", sum(cons))]
+        last, converged = _feasibilize(cons[-1], cons)
+        if converged or _is_feasible(last, cons, scale):
+            self.starts.append(("last-column", last))
+        self.chains = [[a] for _, a in self.starts]
+
+    def iterate(self, start: int, j: int) -> Operator | None:
+        """a_j of the given start, or None past its first infeasible trial."""
+        chain = self.chains[start]
+        while len(chain) <= j and chain[-1] is not None:
+            trial, converged = _feasibilize(_SHRINK * chain[-1], self.cons)
+            feasible = converged or _is_feasible(trial, self.cons, self.scale)
+            chain.append(trial if feasible else None)
+        return chain[j] if j < len(chain) else None
+
+
+_last_descent: _Descent | None = None   # one entry: the most recent family's descent
+
+
+def _descent(unique: dict, scale: float) -> _Descent:
+    """The memoized descent of the constraints unique (dedupe key -> constraint).
+
+    The memo is keyed by exact content: the ordered dedupe keys, which hold
+    each constraint's bytes, and scale.
+    """
+    global _last_descent
+    key = (tuple(unique), scale)
+    if _last_descent is None or _last_descent.key != key:
+        _last_descent = _Descent(key, list(unique.values()), scale)
+    return _last_descent
 
 
 def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBounds:
@@ -183,35 +237,32 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
     to certified-feasible iterates, so the final upper bound never relies
     on the optimizer having converged.  The constraints x_i* x_i are lifted
     once to the family's largest common block, where the whole search runs.
+    The descent does not depend on p, so calls on one family at several p
+    share its iterates through a one-entry memo keyed by the constraints'
+    exact content; every result equals that of a fresh search.
     """
     if len(xs) == 0:
         raise ConfigError("need at least one operator")
     p = float(p)
     if p < 2.0:
         raise ConfigError(f"p must be >= 2, got {p}")
-    cons = []
-    seen = set()
     squares = [op.symmetrize(x.adjoint() @ x) for x in xs]
     scale = max(op.lp_norm(c, np.inf) for c in squares)
+    unique = {}                  # duplicated columns add no constraint
     for c in op.lift_common(squares):
-        key = (c.layout, c.data.shape, c.data.tobytes())
-        if key not in seen:      # duplicated columns add no constraint
-            seen.add(key)
-            cons.append(c)
+        unique.setdefault((c.layout, c.mult, c.data.shape, c.data.tobytes()), c)
+    descent = _descent(unique, scale)
 
     def objective(a: Operator) -> float:
         return op.lp_norm(a, p / 2.0) ** 0.5
 
-    candidates = [("sum", sum(cons))]
-    last, converged = _feasibilize(cons[-1], cons)
-    if converged or _is_feasible(last, cons, scale):
-        candidates.append(("last-column", last))
-    name, best, best_obj = min(((name, a, objective(a)) for name, a in candidates),
-                               key=lambda t: t[2])
+    objs = [objective(a) for _, a in descent.starts]
+    start = objs.index(min(objs))
+    (name, best), best_obj = descent.starts[start], objs[start]
     iters = 0
     for iters in range(1, _SEARCH_ITERS + 1):
-        trial, converged = _feasibilize(_SHRINK * best, cons)
-        if not (converged or _is_feasible(trial, cons, scale)):
+        trial = descent.iterate(start, iters)
+        if trial is None:
             break
         obj = objective(trial)
         if obj >= best_obj * (1.0 - _SEARCH_REL_TOL):
@@ -219,8 +270,7 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
         best, best_obj = trial, obj
     cert = op.psd_sqrt(best)
     lower = max(op.lp_norm(x, p) for x in xs)
-    if lower > best_obj * (1.0 + 1e-8) + 1e-12:
-        raise NclilError("certified lower bound exceeds certified upper bound")
+    _require_enclosure(lower, best_obj)
     return ColumnNormBounds(lower=lower, upper=best_obj, certificate=cert, p=p,
                             iterations=iters, candidate=name)
 

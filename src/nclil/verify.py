@@ -76,6 +76,15 @@ def _require_kinds(kinds: Sequence[str]) -> None:
             raise ConfigError(f"unknown kind {kind!r}, expected one of {_KINDS}")
 
 
+def _require_distinct(**values: Sequence) -> None:
+    """Reject a repeated sweep input, whose rows would be run and counted twice."""
+    for name, seq in values.items():
+        seq = list(seq)
+        for i, v in enumerate(seq):
+            if v in seq[:i]:
+                raise ConfigError(f"{name} lists {v!r} more than once")
+
+
 def _run_trials(fn: Callable, args_list: Iterable[tuple], workers: int = 1) -> list:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -212,6 +221,7 @@ def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0)
                seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials_per_kind=trials_per_kind)
     _require_kinds(kinds)
+    _require_distinct(kinds=kinds, ps=ps)
     if min(ps) < 4.0:
         raise ConfigError(f"doob check needs p >= 4, got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
@@ -251,6 +261,7 @@ def sweep_dual_doob(trials_per_kind: int = 50, ps: Sequence[float] = (1.0, 1.5, 
                     seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials_per_kind=trials_per_kind)
     _require_kinds(kinds)
+    _require_distinct(kinds=kinds, ps=ps)
     if min(ps) < 1.0 or max(ps) > 2.0:
         raise ConfigError(f"dual doob check needs p in [1, 2], got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]

@@ -262,6 +262,10 @@ class TestConfigErrors:
         ["demo-semicircular", "--steps", "10000"],
         ["baseline-scalar", "--horizon", "1e3"],
         ["verify-ce", "--seed", "-1"],
+        ["verify-doob", "--trials-per-kind", "1", "--kinds", "tensor,tensor"],
+        ["verify-doob", "--trials-per-kind", "1", "--p", "4,6,4.0"],
+        ["verify-dualdoob", "--trials-per-kind", "1", "--kinds", "diagonal,pinching,diagonal"],
+        ["verify-dualdoob", "--trials-per-kind", "1", "--p", "1.5,1.5"],
     ], ids=":".join)
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"

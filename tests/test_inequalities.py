@@ -20,6 +20,8 @@ from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    gen_tensor_martingale, identity, lp_norm, min_eigenvalue,
                    normalized_trace, probc_upper, random_level_element,
                    scalar_power_exp_bound, stream_rng, symmetrize)
+from nclil import inequalities as ineq
+from nclil import operators as op
 from nclil.operators import dense_operator, diagonal_operator
 from nclil.martingales import MD_RESIDUAL_TOL
 
@@ -116,6 +118,22 @@ class TestColumnBounds:
                 assert not chk.certified_violation
                 assert chk.lower <= chk.upper + 1e-9
 
+    def test_repair_gap_edge(self):
+        a = diagonal_operator([0.0, 1.0])
+        at_edge = diagonal_operator([ineq.REPAIR_GAP_TOL, 0.0])
+        repaired, converged = ineq._feasibilize(a, [at_edge])
+        assert converged and repaired is not a
+        assert np.array_equal(repaired.data, [ineq.REPAIR_GAP_TOL, 1.0])
+        inside = diagonal_operator([np.nextafter(ineq.REPAIR_GAP_TOL, 0.0), 0.0])
+        assert ineq._feasibilize(a, [inside]) == (a, True)
+
+    @pytest.mark.parametrize("upper", [0.0, 1.0, 37.5])
+    def test_enclosure_guard_edge(self, upper):
+        edge = upper * (1.0 + ineq.ENCLOSURE_REL_TOL) + ineq.ENCLOSURE_ABS_TOL
+        ineq._require_enclosure(edge, upper)
+        with pytest.raises(NclilError, match="lower bound exceeds"):
+            ineq._require_enclosure(np.nextafter(edge, np.inf), upper)
+
     def test_doob_p_domain(self):
         path = two_spin_path()
         with pytest.raises(ConfigError):
@@ -128,6 +146,115 @@ class TestColumnBounds:
         path.md_residual = np.nextafter(MD_RESIDUAL_TOL, 1.0)
         with pytest.raises(NclilError):
             doob_consequence_check(path, 4.0)
+
+
+def doob_family(kind, seed):
+    """x_1..x_n of a martingale drawn the way verify-doob draws its trials."""
+    rng = stream_rng(seed, 0, f"doob-{kind}")
+    depth = {"tensor": 4, "pinching": 5, "diagonal": 9}[kind]
+    gen = gen_tensor_martingale if kind == "tensor" else gen_model_martingale
+    path = gen(AlgebraModel(kind, 2, depth), seed=seed,
+               bound_seq=np.exp(0.3 * rng.standard_normal(depth)))
+    return [path.partial(i) for i in range(1, path.horizon + 1)]
+
+
+def hermitian_family(seed, dim=8, count=3):
+    """A family like verify-chebyshev's: independent hermitian columns."""
+    rng = stream_rng(seed, 0, "chebyshev")
+    return [random_hermitian(rng, dim, scale=1.0 / math.sqrt(dim)) for _ in range(count)]
+
+
+def reference_bounds(xs, p):
+    """The column-norm search as one self-contained loop, with nothing shared across p."""
+    cons, seen = [], set()
+    squares = [symmetrize(x.adjoint() @ x) for x in xs]
+    scale = max(lp_norm(c, np.inf) for c in squares)
+    for c in op.lift_common(squares):
+        key = (c.layout, c.data.shape, c.data.tobytes())
+        if key not in seen:
+            seen.add(key)
+            cons.append(c)
+
+    def objective(a):
+        return lp_norm(a, p / 2.0) ** 0.5
+
+    candidates = [("sum", sum(cons))]
+    last, converged = ineq._feasibilize(cons[-1], cons)
+    if converged or ineq._is_feasible(last, cons, scale):
+        candidates.append(("last-column", last))
+    name, best, best_obj = min(((n, a, objective(a)) for n, a in candidates),
+                               key=lambda t: t[2])
+    iters = 0
+    for iters in range(1, ineq._SEARCH_ITERS + 1):
+        trial, converged = ineq._feasibilize(ineq._SHRINK * best, cons)
+        if not (converged or ineq._is_feasible(trial, cons, scale)):
+            break
+        obj = objective(trial)
+        if obj >= best_obj * (1.0 - ineq._SEARCH_REL_TOL):
+            break
+        best, best_obj = trial, obj
+    lower = max(lp_norm(x, p) for x in xs)
+    return lower, best_obj, iters, name, op.psd_sqrt(best)
+
+
+def outcome(cb):
+    cert = cb.certificate
+    return (cb.lower, cb.upper, cb.iterations, cb.candidate,
+            cert.data.tobytes(), cert.data.shape, cert.mult, cert.layout)
+
+
+def cold_bounds(xs, p):
+    ineq._last_descent = None
+    return column_maximal_norm_bounds(xs, p)
+
+
+class TestSharedDescent:
+    """Every p of one family walks one memoized descent; results equal a fresh search."""
+
+    KINDS = ("tensor", "pinching", "diagonal")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    def test_matches_unshared_loop(self, kind, p):
+        xs = doob_family(kind, seed=3)
+        column_maximal_norm_bounds(xs, 6.0 if p != 6.0 else 8.0)   # memo warm at another p
+        lower, upper, iters, name, cert = reference_bounds(xs, p)
+        assert outcome(column_maximal_norm_bounds(xs, p)) == (
+            lower, upper, iters, name, cert.data.tobytes(), cert.data.shape, cert.mult,
+            cert.layout)
+
+    @pytest.mark.parametrize("kind", KINDS + ("hermitian",))
+    def test_out_of_order_p_interleaved_with_another_family(self, kind):
+        if kind == "hermitian":
+            a, b = hermitian_family(1), hermitian_family(2)
+        else:
+            a, b = doob_family(kind, seed=1), doob_family(kind, seed=2)
+        assert [x.data.shape for x in a] == [x.data.shape for x in b]
+        order = [(a, 8.0), (a, 4.0), (b, 6.0), (b, 8.0), (a, 6.0), (b, 4.0), (a, 8.0)]
+        warm = [outcome(column_maximal_norm_bounds(xs, p)) for xs, p in order]
+        cold = [outcome(cold_bounds(xs, p)) for xs, p in order]
+        assert warm == cold
+
+    def test_p_values_share_one_descent_but_stop_apart(self):
+        xs = doob_family("tensor", seed=3)
+        iters = [cold_bounds(xs, 4.0).iterations]
+        shared = ineq._last_descent
+        for p in (6.0, 8.0):
+            iters.append(column_maximal_norm_bounds(xs, p).iterations)
+            assert ineq._last_descent is shared
+        assert len(set(iters)) > 1      # the stopping step depends on p
+
+    def test_one_ulp_change_gets_a_fresh_search(self):
+        xs = doob_family("pinching", seed=1)
+        column_maximal_norm_bounds(xs, 4.0)
+        before = ineq._last_descent
+        x = xs[-1]
+        data = np.array(x.data)
+        data[0, 0] = np.nextafter(data[0, 0].real, np.inf)
+        nudged = xs[:-1] + [Operator(data, hermitian=True, mult=x.mult, layout=x.layout)]
+        warm = outcome(column_maximal_norm_bounds(nudged, 4.0))
+        assert ineq._last_descent is not before
+        assert warm == outcome(cold_bounds(nudged, 4.0))
 
 
 class TestDualDoob:
