@@ -2,8 +2,9 @@
 """Time the layers of the streaming ensemble walk on their own.
 
 One pass streams ``--chunks`` chunks x ``--paths`` paths through
-``nclil.martingales._walk`` with the engines' increment draw, at the
-walker's own chunk of ``_CHUNK_CAP // paths`` steps (recorded in the
+``nclil.martingales._walk`` with the engines' increment draw, in the
+streaming engines' own tile of ``nclil.lil._STREAM_TILE`` floats
+(``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
 JSON ``config``), and splits the wall time into three layers:
 
 - ``draw``: ``sample_step_increments`` for one chunk, the iid draw
@@ -38,7 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.martingales import (_CHUNK_CAP, _STEP_LAWS, _step_bound, _walk,  # noqa: E402
+from nclil.lil import _STREAM_TILE  # noqa: E402
+from nclil.martingales import (_STEP_LAWS, _step_bound, _walk, _walk_rows,  # noqa: E402
                                iterlog_seq, sample_step_increments)
 from nclil.rng import stream_rng  # noqa: E402
 
@@ -62,7 +64,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
         spent["draw"] += time.perf_counter() - t0
         return block
 
-    walk = _walk(draw, paths, total)
+    walk = _walk(draw, paths, total, _STREAM_TILE)
     walked = 0.0
     while True:
         t0 = time.perf_counter()
@@ -85,14 +87,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
     ap.add_argument("--law", choices=tuple(_STEP_LAWS), default="rademacher")
     ap.add_argument("--paths", type=int, default=4096)
-    ap.add_argument("--chunks", type=int, default=8)
+    ap.add_argument("--chunks", type=int, default=512)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=None, help="write the JSON here too")
     args = ap.parse_args(argv)
     if min(args.paths, args.chunks, args.repeats) < 1 or args.paths % 2:
         ap.error("sizes must be >= 1 and --paths even")
-    chunk = max(1, _CHUNK_CAP // args.paths)                          # the walker's rule
+    chunk = _walk_rows(_STREAM_TILE, args.paths)         # steps per chunk of the engines' walk
 
     one_pass(args.law, args.paths, chunk, 1, args.seed)             # warm-up
     passes = [one_pass(args.law, args.paths, chunk, args.chunks, args.seed)
@@ -103,8 +105,8 @@ def main(argv=None) -> int:
         layers[name] = {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
     result = {
         "unit": "s per chunk",
-        "config": {"chunk": chunk, **{k: getattr(args, k) for k in (
-            "law", "paths", "chunks", "repeats", "seed")}},
+        "config": {"tile_floats": _STREAM_TILE, "chunk": chunk,
+                   **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
         "path_steps_per_s": chunk * args.paths / layers["total"]["median"],
         "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),

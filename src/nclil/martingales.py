@@ -18,7 +18,8 @@ The centered step laws live in one table, which fixes each law's ratio
 Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
 every ensemble engine draws at.  One chunked walker, ``_walk``, sums the
 increments of every ensemble: the streaming LIL engine, the scalar
-baseline and ``gen_diagonal_martingale``.
+baseline and ``gen_diagonal_martingale``.  Each caller sizes the walker's
+one buffer and states its rule at the call.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_CHUNK_CAP = 1 << 23         # floats in the one chunk buffer of a walk (64 MiB)
+_CHUNK_CAP = 1 << 23         # floats in gen_diagonal_martingale's walk buffer (64 MiB)
 _BITS_PIECE = 1 << 20        # unpacked sign bits (bytes) per piece of an iid rademacher draw
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
@@ -357,13 +358,18 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     return rng.permuted(out, axis=1, out=out)
 
 
+def _walk_rows(budget: int, paths: int) -> int:
+    """Steps per chunk of a walk whose one buffer holds ``budget`` floats."""
+    return max(1, budget // max(paths, 1))
+
+
 def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int,
-          total: int) -> Iterator[tuple]:
+          total: int, budget: int) -> Iterator[tuple]:
     """Chunked partial sums of an ensemble walk, steps-major.
 
     One (chunk, paths) buffer serves the whole walk, with chunk =
-    _CHUNK_CAP // paths steps (at least one, at most ``total``), so it holds
-    at most max(_CHUNK_CAP, paths) floats.  ``draw(pos, take,
+    budget // paths steps (at least one, at most ``total``), so it holds
+    at most max(budget, paths) floats.  ``draw(pos, take,
     out)`` writes the increments of steps pos+1 .. pos+take into ``out``
     (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
     with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
@@ -373,7 +379,7 @@ def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int,
     earlier chunks is added last; that order fixes the rounding, so the
     sums depend on the chunk only through it.
     """
-    chunk = max(1, min(total, _CHUNK_CAP // max(paths, 1)))
+    chunk = max(1, min(total, _walk_rows(budget, paths)))
     buf = np.empty((chunk, paths))
     S = np.zeros(paths)
     pos = 0
@@ -418,7 +424,10 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
         max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
         return block
 
-    for _, C in _walk(draw, paths, horizon):
+    # The balanced uniform draw takes a whole chunk's magnitudes before that
+    # chunk's permutations, so the chunk is part of the random sample: keep
+    # the fixed 64 MiB budget, not the streaming engines' cache-sized tile.
+    for _, C in _walk(draw, paths, horizon, _CHUNK_CAP):
         pass
     s2 = np.cumsum(v)
     return MartingalePath(

@@ -13,7 +13,7 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
                        _checkpoint_steps, _Realization)
-from nclil import martingales
+from nclil import lil
 from nclil.martingales import _walk, iterlog_seq
 from nclil.rng import stream_rng
 
@@ -170,8 +170,7 @@ class TestBlockCore:
         assert not past["limsup_below_threshold_ok"] and not past["ok"]
         assert bc(limsup=math.nan)["ok"]
 
-    def test_walk_carries_partial_sums_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", 5 * 4)    # chunks of 5 steps
+    def test_walk_carries_partial_sums_across_chunks(self):
         incs = np.random.default_rng(0).standard_normal((23, 4))
         # Exact in the documented order: cumsum within the chunk, then the carry.
         expected, carry = [], 0.0
@@ -185,15 +184,14 @@ class TestBlockCore:
             return out
 
         # The walk reuses one buffer, so each chunk is copied as it comes.
-        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23)]
+        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23, 5 * 4)]   # 5 steps
         assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
         assert [len(C) for _, C in chunks] == [5, 5, 5, 5, 3]
         walked = np.concatenate([C for _, C in chunks], axis=0)
         np.testing.assert_array_equal(walked, np.concatenate(expected, axis=0))
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
-    def test_walk_hands_out_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", 4 * 2)     # chunks of 4 steps
+    def test_walk_hands_out_one_buffer(self):
         seen = []
 
         def draw(pos, take, out):
@@ -201,15 +199,14 @@ class TestBlockCore:
             out[:] = 1.0
             return out
 
-        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10)]
+        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10, 4 * 2)]      # chunks of 4 steps
         assert sums == [4.0, 8.0, 10.0]
         assert all(np.shares_memory(seen[0], o) for o in seen[1:])
 
     @pytest.mark.parametrize("paths, total, rows", [
         (6, 100, 16), (6, 10, 10), (100, 50, 1), (150, 50, 1)])
-    def test_walk_buffer_stays_within_the_cap(self, monkeypatch, paths, total, rows):
+    def test_walk_buffer_stays_within_the_cap(self, paths, total, rows):
         cap = 100
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", cap)
         buffers = []
 
         def draw(pos, take, out):
@@ -217,7 +214,7 @@ class TestBlockCore:
             out[:] = 1.0
             return out
 
-        for _ in _walk(draw, paths, total):
+        for _ in _walk(draw, paths, total, cap):
             pass
         assert {b.shape for b in buffers} == {(rows, paths)}
         assert buffers[0].size <= max(cap, paths)
@@ -289,7 +286,39 @@ def _reference_stream_report(cfg, chunk):
                          knob="the variance")
 
 
-_ODD_CHUNK = 333       # rows per walk chunk under a patched _CHUNK_CAP
+_ODD_CHUNK = 333       # rows per walk chunk under a patched streaming tile
+
+
+def _patch_tile(monkeypatch, tile):
+    """Set the streaming engines' walk tile to ``tile`` floats and return the
+    list that collects the (pos, take) of every draw they make from then on."""
+    monkeypatch.setattr(lil, "_STREAM_TILE", tile)
+    draws = []
+    iid_draw = lil._iid_draw
+
+    def recording(*args):
+        draw = iid_draw(*args)
+
+        def counted(pos, take, out):
+            draws.append((pos, take))
+            return draw(pos, take, out)
+        return counted
+
+    monkeypatch.setattr(lil, "_iid_draw", recording)
+    return draws
+
+
+def _assert_chunks(draws, rows):
+    """In every walk recorded (each starts at pos 0), each draw but the last
+    took ``rows`` steps and the last at most that.  Returns the walks' draw counts."""
+    starts = [i for i, (pos, _) in enumerate(draws) if pos == 0]
+    assert starts and starts[0] == 0
+    counts = []
+    for a, b in zip(starts, starts[1:] + [len(draws)]):
+        takes = [take for _, take in draws[a:b]]
+        assert set(takes[:-1]) <= {rows} and 1 <= takes[-1] <= rows
+        counts.append(len(takes))
+    return counts
 
 
 class TestWalkRegression:
@@ -299,10 +328,12 @@ class TestWalkRegression:
     @pytest.mark.parametrize("paths", [64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
+        draws = _patch_tile(monkeypatch, _ODD_CHUNK * paths)
         cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=6000, paths=paths,
                            law=law, variance=0.37, seed=4, strict=False)
         got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, _ODD_CHUNK)
+        (count,) = _assert_chunks(draws, _ODD_CHUNK)       # one walk, several chunks
+        assert count > 2
         assert ref.deficit > 0.0          # some paths exceed, so e is not trivial
         assert json.dumps(got.to_json(), sort_keys=True) == \
                json.dumps(ref.to_json(), sort_keys=True)
@@ -312,7 +343,7 @@ class TestWalkRegression:
     @pytest.mark.parametrize("paths", [64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_baseline_per_path_matches_reference(self, monkeypatch, law, paths):
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
+        draws = _patch_tile(monkeypatch, _ODD_CHUNK * paths)
         cfg = BaselineConfig(paths=paths, horizon=5000, law=law, seed=6)
         rng = stream_rng(cfg.seed, label=f"baseline-{law}")
         scale = 1.0 if law == "rademacher" else math.sqrt(3.0)
@@ -322,6 +353,7 @@ class TestWalkRegression:
         ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
         expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
         np.testing.assert_array_equal(scalar_kolmogorov_baseline(cfg).per_path, expected)
+        assert _assert_chunks(draws, _ODD_CHUNK) == [-(-cfg.horizon // _ODD_CHUNK)]
 
 
 class TestChunkInvariance:
@@ -338,9 +370,14 @@ class TestChunkInvariance:
                                                                  seed=2)).per_path
             return json.dumps(run, sort_keys=True), per_path
 
+        draws = _patch_tile(monkeypatch, lil._STREAM_TILE)
         default = outputs()
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", _ODD_CHUNK * paths)
+        # 6 paths walk in one chunk, 64 in 2048-step and 4096 in 32-step ones.
+        assert len(_assert_chunks(draws, lil._STREAM_TILE // paths)) == 2
+        draws.clear()
+        monkeypatch.setattr(lil, "_STREAM_TILE", _ODD_CHUNK * paths)
         odd = outputs()
+        assert len(_assert_chunks(draws, _ODD_CHUNK)) == 2
         assert default[0] == odd[0]
         np.testing.assert_array_equal(default[1], odd[1])
 

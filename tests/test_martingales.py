@@ -13,7 +13,7 @@ from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
                    iterlog, iterlog_seq, lp_norm, normalized_trace,
                    sample_step_increments, stopping_indices, stream_rng,
                    validate_differences)
-from nclil import martingales
+from nclil import lil, martingales
 
 E_E = math.exp(math.e)
 
@@ -259,3 +259,25 @@ class TestDiagonalRegression:
         assert path.md_residual == max_step_mean
         assert path.meta == {"law": law, "seed": 11, "bracket_exact": True,
                              "centering_exact": True, "max_step_mean": max_step_mean}
+
+    def test_keeps_its_own_budget(self, monkeypatch):
+        """The balanced uniform draw takes a whole chunk's magnitudes before
+        that chunk's permutations, so the chunk is part of the sample: the
+        streaming engines' walk tile must not reach this generator."""
+        def run():
+            path = gen_diagonal_martingale(5000, paths=512, law="uniform", variance=0.81)
+            return path.final.diag_array(), path.md_residual
+
+        final, md_residual = run()
+        monkeypatch.setattr(lil, "_STREAM_TILE", 512 * 7)
+        patched_final, patched_md_residual = run()
+        np.testing.assert_array_equal(patched_final, final)
+        assert patched_md_residual == md_residual
+        # Its own 64 MiB budget holds all 5000 steps at 512 paths in one chunk;
+        # a 1 MiB chunk (256 steps) would draw a different sample.
+        ref_final, _, _, ref_max_step_mean = _hand_loop_diagonal(5000, 512, "uniform", 0.81,
+                                                                 0, 1 << 23)
+        np.testing.assert_array_equal(final, ref_final)
+        assert md_residual == ref_max_step_mean
+        tiled_final = _hand_loop_diagonal(5000, 512, "uniform", 0.81, 0, 1 << 17)[0]
+        assert np.max(np.abs(tiled_final - final)) > 1.0

@@ -1,0 +1,39 @@
+"""Smoke runs of the per-layer benchmark scripts at their smallest sizes.
+
+The scripts import private names of the package; running them here makes a
+rename break a test rather than the script.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from nclil import lil
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_walk_times_the_engines_tile(tmp_path):
+    out = tmp_path / "walk.json"
+    argv = ["--paths", "64", "--chunks", "1", "--repeats", "1", "--out", str(out)]
+    assert _load("bench_walk").main(argv) == 0
+    result = json.loads(out.read_text())
+    assert result["config"]["tile_floats"] == lil._STREAM_TILE
+    assert result["config"]["chunk"] == lil._STREAM_TILE // 64
+    assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
+
+
+def test_bench_cert_runs(tmp_path):
+    out = tmp_path / "cert.json"
+    assert _load("bench_cert").main(["--repeats", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["families"]["doob"] == 24
+    calls = result["feasibilize_calls"]
+    assert 0 < calls["doob.shared"] < calls["doob.cold"]
