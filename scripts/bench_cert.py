@@ -12,9 +12,10 @@ times, per family kind (block, prefix):
 - ``certificate``: ``column_maximal_norm_bounds(family, p=4)``;
 - ``probc``: ``probc_upper`` against that certificate.
 
-A separate counting pass wraps ``numpy.linalg.eigvalsh`` and reports its
-calls and seconds by the dimension of the matrix it solves, which is the
-stored dimension of the operator.
+A separate counting pass wraps ``numpy.linalg.eigvalsh`` and reports the
+matrices it solves (a call on a stack solves several) and its seconds by
+the dimension of those matrices, which is the stored dimension of the
+operator.
 
 The ``doob`` layer takes the 24 families x_1 .. x_n of
 ``verify-doob --trials-per-kind 8`` (seed 0), recorded from one sweep,
@@ -23,6 +24,11 @@ sweep's p values.  ``doob.cold`` clears the search's one-entry memo
 before every p, so each call descends from scratch; ``doob.shared``
 clears it only before each family's first p, so the other two walk the
 first call's iterates.  Both report their ``_feasibilize`` calls per pass.
+
+The ``screen`` count takes one shared doob pass and sorts every dense
+domination gap the search asks for by the block dimension it is solved
+at: cleared by the Cholesky screen, or sent to ``eigvalsh``.  Diagonal
+families take exact row minima and are not screened.
 
 Seconds are per pass, as the median and min/max over ``--repeats``
 passes, with the environment stamp of ``perfbench/envstamp.py``.
@@ -116,6 +122,28 @@ def doob_pass(families: list, shared: bool) -> tuple:
     return spent, calls[0]
 
 
+def screen_pass(families: list) -> dict:
+    """{dim: {"cleared", "eigvalsh"}} of the dense gaps of one shared doob pass."""
+    by_dim = defaultdict(lambda: {"cleared": 0, "eigvalsh": 0})
+    screened = inequalities._screened_gaps
+
+    def counted(a, cons):
+        gaps = screened(a, cons)
+        if cons.ndim == 3:
+            entry = by_dim[cons.shape[-1]]
+            cleared = int(np.isinf(gaps).sum())
+            entry["cleared"] += cleared
+            entry["eigvalsh"] += len(gaps) - cleared
+        return gaps
+
+    inequalities._screened_gaps = counted
+    try:
+        doob_pass(families, shared=True)
+    finally:
+        inequalities._screened_gaps = screened
+    return {str(dim): by_dim[dim] for dim in sorted(by_dim)}
+
+
 def timed_pass(families: list) -> dict:
     spent = dict.fromkeys(LAYERS, 0.0)
     for kind, family, thr in families:
@@ -129,7 +157,7 @@ def timed_pass(families: list) -> dict:
 
 
 def eigvalsh_pass(families: list) -> dict:
-    """{dim: [calls, seconds]} of the eigvalsh calls made by one timed pass."""
+    """{dim: [matrices, seconds]} of the eigvalsh calls made by one timed pass."""
     by_dim = defaultdict(lambda: [0, 0.0])
     original = np.linalg.eigvalsh
 
@@ -137,7 +165,7 @@ def eigvalsh_pass(families: list) -> dict:
         t0 = time.perf_counter()
         out = original(a, *args, **kwargs)
         entry = by_dim[int(np.shape(a)[-1])]
-        entry[0] += 1
+        entry[0] += int(np.prod(np.shape(a)[:-2]))
         entry[1] += time.perf_counter() - t0
         return out
 
@@ -174,7 +202,7 @@ def main(argv=None) -> int:
         layers[f"doob.{mode}"] = spread([s for s, _ in runs])
     eig = {}
     for dim in sorted({d for c in counts for d in c}):
-        eig[str(dim)] = {"calls": counts[0].get(dim, [0])[0],
+        eig[str(dim)] = {"matrices": counts[0].get(dim, [0])[0],
                          "s": spread([c.get(dim, [0, 0.0])[1] for c in counts])}
     result = {
         "unit": "s per pass over all families",
@@ -184,6 +212,7 @@ def main(argv=None) -> int:
                         for kind in ("block", "prefix")}, "doob": len(doob)},
         "layers": layers,
         "feasibilize_calls": {f"doob.{mode}": runs[0][1] for mode, runs in doob_runs.items()},
+        "screen_by_dim": screen_pass(doob),
         "eigvalsh_by_dim": eig,
         "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
     }

@@ -31,7 +31,7 @@ from .martingales import (MartingalePath, StoppingRule, bracket_norms,
                           iterlog_seq, sample_step_increments,
                           stopping_indices, validate_differences)
 from .operators import (Operator, Projection, SpectralDecomposition,
-                        apply_function, eigenvalues, identity, lp_norm,
+                        apply_function, eigenvalues, lp_norm,
                         min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
                         real_statistic, singular_values,
                         spectral_decomposition, spectral_projection,
@@ -59,7 +59,7 @@ __all__ = [
     "doob_consequence_check", "dual_doob_check",
     "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
-    "identity", "iterlog", "iterlog_seq", "ks_distance",
+    "iterlog", "iterlog_seq", "ks_distance",
     "lp_norm", "min_eigenvalue", "normalized_trace",
     "pos_part", "probc_upper", "psd_sqrt", "random_full_element",
     "random_level_element", "real_statistic", "run_lil_experiment",

@@ -9,6 +9,7 @@ callers can re-verify domination independently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as op
-from .errors import ConfigError, HypothesisViolation, NclilError
+from .errors import ConfigError, HypothesisViolation, NclilError, ShapeError
 from .filtration import AlgebraModel, conditional_expectation
 from .martingales import MD_RESIDUAL_TOL, MartingalePath, iterlog
 from .operators import Operator
@@ -155,27 +156,64 @@ class ColumnNormBounds:
         return self.lower / self.upper
 
 
-def _feasibilize(a: Operator, cons: Sequence[Operator]) -> tuple[Operator, bool]:
-    """Push a up by positive parts of its worst violation until it dominates.
+def _screened_gaps(a: np.ndarray, cons: np.ndarray) -> np.ndarray:
+    """Domination gap lambda_min(a - c_k) of each stacked constraint c_k.
+
+    a is one raw block and cons the family's stack of them: (K, n) real
+    when diagonal, where the gaps are exact row minima, else (K, d, d)
+    complex.  A dense a - c_k is screened by a Cholesky factorization;
+    where it succeeds, a - c_k is positive definite up to rounding, so
+    its gap is at least about -d*eps*scale (eps the unit roundoff), far
+    above -REPAIR_GAP_TOL and -FEAS_TOL, and is reported as +inf: it can
+    neither be the worst violation nor fail a feasibility check.  The
+    other gaps come from eigvalsh of 0.5*(x + x^H), as in op.eigenvalues,
+    so each equals op.min_eigenvalue(a - c_k) bit for bit.
+    """
+    diff = a - cons
+    if diff.ndim == 2:
+        return diff.min(axis=1)
+    gaps = np.full(len(diff), np.inf)
+    uncleared = [k for k, x in enumerate(diff) if not _cholesky_clears(x)]
+    if uncleared:
+        x = diff[uncleared]
+        gaps[uncleared] = np.linalg.eigvalsh(0.5 * (x + x.conj().transpose(0, 2, 1)))[:, 0]
+    return gaps
+
+
+def _cholesky_clears(x: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _pos_part(x: np.ndarray) -> np.ndarray:
+    """op.pos_part on a raw diagonal or dense block, with its reconstruction check."""
+    if x.ndim == 1:
+        return np.clip(x, 0.0, None)
+    w, u = op.hermitian_eigh(x)
+    return (u * np.clip(w, 0.0, None)) @ u.conj().T
+
+
+def _feasibilize(a: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Push the raw block a up by positive parts of its worst violation until it dominates.
 
     Returns (a, converged).  Convergence means every gap is above
     -REPAIR_GAP_TOL, which already passes _is_feasible; only an unconverged
     a needs that check.
     """
     for _ in range(_FEAS_ROUNDS):
-        worst_gap, worst = 0.0, None
-        for c in cons:
-            gap = op.min_eigenvalue(a - c)
-            if gap < worst_gap:
-                worst_gap, worst = gap, c
-        if worst is None or worst_gap > -REPAIR_GAP_TOL:
+        gaps = _screened_gaps(a, cons)
+        worst = int(np.argmin(gaps))
+        if gaps[worst] > -REPAIR_GAP_TOL:
             return a, True
-        a = a + op.pos_part(worst - a)
+        a = a + _pos_part(cons[worst] - a)
     return a, False
 
 
-def _is_feasible(a: Operator, cons: Sequence[Operator], scale: float) -> bool:
-    return all(op.min_eigenvalue(a - c) >= -FEAS_TOL * (1.0 + scale) for c in cons)
+def _is_feasible(a: np.ndarray, cons: np.ndarray, scale: float) -> bool:
+    return bool(np.all(_screened_gaps(a, cons) >= -FEAS_TOL * (1.0 + scale)))
 
 
 def _require_enclosure(lower: float, upper: float) -> None:
@@ -192,23 +230,31 @@ class _Descent:
     feasible.  p only picks the start and the step where the search stops,
     so every p of one family walks the same chains, computed on demand.
     A chain that ends in None has met its first infeasible trial.
+
+    The constraints are held as one stacked array of their stored blocks,
+    and the search runs on raw blocks; each kept iterate is wrapped once
+    in an Operator with the family's storage.
     """
 
     def __init__(self, key: tuple, cons: list, scale: float):
-        self.key, self.cons, self.scale = key, cons, scale
-        self.starts = [("sum", sum(cons))]
-        last, converged = _feasibilize(cons[-1], cons)
-        if converged or _is_feasible(last, cons, scale):
-            self.starts.append(("last-column", last))
+        self.key, self.scale = key, scale
+        self.cons = np.stack([c.data for c in cons])
+        like = cons[0]
+        self.wrap = functools.partial(Operator, hermitian=True, diagonal=like.diagonal,
+                                      mult=like.mult, layout=like.layout)
+        self.starts = [("sum", self.wrap(functools.reduce(np.add, self.cons)))]
+        last, converged = _feasibilize(self.cons[-1], self.cons)
+        if converged or _is_feasible(last, self.cons, scale):
+            self.starts.append(("last-column", self.wrap(last)))
         self.chains = [[a] for _, a in self.starts]
 
     def iterate(self, start: int, j: int) -> Operator | None:
         """a_j of the given start, or None past its first infeasible trial."""
         chain = self.chains[start]
         while len(chain) <= j and chain[-1] is not None:
-            trial, converged = _feasibilize(_SHRINK * chain[-1], self.cons)
+            trial, converged = _feasibilize(_SHRINK * chain[-1].data, self.cons)
             feasible = converged or _is_feasible(trial, self.cons, self.scale)
-            chain.append(trial if feasible else None)
+            chain.append(self.wrap(trial) if feasible else None)
         return chain[j] if j < len(chain) else None
 
 
@@ -246,8 +292,13 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
     p = float(p)
     if p < 2.0:
         raise ConfigError(f"p must be >= 2, got {p}")
+    if len({x.dim for x in xs}) > 1:
+        raise ShapeError(f"family mixes dimensions {sorted({x.dim for x in xs})}")
     squares = [op.symmetrize(x.adjoint() @ x) for x in xs]
     scale = max(op.lp_norm(c, np.inf) for c in squares)
+    if len({c.diagonal for c in squares}) > 1:      # mixed storage: search dense
+        squares = [Operator(c.dense_array(), hermitian=True) if c.diagonal else c
+                   for c in squares]
     unique = {}                  # duplicated columns add no constraint
     for c in op.lift_common(squares):
         unique.setdefault((c.layout, c.mult, c.data.shape, c.data.tobytes()), c)

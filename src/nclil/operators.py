@@ -259,12 +259,6 @@ def diagonal_operator(values) -> Operator:
     return Operator(vals, hermitian=herm, diagonal=True)
 
 
-def identity(dim: int, diagonal: bool = False) -> Operator:
-    if diagonal:
-        return Operator(np.ones(dim), hermitian=True, diagonal=True)
-    return Operator(np.eye(dim), hermitian=True)
-
-
 def symmetrize(x: Operator) -> Operator:
     if x.diagonal:
         return Operator(x.data.real if np.iscomplexobj(x.data) else x.data, hermitian=True, diagonal=True)
@@ -351,12 +345,21 @@ def spectral_decomposition(x: Operator) -> SpectralDecomposition:
         order = np.argsort(vals, kind="stable")
         vecs = np.eye(x.dim, dtype=np.complex128)[:, order]
         return SpectralDecomposition(vals[order], vecs)
-    a = 0.5 * (x.data + x.data.conj().T)
+    return SpectralDecomposition(*hermitian_eigh(x.data))
+
+
+def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) = eigh of 0.5*(block + block^H), checked to reconstruct within RECON_TOL.
+
+    The raw-array core of ``spectral_decomposition``, for callers that hold
+    a dense block rather than an ``Operator``.
+    """
+    a = 0.5 * (block + block.conj().T)
     w, u = np.linalg.eigh(a)
     resid = float(np.max(np.abs((u * w) @ u.conj().T - a)))
     if resid > RECON_TOL * (1.0 + float(np.max(np.abs(a)))):
         raise NclilError(f"eigendecomposition failed to reconstruct, residual {resid:.3e}")
-    return SpectralDecomposition(w, u)
+    return w, u
 
 
 def apply_function(x: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:

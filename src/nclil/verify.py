@@ -5,12 +5,17 @@ streams, evaluates one inequality checker per trial, and returns every
 per-trial row plus a summary.  Violating rows come back separately so the
 CLI can emit a reproducer and a nonzero exit code.  Worker counts above
 one fan trials out over processes; results are identical either way
-because randomness is keyed to the trial index, never to scheduling.
+because randomness is keyed to the trial index, never to scheduling, and
+every trial runs on one BLAS thread, whatever the caller's setting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -85,14 +90,78 @@ def _require_distinct(**values: Sequence) -> None:
                 raise ConfigError(f"{name} lists {v!r} more than once")
 
 
-def _run_trials(fn: Callable, args_list: Iterable[tuple], workers: int = 1) -> list:
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS this process has loaded.
+
+    numpy's is among them.  The libraries are looked up among the files the
+    process has mapped (Linux only); where none is found, nothing is pinned.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_GETTERS:
+            get = getattr(lib, name, None)
+            put = getattr(lib, name.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the body, then restore the caller's counts.
+
+    Yields 1, or None when no OpenBLAS was found and nothing is pinned.
+    """
+    libs = _openblas()
+    before = [get() for get, _ in libs]
+    _pin_one_thread()
+    try:
+        yield 1 if libs else None
+    finally:
+        for (_, put), threads in zip(libs, before):
+            put(threads)
+
+
+def _pin_one_thread() -> None:
+    """Pool initializer, and the pin itself: every OpenBLAS to one thread."""
+    for _, put in _openblas():
+        put(1)
+
+
+def _run_trials(fn: Callable, args_list: Iterable, workers: int = 1) -> tuple[list, int | None]:
+    """fn over args_list, in order, on one BLAS thread per process.
+
+    Returns (results, BLAS threads per process: 1, or None when none could
+    be pinned).  With one thread, each trial's arithmetic is the same in
+    every process and at every caller setting, so the results do not
+    depend on the worker count or the caller's BLAS thread count.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     args_list = list(args_list)
-    if workers <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=8))
+    with _one_blas_thread() as threads:
+        if workers <= 1:
+            return [fn(a) for a in args_list], threads
+        chunksize = max(1, math.ceil(len(args_list) / (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_one_thread) as pool:
+            return list(pool.map(fn, args_list, chunksize=chunksize)), threads
 
 
 def default_ce_models() -> list:
@@ -105,11 +174,12 @@ def default_ce_models() -> list:
 def sweep_ce(models: Sequence[AlgebraModel] | None = None, samples: int = 100,
              seed: int = 0) -> SweepResult:
     models = default_ce_models() if models is None else list(models)
+    reports, threads = _run_trials(
+        functools.partial(verify_ce_axioms, samples=samples, seed=seed), models)
     rows = []
     violations = []
     worst = 0.0
-    for model in models:
-        rep = verify_ce_axioms(model, samples=samples, seed=seed)
+    for model, rep in zip(models, reports):
         row = rep.to_json()
         row["model"] = f"{model.kind}:m={model.m}:n={model.n}"
         rows.append(row)
@@ -119,7 +189,7 @@ def sweep_ce(models: Sequence[AlgebraModel] | None = None, samples: int = 100,
     return SweepResult(
         name="ce-axioms", rows=rows, violations=violations,
         summary={"models": len(models), "samples": samples,
-                 "worst_residual": worst, "tol": CE_AXIOM_TOL})
+                 "worst_residual": worst, "tol": CE_AXIOM_TOL, "blas_threads": threads})
 
 
 def _draw_martingale(rng: np.random.Generator, kind: str, seed: int):
@@ -172,7 +242,7 @@ def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1
                   lambda_points: int = 20, seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials=trials, lambda_points=lambda_points)
     args = [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)]
-    nested = _run_trials(_expineq_trial, args, workers)
+    nested, threads = _run_trials(_expineq_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
     violations = [r for r in rows if not r["holds"]]
     return SweepResult(
@@ -180,7 +250,8 @@ def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1
         summary={"trials": trials, "checks": len(rows),
                  "violations": len(violations),
                  "min_margin": min(r["margin"] for r in rows),
-                 "eps_values": list(eps_values), "lambda_points": lambda_points})
+                 "eps_values": list(eps_values), "lambda_points": lambda_points,
+                 "blas_threads": threads})
 
 
 def _doob_trial(args) -> list:
@@ -225,7 +296,7 @@ def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0)
     if min(ps) < 4.0:
         raise ConfigError(f"doob check needs p >= 4, got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
-    nested = _run_trials(_doob_trial, args, workers)
+    nested, threads = _run_trials(_doob_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
     violations = [r for r in rows if r["certified_violation"]]
     held = sum(1 for r in rows if r["holds"])
@@ -234,7 +305,7 @@ def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0)
         summary={"checks": len(rows), "held": held,
                  "hold_rate": held / len(rows),
                  "inconclusive": sum(1 for r in rows if r["verdict"] == "inconclusive-certificate"),
-                 "certified_violations": len(violations)})
+                 "certified_violations": len(violations), "blas_threads": threads})
 
 
 def _dual_doob_trial(args) -> list:
@@ -265,13 +336,14 @@ def sweep_dual_doob(trials_per_kind: int = 50, ps: Sequence[float] = (1.0, 1.5, 
     if min(ps) < 1.0 or max(ps) > 2.0:
         raise ConfigError(f"dual doob check needs p in [1, 2], got {list(ps)}")
     args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
-    nested = _run_trials(_dual_doob_trial, args, workers)
+    nested, threads = _run_trials(_dual_doob_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
     violations = [r for r in rows if not r["holds"]]
     return SweepResult(
         name="dual-doob", rows=rows, violations=violations,
         summary={"checks": len(rows), "violations": len(violations),
-                 "max_ratio": max(r["lhs"] / r["rhs"] for r in rows if r["rhs"] > 0)})
+                 "max_ratio": max(r["lhs"] / r["rhs"] for r in rows if r["rhs"] > 0),
+                 "blas_threads": threads})
 
 
 def _chebyshev_trial(args) -> list:
@@ -307,13 +379,20 @@ def sweep_chebyshev(trials: int = 20, t_points: int = 20, seed: int = 0,
                     workers: int = 1) -> SweepResult:
     _require_at_least(1, trials=trials, t_points=t_points)
     args = [(seed, i, t_points) for i in range(trials)]
-    nested = _run_trials(_chebyshev_trial, args, workers)
+    nested, threads = _run_trials(_chebyshev_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]
     violations = [r for r in rows if not (r["holds"] and r["monotone_so_far"])]
     return SweepResult(
         name="chebyshev", rows=rows, violations=violations,
         summary={"checks": len(rows), "violations": len(violations),
-                 "min_residual": min(r["residual"] for r in rows)})
+                 "min_residual": min(r["residual"] for r in rows), "blas_threads": threads})
+
+
+def _scalar_trial(args) -> dict:
+    u, p = args
+    res = scalar_power_exp_bound(u, p)
+    return {"u": u, "p": p, "log_lhs": res.log_lhs, "log_rhs": res.log_rhs,
+            "holds": res.holds}
 
 
 def sweep_scalar_bound(random_count: int = 400, seed: int = 0) -> SweepResult:
@@ -325,18 +404,12 @@ def sweep_scalar_bound(random_count: int = 400, seed: int = 0) -> SweepResult:
     rng = stream_rng(seed, label="scalar-bound")
     extra_u = rng.standard_normal(random_count) * 10.0 ** rng.integers(-2, 4, random_count)
     extra_p = 1.0 + np.abs(rng.standard_normal(random_count)) * 8.0
-    rows = []
-    for u in us:
-        for p in ps:
-            res = scalar_power_exp_bound(u, p)
-            rows.append({"u": u, "p": p, "log_lhs": res.log_lhs,
-                         "log_rhs": res.log_rhs, "holds": res.holds})
-    for u, p in zip(extra_u, extra_p):
-        res = scalar_power_exp_bound(float(u), float(p))
-        rows.append({"u": float(u), "p": float(p), "log_lhs": res.log_lhs,
-                     "log_rhs": res.log_rhs, "holds": res.holds})
+    points = [(u, p) for u in us for p in ps]
+    points += [(float(u), float(p)) for u, p in zip(extra_u, extra_p)]
+    rows, threads = _run_trials(_scalar_trial, points)
     violations = [r for r in rows if not r["holds"]]
     return SweepResult(
         name="scalar-bound", rows=rows, violations=violations,
         summary={"checks": len(rows), "violations": len(violations),
-                 "min_log_margin": min(r["log_rhs"] - r["log_lhs"] for r in rows)})
+                 "min_log_margin": min(r["log_rhs"] - r["log_lhs"] for r in rows),
+                 "blas_threads": threads})

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclil import (AlgebraModel, ConfigError, conditional_expectation,
-                   identity, lp_norm, normalized_trace, random_full_element,
-                   random_level_element, stream_rng, verify_ce_axioms)
+from nclil import (AlgebraModel, ConfigError, Operator,
+                   conditional_expectation, lp_norm, normalized_trace,
+                   random_full_element, random_level_element, stream_rng,
+                   verify_ce_axioms)
 from nclil.operators import dense_operator, diagonal_operator
 
 from operator_samples import random_hermitian
@@ -42,7 +43,7 @@ class TestTensorCE:
         model = AlgebraModel("tensor", 2, 3)
         x = random_hermitian(rng, 8)
         e0 = conditional_expectation(model, x, 0)
-        expected = normalized_trace(x) * identity(8)
+        expected = normalized_trace(x) * Operator(np.eye(8), hermitian=True)
         np.testing.assert_allclose(e0.dense_array(), expected.dense_array(), atol=1e-12)
 
     def test_level_n_is_identity_map(self, rng):

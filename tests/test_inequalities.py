@@ -5,6 +5,7 @@ closed form, which pins the left side of the exponential moment bound
 independently of the implementation's eigenvalue route.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    HypothesisViolation, MartingalePath, NclilError, Operator,
-                   block_tail_bound, bracket_norms, chebyshev_bound,
+                   ShapeError, block_tail_bound, bracket_norms, chebyshev_bound,
                    column_maximal_norm_bounds, doob_consequence_check,
                    dual_doob_check, exp_moment_sides, gen_model_martingale,
-                   gen_tensor_martingale, identity, lp_norm, min_eigenvalue,
+                   gen_tensor_martingale, lp_norm, min_eigenvalue,
                    normalized_trace, probc_upper, random_level_element,
                    scalar_power_exp_bound, stream_rng, symmetrize)
 from nclil import inequalities as ineq
@@ -69,9 +70,9 @@ class TestExpMoment:
             exp_moment_sides(path, 2, ExpIneqParams(M=1.0, D2=1.5, eps=0.1, lam=0.0))
         assert e3.value.item == "iii"
         shifted = MartingalePath(
-            final=path.final + identity(4), s2=path.s2, u=path.u,
+            final=path.final + Operator(np.eye(4), hermitian=True), s2=path.s2, u=path.u,
             dnorm=path.dnorm, model=path.model, differences=path.differences,
-            partials=[path.partials[0], path.final + identity(4)])
+            partials=[path.partials[0], path.final + Operator(np.eye(4), hermitian=True)])
         with pytest.raises(HypothesisViolation) as e1:
             exp_moment_sides(shifted, 2, ExpIneqParams(M=1.0, D2=2.0, eps=0.1, lam=0.0))
         assert e1.value.item == "i"
@@ -119,13 +120,25 @@ class TestColumnBounds:
                 assert chk.lower <= chk.upper + 1e-9
 
     def test_repair_gap_edge(self):
-        a = diagonal_operator([0.0, 1.0])
-        at_edge = diagonal_operator([ineq.REPAIR_GAP_TOL, 0.0])
-        repaired, converged = ineq._feasibilize(a, [at_edge])
+        a = np.array([0.0, 1.0])
+        at_edge = np.array([[ineq.REPAIR_GAP_TOL, 0.0]])
+        repaired, converged = ineq._feasibilize(a, at_edge)
         assert converged and repaired is not a
-        assert np.array_equal(repaired.data, [ineq.REPAIR_GAP_TOL, 1.0])
-        inside = diagonal_operator([np.nextafter(ineq.REPAIR_GAP_TOL, 0.0), 0.0])
-        assert ineq._feasibilize(a, [inside]) == (a, True)
+        assert np.array_equal(repaired, [ineq.REPAIR_GAP_TOL, 1.0])
+        inside = np.array([[np.nextafter(ineq.REPAIR_GAP_TOL, 0.0), 0.0]])
+        repaired, converged = ineq._feasibilize(a, inside)
+        assert converged and repaired is a
+
+    def test_mixed_storage_searches_dense(self, rng):
+        diag = diagonal_operator(rng.standard_normal(4))
+        dense = random_hermitian(rng, 4)
+        mixed = column_maximal_norm_bounds([diag, dense], p=4.0)
+        promoted = column_maximal_norm_bounds(
+            [dense_operator(diag.dense_array(), hermitian=True), dense], p=4.0)
+        assert mixed.upper == pytest.approx(promoted.upper, rel=1e-12)
+        assert mixed.lower == pytest.approx(promoted.lower, rel=1e-12)
+        with pytest.raises(ShapeError):
+            column_maximal_norm_bounds([diag, random_hermitian(rng, 3)], p=4.0)
 
     @pytest.mark.parametrize("upper", [0.0, 1.0, 37.5])
     def test_enclosure_guard_edge(self, upper):
@@ -164,8 +177,8 @@ def hermitian_family(seed, dim=8, count=3):
     return [random_hermitian(rng, dim, scale=1.0 / math.sqrt(dim)) for _ in range(count)]
 
 
-def reference_bounds(xs, p):
-    """The column-norm search as one self-contained loop, with nothing shared across p."""
+def lifted_constraints(xs):
+    """(cons, scale): the distinct lifted constraints x_i* x_i of a family, as Operators."""
     cons, seen = [], set()
     squares = [symmetrize(x.adjoint() @ x) for x in xs]
     scale = max(lp_norm(c, np.inf) for c in squares)
@@ -174,20 +187,44 @@ def reference_bounds(xs, p):
         if key not in seen:
             seen.add(key)
             cons.append(c)
+    return cons, scale
+
+
+def reference_feasibilize(a, cons):
+    """The repair loop on Operators: every gap is min_eigenvalue(a - c), none screened."""
+    for _ in range(ineq._FEAS_ROUNDS):
+        worst_gap, worst = 0.0, None
+        for c in cons:
+            gap = min_eigenvalue(a - c)
+            if gap < worst_gap:
+                worst_gap, worst = gap, c
+        if worst is None or worst_gap > -ineq.REPAIR_GAP_TOL:
+            return a, True
+        a = a + op.pos_part(worst - a)
+    return a, False
+
+
+def reference_feasible(a, cons, scale):
+    return all(min_eigenvalue(a - c) >= -ineq.FEAS_TOL * (1.0 + scale) for c in cons)
+
+
+def reference_bounds(xs, p):
+    """The column-norm search as one self-contained loop on Operators, nothing shared across p."""
+    cons, scale = lifted_constraints(xs)
 
     def objective(a):
         return lp_norm(a, p / 2.0) ** 0.5
 
     candidates = [("sum", sum(cons))]
-    last, converged = ineq._feasibilize(cons[-1], cons)
-    if converged or ineq._is_feasible(last, cons, scale):
+    last, converged = reference_feasibilize(cons[-1], cons)
+    if converged or reference_feasible(last, cons, scale):
         candidates.append(("last-column", last))
     name, best, best_obj = min(((n, a, objective(a)) for n, a in candidates),
                                key=lambda t: t[2])
     iters = 0
     for iters in range(1, ineq._SEARCH_ITERS + 1):
-        trial, converged = ineq._feasibilize(ineq._SHRINK * best, cons)
-        if not (converged or ineq._is_feasible(trial, cons, scale)):
+        trial, converged = reference_feasibilize(ineq._SHRINK * best, cons)
+        if not (converged or reference_feasible(trial, cons, scale)):
             break
         obj = objective(trial)
         if obj >= best_obj * (1.0 - ineq._SEARCH_REL_TOL):
@@ -206,6 +243,41 @@ def outcome(cb):
 def cold_bounds(xs, p):
     ineq._last_descent = None
     return column_maximal_norm_bounds(xs, p)
+
+
+class TestScreenedGaps:
+    """The Cholesky screen reports exact gaps and clears only constraints that cannot matter."""
+
+    FAMILIES = {
+        "diagonal": lambda: doob_family("diagonal", seed=3),
+        "dense": lambda: hermitian_family(1),
+        "tensor-embedded": lambda: doob_family("tensor", seed=3)[:-1],
+        "pinching-embedded": lambda: doob_family("pinching", seed=3)[:-1],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_gaps_along_the_descent(self, family):
+        cons, _ = lifted_constraints(self.FAMILIES[family]())
+        like = cons[0]
+        assert (like.mult > 1) == family.endswith("embedded")
+        stack = np.stack([c.data for c in cons])
+        a = functools.reduce(np.add, stack)
+        cleared = exact = 0
+        for _ in range(6):
+            for b in (a, ineq._SHRINK * a):         # a dominator and a trial to repair
+                wrapped = Operator(b, hermitian=True, diagonal=like.diagonal,
+                                   mult=like.mult, layout=like.layout)
+                for gap, c in zip(ineq._screened_gaps(b, stack), cons):
+                    true_gap = min_eigenvalue(wrapped - c)
+                    if np.isinf(gap):
+                        cleared += 1
+                        assert true_gap >= -ineq.REPAIR_GAP_TOL
+                    else:
+                        exact += 1
+                        assert gap == true_gap
+            a, _ = ineq._feasibilize(ineq._SHRINK * a, stack)
+        assert exact > 0
+        assert (cleared > 0) == (family != "diagonal")
 
 
 class TestSharedDescent:

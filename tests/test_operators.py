@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclil import (NclilError, Operator, Projection, ShapeError,
-                   apply_function, eigenvalues, identity, lp_norm,
+                   apply_function, eigenvalues, lp_norm,
                    min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
@@ -63,9 +63,9 @@ class TestConstruction:
         assert x.data.dtype == np.float64
 
     def test_identity_and_zero(self):
-        i4 = identity(4)
+        i4 = Operator(np.eye(4), hermitian=True)
         assert normalized_trace(i4) == 1.0
-        idl = identity(4, diagonal=True)
+        idl = Operator(np.ones(4), hermitian=True, diagonal=True)
         assert idl.diagonal
         assert lp_norm(i4 - i4, np.inf) == 0.0
 
@@ -103,7 +103,7 @@ class TestArithmetic:
 class TestTraceAndNorms:
     def test_trace_normalization(self, rng):
         x = random_hermitian(rng, 6)
-        assert abs(normalized_trace(identity(6)) - 1.0) < 1e-15
+        assert abs(normalized_trace(Operator(np.eye(6), hermitian=True)) - 1.0) < 1e-15
         assert abs(normalized_trace(x) - np.trace(x.dense_array()).real / 6) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12))

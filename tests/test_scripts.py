@@ -37,3 +37,5 @@ def test_bench_cert_runs(tmp_path):
     assert result["families"]["doob"] == 24
     calls = result["feasibilize_calls"]
     assert 0 < calls["doob.shared"] < calls["doob.cold"]
+    screen = result["screen_by_dim"]
+    assert screen and all(c["cleared"] + c["eigvalsh"] > 0 for c in screen.values())

@@ -1,10 +1,12 @@
 """Smoke tests for the randomized sweep drivers at reduced trial counts."""
 
+import contextlib
 import io
 
 import numpy as np
 import pytest
 
+from nclil import verify
 from nclil.errors import ConfigError
 from nclil.filtration import CE_AXIOM_TOL, AlgebraModel
 from nclil.verify import (SweepResult, default_ce_models, sweep_ce,
@@ -139,3 +141,68 @@ class TestScalarBoundSweep:
         us = {r["u"] for r in res.rows}
         assert 0.0 in us
         assert any(u < 0 for u in us)
+
+
+def blas_threads():
+    return [get() for get, _ in verify._openblas()]
+
+
+@contextlib.contextmanager
+def caller_blas_threads(n):
+    """Run the body with every loaded OpenBLAS set to n threads."""
+    before = blas_threads()
+    for _, put in verify._openblas():
+        put(n)
+    try:
+        yield
+    finally:
+        for (_, put), threads in zip(verify._openblas(), before):
+            put(threads)
+
+
+@pytest.mark.skipif(not verify._openblas(), reason="no OpenBLAS to pin")
+class TestBlasPin:
+    """Sweep trials run on one BLAS thread; the caller's setting comes back."""
+
+    def test_sweep_restores_the_callers_thread_count(self, monkeypatch):
+        seen = []
+        trial = verify._doob_trial
+
+        def spy(args):
+            seen.append(blas_threads())
+            return trial(args)
+
+        def boom(args):
+            raise RuntimeError("trial failed")
+
+        with caller_blas_threads(2):
+            callers = blas_threads()
+            monkeypatch.setattr(verify, "_doob_trial", spy)
+            res = sweep_doob(trials_per_kind=2, ps=(4.0,), kinds=("diagonal",), seed=0)
+            assert seen == [[1] * len(callers)] * 2
+            assert res.summary["blas_threads"] == 1
+            assert blas_threads() == callers
+            monkeypatch.setattr(verify, "_doob_trial", boom)
+            with pytest.raises(RuntimeError, match="trial failed"):
+                sweep_doob(trials_per_kind=1, ps=(4.0,), kinds=("diagonal",), seed=0)
+            assert blas_threads() == callers
+
+    def test_every_sweep_stamps_its_thread_setting(self):
+        for res in (sweep_ce([AlgebraModel("tensor", 2, 2)], samples=2, seed=0),
+                    sweep_expineq(trials=1, lambda_points=2, seed=0),
+                    sweep_dual_doob(trials_per_kind=1, ps=(1.0,), kinds=("tensor",)),
+                    sweep_chebyshev(trials=1, t_points=2, seed=0),
+                    sweep_scalar_bound(random_count=1, seed=0)):
+            assert res.summary["blas_threads"] == 1, res.name
+
+    def test_expineq_rows_ignore_the_callers_threads_and_workers(self):
+        # trials 16 and 21 (tensor n=8) round differently at 1 and 2
+        # OpenBLAS threads when the sweep runs at the caller's setting
+        runs = []
+        for threads in (1, 2):
+            with caller_blas_threads(threads):
+                runs.append(sweep_expineq(trials=22, lambda_points=3, seed=0).rows)
+        assert runs[0] == runs[1]
+        with caller_blas_threads(2):
+            pooled = sweep_expineq(trials=22, lambda_points=3, seed=0, workers=2).rows
+        assert pooled == runs[0]
