@@ -30,8 +30,11 @@ domination gap the search asks for by the block dimension it is solved
 at: cleared by the Cholesky screen, or sent to ``eigvalsh``.  Diagonal
 families take exact row minima and are not screened.
 
-Seconds are per pass, as the median and min/max over ``--repeats``
-passes, with the environment stamp of ``perfbench/envstamp.py``.
+Every layer runs on one OpenBLAS thread, as the engines and sweeps do
+(``config.blas_threads`` is 1, or null where no OpenBLAS could be pinned),
+so a second numpy process on the cores does not slow a pass by spinning
+threads.  Seconds are per pass, as the median and min/max over
+``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
 
     PYTHONPATH=src python scripts/bench_cert.py --repeats 5 --out cert.json
 """
@@ -57,6 +60,7 @@ from nclil import (AlgebraModel, LILParameters, LILRunConfig,  # noqa: E402
 from nclil import inequalities, lil, verify  # noqa: E402
 from nclil.inequalities import (column_maximal_norm_bounds,  # noqa: E402
                                 doob_consequence_check, probc_upper)
+from nclil.operators import _one_blas_thread  # noqa: E402
 
 LAYERS = ("certificate.block", "certificate.prefix", "probc.block", "probc.prefix")
 WORKLOAD = "lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified --seed 0"
@@ -188,15 +192,27 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
+    with _one_blas_thread() as threads:
+        result = measure(args.repeats)
+    result["config"]["blas_threads"] = threads
+    result["env"] = envstamp.stamp(Path(nclil.__file__).resolve().parents[2])  # caller's setting
+    text = json.dumps(result, indent=2)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+    return 0
 
+
+def measure(repeats: int) -> dict:
+    """Every layer's timings and counts, ``repeats`` passes each."""
     families = dense_families()
     timed_pass(families)                                   # warm-up
-    passes = [timed_pass(families) for _ in range(args.repeats)]
-    counts = [eigvalsh_pass(families) for _ in range(args.repeats)]
+    passes = [timed_pass(families) for _ in range(repeats)]
+    counts = [eigvalsh_pass(families) for _ in range(repeats)]
     layers = {name: spread([p[name] for p in passes]) for name in LAYERS}
     layers["total"] = spread([sum(p.values()) for p in passes])
     doob = doob_families()
-    doob_runs = {mode: [doob_pass(doob, shared) for _ in range(args.repeats)]
+    doob_runs = {mode: [doob_pass(doob, shared) for _ in range(repeats)]
                  for mode, shared in (("cold", False), ("shared", True))}
     for mode, runs in doob_runs.items():
         layers[f"doob.{mode}"] = spread([s for s, _ in runs])
@@ -204,23 +220,17 @@ def main(argv=None) -> int:
     for dim in sorted({d for c in counts for d in c}):
         eig[str(dim)] = {"matrices": counts[0].get(dim, [0])[0],
                          "s": spread([c.get(dim, [0, 0.0])[1] for c in counts])}
-    result = {
+    return {
         "unit": "s per pass over all families",
         "config": {"workload": WORKLOAD, "doob_workload": DOOB_WORKLOAD,
-                   "doob_ps": list(DOOB_PS), "repeats": args.repeats},
+                   "doob_ps": list(DOOB_PS), "repeats": repeats},
         "families": {**{kind: sum(1 for f in families if f[0] == kind)
                         for kind in ("block", "prefix")}, "doob": len(doob)},
         "layers": layers,
         "feasibilize_calls": {f"doob.{mode}": runs[0][1] for mode, runs in doob_runs.items()},
         "screen_by_dim": screen_pass(doob),
         "eigvalsh_by_dim": eig,
-        "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
     }
-    text = json.dumps(result, indent=2)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    return 0
 
 
 if __name__ == "__main__":

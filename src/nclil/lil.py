@@ -171,12 +171,11 @@ class TailReport:
     series_theory_terms: list
     series_theory_cumulative: list
     series_theory_total: float
-    series_empirical_total: float
     bc: dict
     e: Projection
-    truncated: bool = False
     gates_waived: bool = False
     checkpoints: dict = field(default_factory=dict)
+    blas_threads: int | None = None     # 1, or None where OpenBLAS could not be pinned
     runtime_seconds: float = 0.0
 
     def to_json(self) -> dict:
@@ -194,16 +193,14 @@ class TailReport:
             "used_blocks": list(self.used_blocks),
             "deficit": self.deficit,
             "union_bound": self.union_bound,
-            "projection_trace": 1.0 - self.deficit,
             "empirical_limsup": self.empirical_limsup,
             "limsup_windows": self.limsup_windows,
             "series_theory_terms": list(self.series_theory_terms),
             "series_theory_cumulative": list(self.series_theory_cumulative),
             "series_theory_total": self.series_theory_total,
-            "series_empirical_total": self.series_empirical_total,
             "bc": self.bc,
-            "truncated": self.truncated,
             "gates_waived": self.gates_waived,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -258,8 +255,16 @@ class LILRunConfig:
 
 
 def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
+    """Run one experiment on one BLAS thread, whatever the caller's setting.
+
+    The pin keeps the dense engine's outputs independent of the thread
+    count; the streaming engine makes no BLAS call, so it costs that
+    engine nothing.
+    """
     start = time.perf_counter()
-    report = (_run_streaming if cfg.model is None else _run_dense)(cfg)
+    with op._one_blas_thread() as threads:
+        report = (_run_streaming if cfg.model is None else _run_dense)(cfg)
+    report.blas_threads = threads
     report.runtime_seconds = time.perf_counter() - start
     return report
 
@@ -399,8 +404,7 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
         used_blocks=used, deficit=real.deficit, union_bound=union,
         empirical_limsup=limsup, limsup_windows=windows,
         series_theory_terms=terms, series_theory_cumulative=cumulative,
-        series_theory_total=theory_total, series_empirical_total=union,
-        bc=bc, e=real.e, truncated=rule.truncated, gates_waived=gates_waived,
+        series_theory_total=theory_total, bc=bc, e=real.e, gates_waived=gates_waived,
         checkpoints=cps)
 
 

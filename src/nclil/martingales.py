@@ -163,7 +163,6 @@ class StoppingRule:
 
     eta: float
     ks: np.ndarray
-    truncated: bool
 
     @property
     def blocks(self) -> int:
@@ -176,7 +175,7 @@ class StoppingRule:
         return range(int(self.ks[n]) + 1, int(self.ks[n + 1]) + 1)
 
 
-def stopping_indices(s2, eta: float, count: int | None = None) -> StoppingRule:
+def stopping_indices(s2, eta: float) -> StoppingRule:
     """Compute the eta-adic stopping times of a nondecreasing bracket profile."""
     if not 1.0 < eta < 2.0:
         raise ConfigError(f"eta must lie in (1, 2), got {eta}")
@@ -187,16 +186,10 @@ def stopping_indices(s2, eta: float, count: int | None = None) -> StoppingRule:
     n_max = 0
     if top >= eta * eta:
         n_max = int(math.floor(math.log(top) / (2.0 * math.log(eta)) + 1e-12))
-    requested = count
-    if count is not None:
-        if count < 1:
-            raise ConfigError("count must be >= 1")
-        n_max = min(n_max, count)
     ks = np.zeros(n_max + 1, dtype=np.int64)
     thresholds = eta ** (2.0 * np.arange(1, n_max + 1))
     ks[1:] = np.searchsorted(s2, thresholds, side="left")
-    truncated = requested is not None and n_max < requested
-    return StoppingRule(eta=eta, ks=ks, truncated=truncated)
+    return StoppingRule(eta=eta, ks=ks)
 
 
 def _haar_sa_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

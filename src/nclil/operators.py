@@ -14,10 +14,18 @@ its embedding.
 
 Operators are immutable.  The ``hermitian`` flag is part of the value and
 is validated at construction; spectral routines require it.
+
+A multi-threaded OpenBLAS may round a large solve differently from one
+thread, so the verify sweeps and ``run_lil_experiment`` run inside
+``_one_blas_thread``: one thread, whatever the caller's setting, which
+comes back afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -446,3 +454,57 @@ def singular_number(x: Operator, t: float) -> float:
         return 0.0
     return float(s[j // x.mult])
 
+
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS this process has loaded.
+
+    numpy's is among them.  The libraries are looked up among the files the
+    process has mapped (Linux only); where none is found, nothing is pinned.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_GETTERS:
+            get = getattr(lib, name, None)
+            put = getattr(lib, name.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the body, then restore the caller's counts.
+
+    Yields 1, or None when no OpenBLAS was found and nothing is pinned.
+    """
+    libs = _openblas()
+    before = [get() for get, _ in libs]
+    _pin_one_thread()
+    try:
+        yield 1 if libs else None
+    finally:
+        for (_, put), threads in zip(libs, before):
+            put(threads)
+
+
+def _pin_one_thread() -> None:
+    """Pool initializer, and the pin itself: every OpenBLAS to one thread."""
+    for _, put in _openblas():
+        put(1)

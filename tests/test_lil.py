@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blas_pin import blas_threads, caller_blas_threads
 from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    InsufficientHorizonError, LILParameters, LILRunConfig,
                    Projection, SemicircleConfig, ks_distance,
@@ -14,7 +15,9 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
                        _checkpoint_steps, _Realization)
 from nclil import lil
+from nclil.cli import main
 from nclil.martingales import _walk, iterlog_seq
+from nclil.operators import _openblas
 from nclil.rng import stream_rng
 
 
@@ -154,6 +157,61 @@ class TestDenseEngine:
             run_lil_experiment(cfg)
 
 
+@pytest.mark.skipif(not _openblas(), reason="no OpenBLAS to pin")
+class TestDenseBlasPin:
+    """The dense engine runs on one BLAS thread; the caller's setting comes back."""
+
+    def test_dense_route_runs_on_one_thread(self, monkeypatch):
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                seen.append((fn.__name__, blas_threads()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lil, "gen_model_martingale", spy(lil.gen_model_martingale))
+        monkeypatch.setattr(lil, "column_maximal_norm_bounds",
+                            spy(lil.column_maximal_norm_bounds))
+        model = AlgebraModel("tensor", 2, 8)
+        with caller_blas_threads(2):
+            callers = blas_threads()
+            pinned = [1] * len(callers)
+            rep = run_lil_experiment(LILRunConfig(
+                params=LILParameters(eta=1.2), horizon=8, model=model, generator="model",
+                seed=5, strict=False))
+            assert {name for name, _ in seen} == {"gen_model_martingale",
+                                                  "column_maximal_norm_bounds"}
+            assert all(threads == pinned for _, threads in seen)
+            assert rep.to_json()["blas_threads"] == 1
+            assert blas_threads() == callers
+            seen.clear()
+            with pytest.raises(InsufficientHorizonError):     # strict, no usable block
+                run_lil_experiment(LILRunConfig(
+                    params=LILParameters(eta=1.2), horizon=8, model=model,
+                    generator="model", seed=5, strict=True))
+            assert seen == [("gen_model_martingale", pinned)]
+            assert blas_threads() == callers
+
+    def test_cli_outputs_ignore_the_callers_threads(self, tmp_path):
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads-{threads}"
+            with caller_blas_threads(threads):
+                assert main(["lil-run", "--model", "tensor:2:4", "--eta", "1.2",
+                             "--allow-uncertified", "--seed", "2", "--out", str(out)]) == 0
+            outs.append(out)
+        payloads = []
+        for out in outs:
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["runtime_seconds"]
+            assert summary["blas_threads"] == 1
+            payloads.append(json.dumps(summary, sort_keys=True))
+        assert payloads[0] == payloads[1]
+        for name in ("blocks.csv", "checkpoints.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestBlockCore:
     @pytest.mark.parametrize("engine, union_edge, limsup_edge", [
         ("streaming-ensemble", 0.3 + 1e-12, 2.2 + 1e-12),
@@ -281,9 +339,11 @@ def _reference_stream_report(cfg, chunk):
                                          "r_max_kept": kept_rows.max(axis=1).tolist(),
                                          "r_mean_kept": kept_rows.mean(axis=1).tolist()})
 
-    return _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
-                         realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
-                         knob="the variance")
+    report = _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
+                           realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
+                           knob="the variance")
+    report.blas_threads = 1 if _openblas() else None      # the runner's stamp
+    return report
 
 
 _ODD_CHUNK = 333       # rows per walk chunk under a patched streaming tile

@@ -147,11 +147,6 @@ class TestStoppingRule:
             steps.extend(rule.block_steps(n))
         assert steps == list(range(int(rule.ks[1]) + 1, int(rule.ks[-1]) + 1))
 
-    def test_count_truncation_flag(self):
-        s2 = np.arange(1.0, 101.0)
-        assert stopping_indices(s2, 1.5, count=50).truncated
-        assert not stopping_indices(s2, 1.5, count=2).truncated
-
     def test_eta_domain(self):
         for eta in (1.0, 2.0, 0.5):
             with pytest.raises(ConfigError):

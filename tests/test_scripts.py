@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from nclil import lil
+from nclil.operators import _openblas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -34,6 +35,7 @@ def test_bench_cert_runs(tmp_path):
     out = tmp_path / "cert.json"
     assert _load("bench_cert").main(["--repeats", "1", "--out", str(out)]) == 0
     result = json.loads(out.read_text())
+    assert result["config"]["blas_threads"] == (1 if _openblas() else None)
     assert result["families"]["doob"] == 24
     calls = result["feasibilize_calls"]
     assert 0 < calls["doob.shared"] < calls["doob.cold"]

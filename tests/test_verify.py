@@ -1,14 +1,15 @@
 """Smoke tests for the randomized sweep drivers at reduced trial counts."""
 
-import contextlib
 import io
 
 import numpy as np
 import pytest
 
+from blas_pin import blas_threads, caller_blas_threads
 from nclil import verify
 from nclil.errors import ConfigError
 from nclil.filtration import CE_AXIOM_TOL, AlgebraModel
+from nclil.operators import _openblas
 from nclil.verify import (SweepResult, default_ce_models, sweep_ce,
                           sweep_chebyshev, sweep_doob, sweep_dual_doob,
                           sweep_expineq, sweep_scalar_bound, write_rows_csv)
@@ -143,24 +144,7 @@ class TestScalarBoundSweep:
         assert any(u < 0 for u in us)
 
 
-def blas_threads():
-    return [get() for get, _ in verify._openblas()]
-
-
-@contextlib.contextmanager
-def caller_blas_threads(n):
-    """Run the body with every loaded OpenBLAS set to n threads."""
-    before = blas_threads()
-    for _, put in verify._openblas():
-        put(n)
-    try:
-        yield
-    finally:
-        for (_, put), threads in zip(verify._openblas(), before):
-            put(threads)
-
-
-@pytest.mark.skipif(not verify._openblas(), reason="no OpenBLAS to pin")
+@pytest.mark.skipif(not _openblas(), reason="no OpenBLAS to pin")
 class TestBlasPin:
     """Sweep trials run on one BLAS thread; the caller's setting comes back."""
 
