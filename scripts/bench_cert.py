@@ -131,8 +131,8 @@ def screen_pass(families: list) -> dict:
     by_dim = defaultdict(lambda: {"cleared": 0, "eigvalsh": 0})
     screened = inequalities._screened_gaps
 
-    def counted(a, cons):
-        gaps = screened(a, cons)
+    def counted(a, cons, live=None):
+        gaps = screened(a, cons, live)
         if cons.ndim == 3:
             entry = by_dim[cons.shape[-1]]
             cleared = int(np.isinf(gaps).sum())

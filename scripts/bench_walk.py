@@ -13,13 +13,15 @@ JSON ``config``), and splits the wall time into three layers:
   path-step for uniform;
 - ``walk``: what ``_walk`` adds around the draw (cumsum along the steps
   and the carried sum);
-- ``consume``: abs, normalize by sqrt(n L(n)) and the running max per
-  path, in place on the chunk.  This step is a copy of the in-window loop
-  of ``scalar_kolmogorov_baseline``, not a call into it, so it must be
-  kept in step with that loop by hand.
+- ``consume``: abs, the column max and the running max of |S_n| /
+  sqrt(n L(n)) per path through ``nclil.lil._max_normalized``, the
+  consumer both streaming engines call, which divides only the paths
+  whose running max can move.
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
+``flagged_fraction`` is the mean over the chunks of all passes of the
+share of paths the consumer divided.
 
     PYTHONPATH=src python scripts/bench_walk.py --repeats 5 --out walk.json
 """
@@ -39,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import _STREAM_TILE  # noqa: E402
+from nclil.lil import _STREAM_TILE, _max_normalized  # noqa: E402
 from nclil.martingales import (_STEP_LAWS, _step_bound, _walk, _walk_rows,  # noqa: E402
                                iterlog_seq, sample_step_increments)
 from nclil.rng import stream_rng  # noqa: E402
@@ -47,8 +49,9 @@ from nclil.rng import stream_rng  # noqa: E402
 LAYERS = ("draw", "walk", "consume")
 
 
-def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
-    """Seconds per layer for one walk over chunks x chunk steps."""
+def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> tuple[dict, float]:
+    """Seconds per layer for one walk over chunks x chunk steps, and the mean
+    share of paths the consumer divided per chunk."""
     total = chunks * chunk
     rng = stream_rng(seed, label=f"baseline-{law}")
     scale = _step_bound(law, 1.0)
@@ -56,6 +59,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
     den = np.sqrt(ns * iterlog_seq(ns))
     runmax = np.zeros(paths)
     spent = dict.fromkeys(LAYERS, 0.0)
+    flagged = 0
 
     def draw(pos, take, out):
         t0 = time.perf_counter()
@@ -75,11 +79,10 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> dict:
         t1 = time.perf_counter()
         walked += t1 - t0
         np.abs(C, out=C)
-        C /= den[pos:pos + len(C), None]
-        np.maximum(runmax, C.max(axis=0), out=runmax)
+        flagged += _max_normalized(C, C.max(axis=0), den[pos:pos + len(C)], runmax)
         spent["consume"] += time.perf_counter() - t1
     spent["walk"] = walked - spent["draw"]
-    return {k: v / chunks for k, v in spent.items()}
+    return {k: v / chunks for k, v in spent.items()}, flagged / (chunks * paths)
 
 
 def main(argv=None) -> int:
@@ -97,8 +100,8 @@ def main(argv=None) -> int:
     chunk = _walk_rows(_STREAM_TILE, args.paths)         # steps per chunk of the engines' walk
 
     one_pass(args.law, args.paths, chunk, 1, args.seed)             # warm-up
-    passes = [one_pass(args.law, args.paths, chunk, args.chunks, args.seed)
-              for _ in range(args.repeats)]
+    passes, fractions = zip(*(one_pass(args.law, args.paths, chunk, args.chunks, args.seed)
+                              for _ in range(args.repeats)))
     layers = {}
     for name in LAYERS + ("total",):
         xs = [sum(p.values()) if name == "total" else p[name] for p in passes]
@@ -108,6 +111,7 @@ def main(argv=None) -> int:
         "config": {"tile_floats": _STREAM_TILE, "chunk": chunk,
                    **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
+        "flagged_fraction": statistics.fmean(fractions),
         "path_steps_per_s": chunk * args.paths / layers["total"]["median"],
         "env": envstamp.stamp(Path(nclil.__file__).resolve().parents[2]),
     }

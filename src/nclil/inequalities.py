@@ -156,20 +156,23 @@ class ColumnNormBounds:
         return self.lower / self.upper
 
 
-def _screened_gaps(a: np.ndarray, cons: np.ndarray) -> np.ndarray:
+def _screened_gaps(a: np.ndarray, cons: np.ndarray,
+                   live: np.ndarray | None = None) -> np.ndarray:
     """Domination gap lambda_min(a - c_k) of each stacked constraint c_k.
 
     a is one raw block and cons the family's stack of them: (K, n) real
     when diagonal, where the gaps are exact row minima, else (K, d, d)
-    complex.  A dense a - c_k is screened by a Cholesky factorization;
-    where it succeeds, a - c_k is positive definite up to rounding, so
+    complex; with ``live`` (indices into cons) only those constraints
+    are screened, in that order.  A dense a - c_k is screened by a
+    Cholesky factorization; where it succeeds, a - c_k is positive definite up to rounding, so
     its gap is at least about -d*eps*scale (eps the unit roundoff), far
     above -REPAIR_GAP_TOL and -FEAS_TOL, and is reported as +inf: it can
     neither be the worst violation nor fail a feasibility check.  The
     other gaps come from eigvalsh of 0.5*(x + x^H), as in op.eigenvalues,
     so each equals op.min_eigenvalue(a - c_k) bit for bit.
     """
-    diff = a - cons
+    diff = cons.copy() if live is None else cons[live]    # the one temporary
+    np.subtract(a, diff, out=diff)
     if diff.ndim == 2:
         return diff.min(axis=1)
     gaps = np.full(len(diff), np.inf)
@@ -201,14 +204,18 @@ def _feasibilize(a: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, bool]:
 
     Returns (a, converged).  Convergence means every gap is above
     -REPAIR_GAP_TOL, which already passes _is_feasible; only an unconverged
-    a needs that check.
+    a needs that check.  A repair adds a positive term to a, so by Weyl's
+    inequality no gap goes down: each round re-screens only the
+    constraints the round before found violated.
     """
+    live = np.arange(len(cons))
     for _ in range(_FEAS_ROUNDS):
-        gaps = _screened_gaps(a, cons)
+        gaps = _screened_gaps(a, cons, live)
         worst = int(np.argmin(gaps))
         if gaps[worst] > -REPAIR_GAP_TOL:
             return a, True
-        a = a + _pos_part(cons[worst] - a)
+        a = a + _pos_part(cons[live[worst]] - a)
+        live = live[gaps <= -REPAIR_GAP_TOL]
     return a, False
 
 

@@ -1,9 +1,10 @@
 """Matrix martingales: brackets, stopping rules, generators, the ensemble walker.
 
 Martingale data moves through the package as a MartingalePath.  Two kinds
-exist.  Dense paths live on a filtered AlgebraModel and keep their actual
-difference operators, so the martingale property and the bracket are
-recomputed honestly through the conditional expectations.  Path-carrier
+exist.  Dense paths live on a filtered AlgebraModel and keep their partial
+sums; the martingale property and the bracket are recomputed honestly
+from the actual difference operators through the conditional
+expectations while the path is assembled.  Path-carrier
 ensembles represent a classical scalar martingale through P simultaneous
 sample paths (a multiplication-operator surrogate of dimension P) and keep
 only the final values; their brackets and difference bounds are exact by
@@ -40,6 +41,7 @@ E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
 _CHUNK_CAP = 1 << 23         # floats in gen_diagonal_martingale's walk buffer (64 MiB)
 _BITS_PIECE = 1 << 20        # unpacked sign bits (bytes) per piece of an iid rademacher draw
+_U64_MAX = np.iinfo(np.uint64).max
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
 _STEP_LAWS = {"rademacher": 1.0, "uniform": 1.0 / 3.0}
@@ -89,7 +91,6 @@ class MartingalePath:
     u: np.ndarray
     dnorm: np.ndarray
     model: AlgebraModel | None = None
-    differences: list[Operator] | None = None
     partials: list[Operator] | None = None
     md_residual: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -227,7 +228,11 @@ def _dense_bounds(model: AlgebraModel, bound_seq, horizon: int | None):
 
 
 def _assemble_dense_path(model, diffs, meta):
-    """Path of the differences, with its bracket profile from ``bracket_norms``."""
+    """Path of the differences, with its bracket profile from ``bracket_norms``.
+
+    The differences are checked and summed here and not kept: the path
+    holds their partial sums.
+    """
     s2, u = bracket_norms(model, diffs)
     partials = []
     acc = None
@@ -239,8 +244,7 @@ def _assemble_dense_path(model, diffs, meta):
     if resid > MD_RESIDUAL_TOL:
         raise NclilError(f"generated differences fail the martingale property ({resid:.3e})")
     return MartingalePath(
-        final=partials[-1], s2=s2, u=u, dnorm=dnorm, model=model,
-        differences=list(diffs), partials=partials,
+        final=partials[-1], s2=s2, u=u, dnorm=dnorm, model=model, partials=partials,
         md_residual=resid, meta=meta)
 
 
@@ -312,11 +316,12 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     cross-path mean of every step is zero to rounding while the per-path
     marginal law is unchanged.  Without it (what the streaming engines
     draw) the increments are iid: a rademacher step takes its signs from
-    the bits of ceil(paths / 64) whole 64-bit words, a uniform one takes
-    one double per path, so the draws of step k never depend on how the
-    steps are split into blocks.  The block is written into ``out`` (a
-    C-contiguous float64 (steps, paths) array, returned) when given, else
-    into a fresh array; the draws are the same either way.
+    the bits of ceil(paths / 64) whole 64-bit words (turned into int8 ±1,
+    cast and scaled), a uniform one takes one double per path, so the
+    draws of step k never depend on how the steps are split into blocks.
+    The block is written into ``out`` (a C-contiguous float64 (steps,
+    paths) array, returned) when given, else into a fresh array; the
+    draws are the same either way.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
@@ -331,14 +336,19 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
             words = -(-paths // 64)
             piece = max(1, _BITS_PIECE // paths)     # rows unpacked at a time
             for a in range(0, steps, piece):
-                w = rng.integers(0, np.iinfo(np.uint64).max, size=(min(piece, steps - a), words),
+                w = rng.integers(0, _U64_MAX, size=(min(piece, steps - a), words),
                                  dtype=np.uint64, endpoint=True)
                 bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
-                np.multiply(bits, 2.0 * scale, out=out[a:a + len(w)])
+                signs = bits.view(np.int8)         # 0/1 -> -1/+1 in place, then one cast
+                signs *= 2
+                signs -= 1
+                out[a:a + len(w)] = signs
+            if scale != 1.0:                       # ±1 are already exact at unit scale
+                out *= scale
         else:
             rng.random(out=out)
             out *= 2.0 * scale
-        out -= scale
+            out -= scale
         return out
     half = paths // 2
     if law == "rademacher":

@@ -193,6 +193,9 @@ def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1
         summary={"trials": trials, "checks": len(rows),
                  "violations": len(violations),
                  "min_margin": min(r["margin"] for r in rows),
+                 # lam = 0 has margin 0 exactly; None when the grid is lam = 0 alone
+                 "min_margin_positive_lambda": min(
+                     (r["margin"] for r in rows if r["lam"] > 0.0), default=None),
                  "eps_values": list(eps_values), "lambda_points": lambda_points,
                  "blas_threads": threads})
 

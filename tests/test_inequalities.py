@@ -39,8 +39,7 @@ def two_spin_path():
     s2, u = bracket_norms(model, diffs)
     partials = [d1, d1 + d2]
     return MartingalePath(final=partials[-1], s2=s2, u=u,
-                          dnorm=np.array([1.0, 1.0]), model=model,
-                          differences=diffs, partials=partials)
+                          dnorm=np.array([1.0, 1.0]), model=model, partials=partials)
 
 
 class TestExpMoment:
@@ -71,7 +70,7 @@ class TestExpMoment:
         assert e3.value.item == "iii"
         shifted = MartingalePath(
             final=path.final + Operator(np.eye(4), hermitian=True), s2=path.s2, u=path.u,
-            dnorm=path.dnorm, model=path.model, differences=path.differences,
+            dnorm=path.dnorm, model=path.model,
             partials=[path.partials[0], path.final + Operator(np.eye(4), hermitian=True)])
         with pytest.raises(HypothesisViolation) as e1:
             exp_moment_sides(shifted, 2, ExpIneqParams(M=1.0, D2=2.0, eps=0.1, lam=0.0))

@@ -13,7 +13,7 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
-                       _checkpoint_steps, _Realization)
+                       _checkpoint_steps, _max_normalized, _Realization)
 from nclil import lil
 from nclil.cli import main
 from nclil.martingales import _walk, iterlog_seq
@@ -379,6 +379,84 @@ def _assert_chunks(draws, rows):
         assert set(takes[:-1]) <= {rows} and 1 <= takes[-1] <= rows
         counts.append(len(takes))
     return counts
+
+
+class TestMaxNormalized:
+    """The consumers' screened divide against a full divide-then-max, bit for bit."""
+
+    @staticmethod
+    def run(rows, den, best):
+        """(flagged, best after, rows after) of the helper, checked against the
+        reference on copies."""
+        expected = np.maximum(best, (rows / den[:, None]).max(axis=0))
+        rows, best = rows.copy(), best.copy()
+        flagged = _max_normalized(rows, rows.max(axis=0), den, best)
+        np.testing.assert_array_equal(best, expected)
+        return flagged, best, rows
+
+    @staticmethod
+    def block(seed, steps=7, paths=64):
+        """|S| of a short rademacher stretch and its sqrt(n L(n)) normalizers."""
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.integers(-40, 41, size=(steps, paths))).astype(np.float64)
+        ns = np.arange(300, 300 + steps, dtype=np.float64)
+        return rows, np.sqrt(ns * iterlog_seq(ns))
+
+    def test_minus_inf_start_divides_in_place(self):
+        rows, den = self.block(1)
+        flagged, _, after = self.run(rows, den, np.full(rows.shape[1], -np.inf))
+        assert flagged == rows.shape[1]
+        np.testing.assert_array_equal(after, rows / den[:, None])
+
+    def test_none_flagged_leaves_everything(self):
+        rows, den = self.block(2)
+        best = np.full(rows.shape[1], 10.0)
+        flagged, got, after = self.run(rows, den, best)
+        assert flagged == 0
+        np.testing.assert_array_equal(got, best)
+        np.testing.assert_array_equal(after, rows)
+
+    def test_tie_is_not_flagged(self):
+        rows, den = self.block(3)
+        best = rows.max(axis=0) / den.min()         # the bound itself, exactly
+        flagged, got, _ = self.run(rows, den, best)
+        assert flagged == 0
+        np.testing.assert_array_equal(got, best)
+        nudged = best.copy()
+        nudged[5] = np.nextafter(best[5], -np.inf)   # one ulp below: flagged alone
+        assert self.run(rows, den, nudged)[0] == 1
+
+    def test_all_flagged(self):
+        rows, den = self.block(4)
+        rows += 1.0                                  # every column above zero
+        flagged, _, after = self.run(rows, den, np.zeros(rows.shape[1]))
+        assert flagged == rows.shape[1]
+        np.testing.assert_array_equal(after, rows / den[:, None])
+
+    def test_non_monotone_normalizer(self):
+        # the largest quotient sits at the smallest normalizer, in the middle
+        den = np.array([3.0, 2.5, 1.0, 2.0, 3.5])
+        rows = np.full((5, 8), 0.9)
+        rows[2, 3] = 2.5
+        flagged, got, after = self.run(rows, den, np.ones(8))
+        assert flagged == 1
+        assert got[3] == 2.5 and np.all(np.delete(got, 3) == 1.0)
+        np.testing.assert_array_equal(after, rows)         # gathered, not divided
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_branches(self, seed):
+        """A best drawn around the block's own quotients flags a few columns
+        (gathered) or many (divided in place)."""
+        rows, den = self.block(seed, steps=11, paths=200)
+        full = (rows / den[:, None]).max(axis=0)
+        rng = np.random.default_rng(seed)
+        for share, gathered in ((0.1, True), (0.6, False)):
+            best = full * rng.uniform(1.0, 1.2, size=full.size)
+            best[rng.random(full.size) < share] *= 0.8
+            flagged, _, after = self.run(rows, den, best)
+            assert 0 < flagged
+            assert (4 * flagged <= full.size) == gathered
+            assert np.array_equal(after, rows) == gathered
 
 
 class TestWalkRegression:

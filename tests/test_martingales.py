@@ -18,6 +18,12 @@ from nclil import lil, martingales
 E_E = math.exp(math.e)
 
 
+def _differences(path):
+    """d_k = x_k - x_{k-1} of a dense path, from its partial sums."""
+    xs = [path.partial(n) for n in range(1, path.horizon + 1)]
+    return xs[:1] + [b - a for a, b in zip(xs, xs[1:])]
+
+
 class TestIterlog:
     def test_clamps_to_one(self):
         for x in (1e-9, 0.5, 1.0, math.e, E_E):
@@ -89,6 +95,17 @@ class TestSampling:
         assert block.shape == (400, paths)
         assert set(np.unique(block)) == {-0.7, 0.7}
         assert np.any(block.sum(axis=1) != 0.0)       # steps are not balanced
+
+    @pytest.mark.parametrize("scale", [1.0, math.sqrt(0.37), math.sqrt(3.0)])
+    def test_iid_rademacher_exact_scale(self, scale):
+        """Each value is +scale for a set bit and -scale for a clear one, exactly."""
+        paths, steps = 70, 300
+        block = sample_step_increments(stream_rng(4), "rademacher", scale, paths=paths,
+                                       steps=steps, balanced=False)
+        words = stream_rng(4).integers(0, np.iinfo(np.uint64).max, size=(steps, 2),
+                                       dtype=np.uint64, endpoint=True)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
+        np.testing.assert_array_equal(block, np.where(bits == 1, scale, -scale))
 
     def test_iid_uniform_bounded(self):
         block = sample_step_increments(stream_rng(3), "uniform", 0.7, paths=70, steps=400,
@@ -166,7 +183,7 @@ class TestGenerators:
         model = AlgebraModel("tensor", 2, 6)
         path = gen_tensor_martingale(model, seed=2)
         assert path.horizon == 6
-        assert validate_differences(model, path.differences) < 1e-9
+        assert validate_differences(model, _differences(path)) < 1e-9
         assert abs(normalized_trace(path.final)) < 1e-10
 
     def test_tensor_bound_sequence_respected(self):
@@ -179,14 +196,14 @@ class TestGenerators:
         for kind, m, n in [("tensor", 2, 4), ("pinching", 2, 4), ("diagonal", 2, 6)]:
             model = AlgebraModel(kind, m, n)
             path = gen_model_martingale(model, seed=8)
-            assert validate_differences(model, path.differences) < 1e-9
+            assert validate_differences(model, _differences(path)) < 1e-9
             assert np.all(np.diff(path.s2) >= -1e-12)
             np.testing.assert_allclose(path.dnorm, 1.0, rtol=1e-9)
 
     def test_bracket_norms_consistent(self):
         model = AlgebraModel("pinching", 2, 4)
         path = gen_model_martingale(model, seed=8)
-        s2, u = bracket_norms(model, path.differences)
+        s2, u = bracket_norms(model, _differences(path))
         np.testing.assert_allclose(s2, path.s2, rtol=1e-12)
         assert np.all(u >= 1.0)
 

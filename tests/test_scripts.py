@@ -29,6 +29,7 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
     assert result["config"]["tile_floats"] == lil._STREAM_TILE
     assert result["config"]["chunk"] == lil._STREAM_TILE // 64
     assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
+    assert 0.0 < result["flagged_fraction"] <= 1.0
 
 
 def test_bench_cert_runs(tmp_path):

@@ -73,6 +73,16 @@ class TestExpineqSweep:
         assert len(res.rows) == 4 * 3 * 5
         assert res.summary["min_margin"] >= -1e-10
 
+    def test_min_margin_over_positive_lambda(self):
+        res = sweep_expineq(trials=3, lambda_points=4, seed=5)
+        positive = [r["margin"] for r in res.rows if r["lam"] > 0.0]
+        assert len(positive) == 3 * 3 * 3
+        assert res.summary["min_margin_positive_lambda"] == min(positive)
+        assert res.summary["min_margin_positive_lambda"] > 0.0
+        assert res.summary["min_margin"] == min(r["margin"] for r in res.rows)
+        only_zero = sweep_expineq(trials=1, lambda_points=1, seed=5)
+        assert only_zero.summary["min_margin_positive_lambda"] is None
+
     def test_lambda_zero_is_tight(self):
         res = sweep_expineq(trials=2, lambda_points=4, seed=5)
         for row in res.rows:
