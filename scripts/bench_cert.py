@@ -90,9 +90,9 @@ def doob_families() -> list:
     """x_1 .. x_n of every trial of the doob sweep, as its Doob checks see them."""
     paths = []
 
-    def recording(path, p, *args, **kwargs):
+    def recording(path, p):
         paths.append(path)
-        return doob_consequence_check(path, p, *args, **kwargs)
+        return doob_consequence_check(path, p)
 
     verify.doob_consequence_check = recording
     try:

@@ -2,13 +2,13 @@
 """Time the layers of the streaming ensemble walk on their own.
 
 One pass streams ``--chunks`` chunks x ``--paths`` paths through
-``nclil.martingales._walk`` with the engines' increment draw, in the
-streaming engines' own tile of ``nclil.lil._STREAM_TILE`` floats
+``nclil.lil._walk`` with the engines' increment draw, in the streaming
+engines' own tile of ``nclil.lil._STREAM_TILE`` floats
 (``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
 JSON ``config``), and splits the wall time into three layers:
 
-- ``draw``: ``sample_step_increments`` for one chunk, the iid draw
-  (``balanced=False``) that ``lil-run`` and ``baseline-scalar`` make:
+- ``draw``: ``sample_step_increments`` for one chunk, the iid draw that
+  ``lil-run`` and ``baseline-scalar`` make:
   unpacked bits of random 64-bit words for rademacher, one double per
   path-step for uniform;
 - ``walk``: what ``_walk`` adds around the draw (cumsum along the steps
@@ -41,9 +41,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import _STREAM_TILE, _max_normalized  # noqa: E402
-from nclil.martingales import (_STEP_LAWS, _step_bound, _walk, _walk_rows,  # noqa: E402
-                               iterlog_seq, sample_step_increments)
+from nclil.lil import _STREAM_TILE, _max_normalized, _walk  # noqa: E402
+from nclil.martingales import (_STEP_LAWS, _step_bound, iterlog_seq,  # noqa: E402
+                               sample_step_increments)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
@@ -63,12 +63,11 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> tuple[
 
     def draw(pos, take, out):
         t0 = time.perf_counter()
-        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out,
-                                       balanced=False)
+        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out)
         spent["draw"] += time.perf_counter() - t0
         return block
 
-    walk = _walk(draw, paths, total, _STREAM_TILE)
+    walk = _walk(draw, paths, total)
     walked = 0.0
     while True:
         t0 = time.perf_counter()
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if min(args.paths, args.chunks, args.repeats) < 1 or args.paths % 2:
         ap.error("sizes must be >= 1 and --paths even")
-    chunk = _walk_rows(_STREAM_TILE, args.paths)         # steps per chunk of the engines' walk
+    chunk = max(1, _STREAM_TILE // args.paths)          # steps per chunk of the engines' walk
 
     one_pass(args.law, args.paths, chunk, 1, args.seed)             # warm-up
     passes, fractions = zip(*(one_pass(args.law, args.paths, chunk, args.chunks, args.seed)

@@ -32,7 +32,7 @@ from .martingales import (MartingalePath, StoppingRule, bracket_norms,
                           stopping_indices, validate_differences)
 from .operators import (Operator, Projection, SpectralDecomposition,
                         apply_function, eigenvalues, lp_norm,
-                        min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
+                        min_eigenvalue, normalized_trace, psd_sqrt,
                         real_statistic, singular_values,
                         spectral_decomposition, spectral_projection,
                         symmetrize)
@@ -61,7 +61,7 @@ __all__ = [
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",
     "iterlog", "iterlog_seq", "ks_distance",
     "lp_norm", "min_eigenvalue", "normalized_trace",
-    "pos_part", "probc_upper", "psd_sqrt", "random_full_element",
+    "probc_upper", "psd_sqrt", "random_full_element",
     "random_level_element", "real_statistic", "run_lil_experiment",
     "sample_step_increments", "scalar_kolmogorov_baseline",
     "scalar_power_exp_bound", "semicircle_cdf", "semicircular_demo",

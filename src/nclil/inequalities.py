@@ -192,7 +192,7 @@ def _cholesky_clears(x: np.ndarray) -> bool:
 
 
 def _pos_part(x: np.ndarray) -> np.ndarray:
-    """op.pos_part on a raw diagonal or dense block, with its reconstruction check."""
+    """Positive part of a raw hermitian block, diagonal (a vector) or dense."""
     if x.ndim == 1:
         return np.clip(x, 0.0, None)
     w, u = op.hermitian_eigh(x)
@@ -348,8 +348,7 @@ class DoobCheck:
         return self.verdict == "certified-violation"
 
 
-def doob_consequence_check(path: MartingalePath, p: float, first: int = 1,
-                           last: int | None = None) -> DoobCheck:
+def doob_consequence_check(path: MartingalePath, p: float) -> DoobCheck:
     """Check ||(x_m)_{m<=n}||_{L_p(l_inf)} <= 2^{2/p} ||x_n||_p for p >= 4.
 
     A failed upper bound is only ever reported as inconclusive unless the
@@ -360,10 +359,7 @@ def doob_consequence_check(path: MartingalePath, p: float, first: int = 1,
         raise ConfigError(f"p must be >= 4, got {p}")
     if path.md_residual > MD_RESIDUAL_TOL:
         raise NclilError(f"input is not a martingale (residual {path.md_residual:.3e})")
-    last = path.horizon if last is None else int(last)
-    if not 1 <= first <= last <= path.horizon:
-        raise ConfigError(f"range {first}..{last} outside 1..{path.horizon}")
-    family = [path.partial(i) for i in range(first, last + 1)]
+    family = [path.partial(i) for i in range(1, path.horizon + 1)]
     bounds = column_maximal_norm_bounds(family, p)
     rhs = 2.0 ** (2.0 / p) * op.lp_norm(family[-1], p)
     tol = FEAS_TOL * (1.0 + rhs)

@@ -1,4 +1,4 @@
-"""Matrix martingales: brackets, stopping rules, generators, the ensemble walker.
+"""Matrix martingales: brackets, stopping rules, generators, the ensemble draws.
 
 Martingale data moves through the package as a MartingalePath.  Two kinds
 exist.  Dense paths live on a filtered AlgebraModel and keep their partial
@@ -8,26 +8,26 @@ expectations while the path is assembled.  Path-carrier
 ensembles represent a classical scalar martingale through P simultaneous
 sample paths (a multiplication-operator surrogate of dimension P) and keep
 only the final values; their brackets and difference bounds are exact by
-the choice of increment law.  The streaming engines draw iid increments,
-so every path is marginally a random walk of its law.
+the choice of increment law.
+
+Two ensemble draws serve two callers.  ``sample_step_increments`` draws
+iid increments for the streaming engines in ``lil``, which sum them with
+their walker, so every path is marginally a random walk of its law.
 ``gen_diagonal_martingale`` alone sign-balances each step across the
 ensemble, so that the realized trace of every difference vanishes to
 rounding (hypothesis (i), which the exponential-moment sweep checks on
-its paths).
+its paths); it sums each balanced chunk into its final values.
 
 The centered step laws live in one table, which fixes each law's ratio
 Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
-every ensemble engine draws at.  One chunked walker, ``_walk``, sums the
-increments of every ensemble: the streaming LIL engine, the scalar
-baseline and ``gen_diagonal_martingale``.  Each caller sizes the walker's
-one buffer and states its rule at the call.
+every ensemble engine draws at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_CHUNK_CAP = 1 << 23         # floats in gen_diagonal_martingale's walk buffer (64 MiB)
-_BITS_PIECE = 1 << 20        # unpacked sign bits (bytes) per piece of an iid rademacher draw
+_CHUNK_CAP = 1 << 23         # floats in gen_diagonal_martingale's chunk buffer (64 MiB)
 _U64_MAX = np.iinfo(np.uint64).max
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
@@ -306,16 +305,10 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
                            paths: int, steps: int = 1,
-                           out: np.ndarray | None = None,
-                           balanced: bool = True) -> np.ndarray:
-    """(steps, paths) block of centered bounded increments, |d| <= scale.
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """(steps, paths) block of iid centered bounded increments, |d| <= scale.
 
-    With ``balanced`` (what ``gen_diagonal_martingale`` draws) each step is
-    sign-balanced across the ensemble: exactly half the paths get each sign
-    (rademacher) or a mirrored magnitude (uniform), so the realized
-    cross-path mean of every step is zero to rounding while the per-path
-    marginal law is unchanged.  Without it (what the streaming engines
-    draw) the increments are iid: a rademacher step takes its signs from
+    The streaming engines' draw.  A rademacher step takes its signs from
     the bits of ceil(paths / 64) whole 64-bit words (turned into int8 ±1,
     cast and scaled), a uniform one takes one double per path, so the
     draws of step k never depend on how the steps are split into blocks.
@@ -325,117 +318,79 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
-    if paths < 2 or paths % 2:
-        raise ConfigError("need an even number of paths >= 2")
     if out is None:
         out = np.empty((steps, paths))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
-    if not balanced:
-        if law == "rademacher":
-            words = -(-paths // 64)
-            piece = max(1, _BITS_PIECE // paths)     # rows unpacked at a time
-            for a in range(0, steps, piece):
-                w = rng.integers(0, _U64_MAX, size=(min(piece, steps - a), words),
-                                 dtype=np.uint64, endpoint=True)
-                bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
-                signs = bits.view(np.int8)         # 0/1 -> -1/+1 in place, then one cast
-                signs *= 2
-                signs -= 1
-                out[a:a + len(w)] = signs
-            if scale != 1.0:                       # ±1 are already exact at unit scale
-                out *= scale
-        else:
-            rng.random(out=out)
-            out *= 2.0 * scale
-            out -= scale
-        return out
-    half = paths // 2
+    if law == "rademacher":
+        w = rng.integers(0, _U64_MAX, size=(steps, -(-paths // 64)), dtype=np.uint64,
+                         endpoint=True)
+        bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
+        signs = bits.view(np.int8)             # 0/1 -> -1/+1 in place, then one cast
+        signs *= 2
+        signs -= 1
+        out[:] = signs
+        if scale != 1.0:                       # ±1 are already exact at unit scale
+            out *= scale
+    else:
+        rng.random(out=out)
+        out *= 2.0 * scale
+        out -= scale
+    return out
+
+
+def _balanced_increments(rng: np.random.Generator, law: str, scale: float,
+                         out: np.ndarray) -> np.ndarray:
+    """Fill the (steps, paths) block ``out`` with sign-balanced steps, |d| <= scale.
+
+    Exactly half the paths of each step get each sign (rademacher) or a
+    mirrored magnitude (uniform), so the realized cross-path mean of every
+    step is zero to rounding while the per-path marginal law is that of
+    the table.  A uniform block draws all its magnitudes before its
+    permutations, so the draws depend on the block's number of steps.
+    """
+    half = out.shape[1] // 2
     if law == "rademacher":
         out[:, :half] = scale
         out[:, half:] = -scale
     else:
-        mags = rng.uniform(0.0, scale, size=(steps, half))
+        mags = rng.uniform(0.0, scale, size=(len(out), half))
         out[:, :half] = mags
         np.negative(mags, out=out[:, half:])
     return rng.permuted(out, axis=1, out=out)
 
 
-def _walk_rows(budget: int, paths: int) -> int:
-    """Steps per chunk of a walk whose one buffer holds ``budget`` floats."""
-    return max(1, budget // max(paths, 1))
-
-
-def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int,
-          total: int, budget: int) -> Iterator[tuple]:
-    """Chunked partial sums of an ensemble walk, steps-major.
-
-    One (chunk, paths) buffer serves the whole walk, with chunk =
-    budget // paths steps (at least one, at most ``total``), so it holds
-    at most max(budget, paths) floats.  ``draw(pos, take,
-    out)`` writes the increments of steps pos+1 .. pos+take into ``out``
-    (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
-    with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
-    valid only until the walk resumes, which overwrites it, and the
-    consumer may overwrite it in place.  Within a chunk each path's running
-    sum adds one step at a time along axis 0, and the sum carried from the
-    earlier chunks is added last; that order fixes the rounding, so the
-    sums depend on the chunk only through it.
-    """
-    chunk = max(1, min(total, _walk_rows(budget, paths)))
-    buf = np.empty((chunk, paths))
-    S = np.zeros(paths)
-    pos = 0
-    while pos < total:
-        take = int(min(chunk, total - pos))
-        C = draw(pos, take, buf[:take])
-        # Row by row: np.cumsum along axis 0 strides across rows and is about
-        # 15x slower at 4096 paths; both add in the same order.
-        for prev, row in zip(C, C[1:]):
-            np.add(row, prev, row)
-        C += S
-        S[:] = C[-1]
-        yield pos, C
-        pos += take
-
-
 def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademacher",
-                            variance=1.0, seed: int = 0) -> MartingalePath:
+                            variance: float = 1.0, seed: int = 0) -> MartingalePath:
     """Scalar martingale carried by an ensemble of P sample paths.
 
-    The bracket and the difference bounds are exact by the law (variance
-    profile ``variance`` per step), not estimated from the sample; the
-    sample only carries the distributional statistics.  Only the final
-    values S_horizon of the paths are kept.
+    The bracket and the difference bounds are exact by the law (step
+    variance ``variance``), not estimated from the sample; the sample only
+    carries the distributional statistics.  The steps come in balanced
+    chunks of _CHUNK_CAP // paths steps, drawn into one buffer and summed
+    into the final values S_horizon of the paths, which are all it keeps.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    v = np.asarray(variance, dtype=np.float64)
-    if v.ndim == 0:
-        v = np.full(horizon, float(v))
-    if v.shape != (horizon,) or np.any(v <= 0):
-        raise ConfigError("variance profile must be positive with one entry per step")
-    scales = _step_bound(law, v)           # ess-sup of each increment
+    if paths < 2 or paths % 2:
+        raise ConfigError("need an even number of paths >= 2")
+    if not variance > 0:
+        raise ConfigError(f"variance must be positive, got {variance}")
+    scale = _step_bound(law, float(variance))     # ess-sup of each increment
     rng = stream_rng(seed, label=f"diag-mart-{law}")
+    # The chunk is part of the sample: a uniform chunk draws its magnitudes
+    # before its permutations.
+    buf = np.empty((max(1, min(horizon, _CHUNK_CAP // paths)), paths))
+    final = np.zeros(paths)
     max_step_mean = 0.0
-
-    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
-        nonlocal max_step_mean
-        block = sample_step_increments(rng, law, 1.0, paths, steps=take, out=out)
-        block *= scales[pos:pos + take, None]
-        # before the walk sums the block in place: the realized mean of each step
+    for pos in range(0, horizon, len(buf)):
+        block = _balanced_increments(rng, law, scale, buf[:horizon - pos])
         max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
-        return block
-
-    # The balanced uniform draw takes a whole chunk's magnitudes before that
-    # chunk's permutations, so the chunk is part of the random sample: keep
-    # the fixed 64 MiB budget, not the streaming engines' cache-sized tile.
-    for _, C in _walk(draw, paths, horizon, _CHUNK_CAP):
-        pass
-    s2 = np.cumsum(v)
+        final += block.sum(axis=0)
+    s2 = np.cumsum(np.full(horizon, float(variance)))
     return MartingalePath(
-        final=Operator(C[-1].copy(), hermitian=True, diagonal=True),
-        s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=scales,
+        final=Operator(final, hermitian=True, diagonal=True),
+        s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=np.full(horizon, scale),
         md_residual=max_step_mean,
         meta={"law": law, "seed": seed, "bracket_exact": True, "centering_exact": True,
               "max_step_mean": max_step_mean})

@@ -256,17 +256,6 @@ class Projection(Operator):
                           layout=self.layout)
 
 
-def dense_operator(entries, hermitian: bool = False) -> Operator:
-    return Operator(np.asarray(entries), hermitian=hermitian, diagonal=False)
-
-
-def diagonal_operator(values) -> Operator:
-    """Multiplication operator on a finite sample space."""
-    vals = np.asarray(values)
-    herm = bool(np.isrealobj(vals) or np.max(np.abs(vals.imag)) <= HERM_ATOL * (1.0 + np.max(np.abs(vals.real))))
-    return Operator(vals, hermitian=herm, diagonal=True)
-
-
 def symmetrize(x: Operator) -> Operator:
     if x.diagonal:
         return Operator(x.data.real if np.iscomplexobj(x.data) else x.data, hermitian=True, diagonal=True)
@@ -419,11 +408,6 @@ def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
     u = sd.eigenvectors
     p = (u * ind.astype(np.float64)) @ u.conj().T
     return Projection(0.5 * (p + p.conj().T), mult=x.mult, layout=x.layout)
-
-
-def pos_part(x: Operator) -> Operator:
-    """Positive part of a hermitian operator."""
-    return apply_function(x, lambda t: np.clip(t, 0.0, None))
 
 
 def psd_sqrt(x: Operator) -> Operator:

@@ -16,7 +16,7 @@ from nclil.inequalities import block_tail_bound
 from nclil.lil import (BaselineConfig, LILParameters, LILRunConfig,
                        SemicircleConfig, run_lil_experiment,
                        scalar_kolmogorov_baseline, semicircular_demo)
-from nclil.operators import dense_operator, diagonal_operator, singular_number
+from nclil.operators import Operator, singular_number
 from nclil.rng import stream_rng
 from nclil.verify import (sweep_ce, sweep_chebyshev, sweep_doob,
                           sweep_dual_doob, sweep_expineq)
@@ -65,15 +65,15 @@ def test_singular_number_matches_grid_infimum():
         if kind == 0:
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             arr = (g + g.conj().T) / 2.0
-            x = dense_operator(arr, hermitian=True)
+            x = Operator(arr, hermitian=True)
             svals = np.linalg.svd(arr, compute_uv=False)
         elif kind == 1:
             arr = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            x = dense_operator(arr)
+            x = Operator(arr)
             svals = np.linalg.svd(arr, compute_uv=False)
         else:
             vec = rng.standard_normal(dim) * np.exp(rng.standard_normal(dim))
-            x = diagonal_operator(vec)
+            x = Operator(vec, hermitian=True)
             svals = np.abs(vec)
         step = 1e-4 * float(svals.max())
         for t in np.clip(rng.uniform(size=5), 1e-9, 1.0 - 1e-9):

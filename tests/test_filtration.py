@@ -13,7 +13,6 @@ from nclil import (AlgebraModel, ConfigError, Operator,
                    conditional_expectation, lp_norm, normalized_trace,
                    random_full_element, random_level_element, stream_rng,
                    verify_ce_axioms)
-from nclil.operators import dense_operator, diagonal_operator
 
 from operator_samples import random_hermitian
 
@@ -58,7 +57,7 @@ class TestTensorCE:
         model = AlgebraModel("tensor", 2, 2)
         a = np.array([[1.0, 2.0], [2.0, -1.0]])
         b = np.array([[3.0, 0.0], [0.0, 1.0]])
-        x = dense_operator(np.kron(a, b), hermitian=True)
+        x = Operator(np.kron(a, b), hermitian=True)
         e1 = conditional_expectation(model, x, 1)
         np.testing.assert_allclose(e1.dense_array(), np.kron(2.0 * a, np.eye(2)), atol=1e-12)
 
@@ -83,7 +82,7 @@ class TestPinchingCE:
 
     def test_by_hand_m2_n1(self):
         model = AlgebraModel("pinching", 2, 1)
-        x = dense_operator(np.array([[1.0, 5.0], [5.0, 3.0]]), hermitian=True)
+        x = Operator(np.array([[1.0, 5.0], [5.0, 3.0]]), hermitian=True)
         e0 = conditional_expectation(model, x, 0)
         np.testing.assert_allclose(e0.dense_array(), 2.0 * np.eye(2), atol=1e-12)
         e1 = conditional_expectation(model, x, 1)
@@ -100,7 +99,7 @@ class TestPinchingCE:
 class TestDiagonalCE:
     def test_cell_averaging_by_hand(self):
         model = AlgebraModel("diagonal", 2, 2)
-        x = diagonal_operator([1.0, 3.0, 5.0, 9.0])
+        x = Operator([1.0, 3.0, 5.0, 9.0], hermitian=True)
         e1 = conditional_expectation(model, x, 1)
         np.testing.assert_allclose(e1.diag_array(), [2.0, 2.0, 7.0, 7.0])
         e0 = conditional_expectation(model, x, 0)

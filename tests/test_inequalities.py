@@ -23,7 +23,6 @@ from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    scalar_power_exp_bound, stream_rng, symmetrize)
 from nclil import inequalities as ineq
 from nclil import operators as op
-from nclil.operators import dense_operator, diagonal_operator
 from nclil.martingales import MD_RESIDUAL_TOL
 
 from operator_samples import random_hermitian
@@ -129,11 +128,11 @@ class TestColumnBounds:
         assert converged and repaired is a
 
     def test_mixed_storage_searches_dense(self, rng):
-        diag = diagonal_operator(rng.standard_normal(4))
+        diag = Operator(rng.standard_normal(4), hermitian=True)
         dense = random_hermitian(rng, 4)
         mixed = column_maximal_norm_bounds([diag, dense], p=4.0)
         promoted = column_maximal_norm_bounds(
-            [dense_operator(diag.dense_array(), hermitian=True), dense], p=4.0)
+            [Operator(diag.dense_array(), hermitian=True), dense], p=4.0)
         assert mixed.upper == pytest.approx(promoted.upper, rel=1e-12)
         assert mixed.lower == pytest.approx(promoted.lower, rel=1e-12)
         with pytest.raises(ShapeError):
@@ -199,7 +198,7 @@ def reference_feasibilize(a, cons):
                 worst_gap, worst = gap, c
         if worst is None or worst_gap > -ineq.REPAIR_GAP_TOL:
             return a, True
-        a = a + op.pos_part(worst - a)
+        a = a + op.apply_function(worst - a, lambda t: np.clip(t, 0.0, None))
     return a, False
 
 
@@ -368,16 +367,16 @@ class TestDualDoob:
 
 class TestProbcAndChebyshev:
     def test_probc_by_hand(self):
-        xs = [diagonal_operator([3.0, 1.0])]
-        dom = diagonal_operator([3.0, 1.0])
+        xs = [Operator([3.0, 1.0], hermitian=True)]
+        dom = Operator([3.0, 1.0], hermitian=True)
         res = probc_upper(xs, t=2.0, dominator=dom)
         assert res.s == pytest.approx(0.5)
         assert res.max_compressed <= 2.0 + 1e-12
 
     def test_probc_requires_domination(self):
-        xs = [diagonal_operator([3.0, 1.0])]
+        xs = [Operator([3.0, 1.0], hermitian=True)]
         with pytest.raises(NclilError):
-            probc_upper(xs, t=1.0, dominator=diagonal_operator([1.0, 1.0]))
+            probc_upper(xs, t=1.0, dominator=Operator([1.0, 1.0], hermitian=True))
 
     def test_chebyshev_identity_and_monotonicity(self, rng):
         xs = [random_hermitian(rng, 6) for _ in range(3)]

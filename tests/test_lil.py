@@ -13,10 +13,10 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
-                       _checkpoint_steps, _max_normalized, _Realization)
+                       _checkpoint_steps, _max_normalized, _Realization, _walk)
 from nclil import lil
 from nclil.cli import main
-from nclil.martingales import _walk, iterlog_seq
+from nclil.martingales import iterlog_seq
 from nclil.operators import _openblas
 from nclil.rng import stream_rng
 
@@ -228,7 +228,7 @@ class TestBlockCore:
         assert not past["limsup_below_threshold_ok"] and not past["ok"]
         assert bc(limsup=math.nan)["ok"]
 
-    def test_walk_carries_partial_sums_across_chunks(self):
+    def test_walk_carries_partial_sums_across_chunks(self, monkeypatch):
         incs = np.random.default_rng(0).standard_normal((23, 4))
         # Exact in the documented order: cumsum within the chunk, then the carry.
         expected, carry = [], 0.0
@@ -242,14 +242,15 @@ class TestBlockCore:
             return out
 
         # The walk reuses one buffer, so each chunk is copied as it comes.
-        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23, 5 * 4)]   # 5 steps
+        monkeypatch.setattr(lil, "_STREAM_TILE", 5 * 4)                  # 5 steps
+        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23)]
         assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
         assert [len(C) for _, C in chunks] == [5, 5, 5, 5, 3]
         walked = np.concatenate([C for _, C in chunks], axis=0)
         np.testing.assert_array_equal(walked, np.concatenate(expected, axis=0))
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
-    def test_walk_hands_out_one_buffer(self):
+    def test_walk_hands_out_one_buffer(self, monkeypatch):
         seen = []
 
         def draw(pos, take, out):
@@ -257,14 +258,16 @@ class TestBlockCore:
             out[:] = 1.0
             return out
 
-        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10, 4 * 2)]      # chunks of 4 steps
+        monkeypatch.setattr(lil, "_STREAM_TILE", 4 * 2)                  # chunks of 4 steps
+        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10)]
         assert sums == [4.0, 8.0, 10.0]
         assert all(np.shares_memory(seen[0], o) for o in seen[1:])
 
     @pytest.mark.parametrize("paths, total, rows", [
         (6, 100, 16), (6, 10, 10), (100, 50, 1), (150, 50, 1)])
-    def test_walk_buffer_stays_within_the_cap(self, paths, total, rows):
+    def test_walk_buffer_stays_within_the_cap(self, monkeypatch, paths, total, rows):
         cap = 100
+        monkeypatch.setattr(lil, "_STREAM_TILE", cap)
         buffers = []
 
         def draw(pos, take, out):
@@ -272,7 +275,7 @@ class TestBlockCore:
             out[:] = 1.0
             return out
 
-        for _ in _walk(draw, paths, total, cap):
+        for _ in _walk(draw, paths, total):
             pass
         assert {b.shape for b in buffers} == {(rows, paths)}
         assert buffers[0].size <= max(cap, paths)

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from nclil import (NclilError, Operator, Projection, ShapeError,
                    apply_function, eigenvalues, lp_norm,
-                   min_eigenvalue, normalized_trace, pos_part, psd_sqrt,
+                   min_eigenvalue, normalized_trace, psd_sqrt,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
-from nclil.operators import dense_operator, diagonal_operator, singular_number
+from nclil import inequalities as ineq
+from nclil.operators import singular_number
 
 from operator_samples import random_diag, random_general, random_hermitian
 
@@ -35,20 +36,20 @@ def brute_singular_number(mat: np.ndarray, t: float, step: float) -> float:
 class TestConstruction:
     def test_dense_requires_square(self):
         with pytest.raises(ShapeError):
-            dense_operator(np.ones((2, 3)))
+            Operator(np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            dense_operator(np.ones((0, 0)))
+            Operator(np.ones((0, 0)))
 
     def test_hermitian_flag_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NclilError):
-            dense_operator(bad, hermitian=True)
+            Operator(bad, hermitian=True)
 
     def test_nan_rejected(self):
         with pytest.raises(NclilError):
-            dense_operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            Operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NclilError):
-            diagonal_operator(np.array([1.0, np.inf]))
+            Operator(np.array([1.0, np.inf]), hermitian=True)
 
     def test_immutable(self, rng):
         x = random_hermitian(rng, 4)
@@ -58,7 +59,7 @@ class TestConstruction:
             x.data[0, 0] = 5.0
 
     def test_diag_storage_stays_real(self):
-        x = diagonal_operator(np.array([1.0, -2.0]) + 0j)
+        x = Operator(np.array([1.0, -2.0]) + 0j, hermitian=True)
         assert x.diagonal and x.hermitian
         assert x.data.dtype == np.float64
 
@@ -79,8 +80,8 @@ class TestArithmetic:
         np.testing.assert_allclose(c.dense_array(), a.dense_array() + b.dense_array())
 
     def test_diag_product_elementwise(self):
-        a = diagonal_operator([1.0, 2.0])
-        b = diagonal_operator([3.0, -1.0])
+        a = Operator([1.0, 2.0], hermitian=True)
+        b = Operator([3.0, -1.0], hermitian=True)
         c = a @ b
         assert c.diagonal
         np.testing.assert_allclose(c.diag_array(), [3.0, -2.0])
@@ -112,7 +113,7 @@ class TestTraceAndNorms:
         r = np.random.default_rng(seed)
         g1 = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
         g2 = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
-        x, y = dense_operator(g1), dense_operator(g2)
+        x, y = Operator(g1), Operator(g2)
         lhs = normalized_trace(x @ y)
         rhs = normalized_trace(y @ x)
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
@@ -122,8 +123,8 @@ class TestTraceAndNorms:
     def test_holder_12(self, seed, d):
         # ||xy||_1 <= ||x||_2 ||y||_2
         r = np.random.default_rng(seed)
-        x = dense_operator(r.standard_normal((d, d)))
-        y = dense_operator(r.standard_normal((d, d)))
+        x = Operator(r.standard_normal((d, d)))
+        y = Operator(r.standard_normal((d, d)))
         assert lp_norm(x @ y, 1) <= lp_norm(x, 2) * lp_norm(y, 2) + 1e-10
 
     def test_lp_vs_numpy(self, rng):
@@ -141,7 +142,7 @@ class TestTraceAndNorms:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_lp_overflow_safe(self):
-        x = diagonal_operator([1e200, 1e199])
+        x = Operator([1e200, 1e199], hermitian=True)
         assert np.isfinite(lp_norm(x, 4))
 
     def test_lp_rejects_bad_p(self, rng):
@@ -164,7 +165,7 @@ class TestSpectral:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
 
     def test_diag_decomposition_sorted(self):
-        x = diagonal_operator([3.0, -1.0, 2.0])
+        x = Operator([3.0, -1.0, 2.0], hermitian=True)
         dec = spectral_decomposition(x)
         assert list(dec.eigenvalues) == [-1.0, 2.0, 3.0]
         np.testing.assert_allclose(dec.reconstruct(), np.diag([3.0, -1.0, 2.0]), atol=0)
@@ -177,7 +178,7 @@ class TestSpectral:
 
     def test_apply_function_domain_error(self):
         from nclil import DomainError
-        x = diagonal_operator([-1.0, 1.0])
+        x = Operator([-1.0, 1.0], hermitian=True)
         with pytest.raises(DomainError):
             apply_function(x, math.sqrt)
 
@@ -199,11 +200,14 @@ class TestSpectral:
         s = psd_sqrt(a)
         np.testing.assert_allclose((s @ s).dense_array(), a.dense_array(), atol=1e-8)
         with pytest.raises(NclilError):
-            psd_sqrt(diagonal_operator([-1.0, 1.0]))
+            psd_sqrt(Operator([-1.0, 1.0], hermitian=True))
 
     def test_pos_part(self):
-        x = diagonal_operator([-2.0, 0.0, 3.0])
-        np.testing.assert_allclose(pos_part(x).diag_array(), [0.0, 0.0, 3.0])
+        """The certificate search's positive part of a raw diagonal or dense block."""
+        np.testing.assert_array_equal(ineq._pos_part(np.array([-2.0, 0.0, 3.0])),
+                                      [0.0, 0.0, 3.0])
+        a = np.array([[0.5, 1.5], [1.5, 0.5]])            # eigenvalues 2 and -1
+        np.testing.assert_allclose(ineq._pos_part(a), np.ones((2, 2)), atol=1e-14)
 
 
 class TestProjections:
@@ -245,7 +249,7 @@ class TestSingularNumbers:
     def test_matches_brute_force(self, seed, d, t):
         r = np.random.default_rng(seed)
         m = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
-        x = dense_operator(m)
+        x = Operator(m)
         step = 1e-4 * lp_norm(x, np.inf)
         closed = singular_number(x, t)
         brute = brute_singular_number(m, t, step)
@@ -260,14 +264,14 @@ class TestSingularNumbers:
         assert abs(integral - lp_norm(x, p) ** p) < 1e-9
 
     def test_right_continuity_at_jumps(self):
-        x = diagonal_operator([3.0, 2.0, 1.0])
+        x = Operator([3.0, 2.0, 1.0], hermitian=True)
         # at t = 1/3 exactly, the count condition admits sigma_2
         assert singular_number(x, 1.0 / 3.0) == 2.0
         assert singular_number(x, 1.0 / 3.0 - 1e-9) == 3.0
         assert singular_number(x, 2.0 / 3.0) == 1.0
 
     def test_domain(self):
-        x = diagonal_operator([1.0])
+        x = Operator([1.0], hermitian=True)
         for t in (-0.1, 0.0, 1.0, 1.5):
             with pytest.raises(NclilError):
                 singular_number(x, t)
