@@ -3,20 +3,24 @@
 
 One pass streams ``--chunks`` chunks x ``--paths`` paths through
 ``nclil.lil._walk`` with the engines' increment draw, in the streaming
-engines' own tile of ``nclil.lil._STREAM_TILE`` floats
+engines' own tile of ``nclil.lil._STREAM_TILE`` entries
 (``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
-JSON ``config``), and splits the wall time into three layers:
+JSON ``config``, with the dtype of the partial sums the walk yields), and
+splits the wall time into three layers:
 
-- ``draw``: ``sample_step_increments`` for one chunk, the iid draw that
-  ``lil-run`` and ``baseline-scalar`` make:
-  unpacked bits of random 64-bit words for rademacher, one double per
-  path-step for uniform;
-- ``walk``: what ``_walk`` adds around the draw (cumsum along the steps
-  and the carried sum);
-- ``consume``: abs, the column max and the running max of |S_n| /
-  sqrt(n L(n)) per path through ``nclil.lil._max_normalized``, the
-  consumer both streaming engines call, which divides only the paths
-  whose running max can move.
+- ``draw``: ``sample_step_increments`` for one chunk, through
+  ``nclil.lil._iid_draw``, the iid draw that ``lil-run`` and
+  ``baseline-scalar`` make: unpacked bits of random 64-bit words written
+  as ±1 into the narrowest integer type that holds a chunk's sums for
+  rademacher, one double per path-step for uniform;
+- ``walk``: what ``_walk`` adds around the draw (the row adds that turn
+  a chunk's steps into partial sums, integer for rademacher, and the
+  carried sum);
+- ``consume``: the column max of |S_n| from the partials'
+  column max and min (``nclil.lil._abs_top``) and the running max of
+  |S_n| / sqrt(n L(n)) per path through ``nclil.lil._max_normalized``,
+  the consumer both streaming engines call, which forms and divides
+  only the paths whose running max can move.
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
@@ -41,20 +45,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import _STREAM_TILE, _max_normalized, _walk  # noqa: E402
-from nclil.martingales import (_STEP_LAWS, _step_bound, iterlog_seq,  # noqa: E402
-                               sample_step_increments)
+from nclil.lil import (_STREAM_TILE, _abs_top, _iid_draw,  # noqa: E402
+                       _max_normalized, _walk)
+from nclil.martingales import _STEP_LAWS, _step_bound, iterlog_seq  # noqa: E402
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
 
 
-def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> tuple[dict, float]:
-    """Seconds per layer for one walk over chunks x chunk steps, and the mean
-    share of paths the consumer divided per chunk."""
+def one_pass(law: str, paths: int, chunk: int, chunks: int,
+             seed: int) -> tuple[dict, float, str]:
+    """Seconds per layer for one walk over chunks x chunk steps, the mean
+    share of paths the consumer divided per chunk, and the partials' dtype."""
     total = chunks * chunk
-    rng = stream_rng(seed, label=f"baseline-{law}")
-    scale = _step_bound(law, 1.0)
+    iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, _step_bound(law, 1.0),
+                    paths)
     ns = np.arange(1, total + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))
     runmax = np.zeros(paths)
@@ -63,7 +68,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> tuple[
 
     def draw(pos, take, out):
         t0 = time.perf_counter()
-        block = sample_step_increments(rng, law, scale, paths, steps=take, out=out)
+        block = iid(pos, take, out)
         spent["draw"] += time.perf_counter() - t0
         return block
 
@@ -72,16 +77,16 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int, seed: int) -> tuple[
     while True:
         t0 = time.perf_counter()
         try:
-            pos, C = next(walk)
+            pos, S, part = next(walk)
         except StopIteration:
             break
         t1 = time.perf_counter()
         walked += t1 - t0
-        np.abs(C, out=C)
-        flagged += _max_normalized(C, C.max(axis=0), den[pos:pos + len(C)], runmax)
+        flagged += _max_normalized(S, part, _abs_top(S, part), den[pos:pos + len(part)],
+                                   runmax)
         spent["consume"] += time.perf_counter() - t1
     spent["walk"] = walked - spent["draw"]
-    return {k: v / chunks for k, v in spent.items()}, flagged / (chunks * paths)
+    return {k: v / chunks for k, v in spent.items()}, flagged / (chunks * paths), str(part.dtype)
 
 
 def main(argv=None) -> int:
@@ -99,15 +104,15 @@ def main(argv=None) -> int:
     chunk = max(1, _STREAM_TILE // args.paths)          # steps per chunk of the engines' walk
 
     one_pass(args.law, args.paths, chunk, 1, args.seed)             # warm-up
-    passes, fractions = zip(*(one_pass(args.law, args.paths, chunk, args.chunks, args.seed)
-                              for _ in range(args.repeats)))
+    passes, fractions, dtypes = zip(*(one_pass(args.law, args.paths, chunk, args.chunks,
+                                               args.seed) for _ in range(args.repeats)))
     layers = {}
     for name in LAYERS + ("total",):
         xs = [sum(p.values()) if name == "total" else p[name] for p in passes]
         layers[name] = {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
     result = {
         "unit": "s per chunk",
-        "config": {"tile_floats": _STREAM_TILE, "chunk": chunk,
+        "config": {"tile_floats": _STREAM_TILE, "chunk": chunk, "partial_dtype": dtypes[0],
                    **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
         "flagged_fraction": statistics.fmean(fractions),

@@ -18,7 +18,9 @@ the normalized statistic drifting down toward the free-probability edge.
 
 The streaming engine and the scalar baseline draw iid steps and sum them
 with one chunked walker, ``_walk``, whose buffer is one cache-sized tile
-of ``_STREAM_TILE`` floats.
+of ``_STREAM_TILE`` entries.  A unit rademacher walk sums its chunks as
+exact small integers; both consumers form floats only for the paths whose
+running max can move.
 """
 
 from __future__ import annotations
@@ -272,78 +274,109 @@ def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     return report
 
 
-# Floats in the streaming engines' walk buffer: 1 MiB, 32 steps at 4096
-# paths, so the draw, the partial sums and the consumer's passes over a
-# chunk stay in a core's L2 cache.  An iid draw does not depend on the
-# chunk; the tile fixes only the rounding of sums that are not integers.
+# Entries in the streaming engines' walk buffer: 1 MiB of floats, 32 steps
+# at 4096 paths, so the draw, the partial sums and the consumer's passes
+# over a chunk stay in a core's L2 cache.  An iid draw does not depend on
+# the chunk; the tile fixes only the rounding of sums that are not integers.
 _STREAM_TILE = 1 << 17
 
 
 def _iid_draw(rng: np.random.Generator, law: str, scale: float, paths: int) -> Callable:
-    """The walk's draw for iid increments of one law, |d| <= scale."""
-    def draw(pos: int, take: int, out: np.ndarray) -> np.ndarray:
+    """The walk's draw for iid increments of one law, |d| <= scale.
+
+    Asked for a fresh block (``out`` None), a rademacher draw at unit scale
+    makes it of the narrowest signed integer type that holds both +take and
+    -take (int8 up to 127 steps, int16 up to 32767, else int32), so the walk
+    sums the ±1 exactly with no float cast; any other draw makes float64.
+    """
+    integer = law == "rademacher" and scale == 1.0
+
+    def draw(pos: int, take: int, out: np.ndarray | None) -> np.ndarray:
+        if out is None:
+            # -take - 1 fits exactly when both +take and -take do
+            dtype = np.min_scalar_type(-take - 1) if integer else np.float64
+            out = np.empty((take, paths), dtype)
         return sample_step_increments(rng, law, scale, paths, steps=take, out=out)
     return draw
 
 
-def _walk(draw: Callable[[int, int, np.ndarray], np.ndarray], paths: int,
+def _walk(draw: Callable[[int, int, np.ndarray | None], np.ndarray], paths: int,
           total: int) -> Iterator[tuple]:
     """Chunked partial sums of an ensemble walk, steps-major, in the tile.
 
-    One (chunk, paths) buffer serves the whole walk, with chunk =
-    _STREAM_TILE // paths steps (at least one, at most ``total``), so it
-    holds at most max(_STREAM_TILE, paths) floats.  ``draw(pos, take,
-    out)`` writes the increments of steps pos+1 .. pos+take into ``out``
-    (the first ``take`` rows of the buffer) and returns it.  Yields (pos, C)
-    with C[j, p] = S_{pos+j+1} of path p.  C is a view of the buffer: it is
-    valid only until the walk resumes, which overwrites it, and the
-    consumer may overwrite it in place.  Within a chunk each path's running
-    sum adds one step at a time along axis 0, and the sum carried from the
-    earlier chunks is added last; that order fixes the rounding, so the
-    sums depend on the chunk only through it.
+    A chunk is _STREAM_TILE // paths steps (at least one, at most
+    ``total``).  ``draw(pos, take, out)`` writes the increments of steps
+    pos+1 .. pos+take into ``out`` and returns it; the first call, for a
+    whole chunk, passes None and the fresh block it returns, in the draw's
+    own dtype, is the walk's one buffer.  Later draws fill its first
+    ``take`` rows.
+
+    Yields (pos, S, P) with S the float64 sums S_pos carried from earlier
+    chunks and P[j] the sum of steps pos+1 .. pos+j+1 in the draw's dtype,
+    so S_{pos+j+1} of path p is S[p] + P[j, p].  P is summed in place, one
+    step at a time along axis 0, and the carry is added to it only where a
+    consumer needs the value; that order fixes the rounding, so the sums
+    depend on the chunk only through it, and integer partials are exact.
+    S and P are views the walk reuses: valid until it resumes, and not to
+    be written by the consumer.
     """
     chunk = max(1, min(total, _STREAM_TILE // paths))
-    buf = np.empty((chunk, paths))
+    buf = draw(0, chunk, None)
+    # Row by row: np.cumsum along axis 0 strides across rows and is about 15x
+    # slower at 4096 paths; both add in the same order.  The row views of the
+    # one buffer are made once.
+    pairs = list(zip(buf, buf[1:]))
     S = np.zeros(paths)
-    pos = 0
-    while pos < total:
-        take = int(min(chunk, total - pos))
-        C = draw(pos, take, buf[:take])
-        # Row by row: np.cumsum along axis 0 strides across rows and is about
-        # 15x slower at 4096 paths; both add in the same order.
-        for prev, row in zip(C, C[1:]):
+    for pos in range(0, total, chunk):
+        take = min(chunk, total - pos)
+        P = buf if pos == 0 else draw(pos, take, buf[:take])
+        for prev, row in pairs[:take - 1]:
             np.add(row, prev, row)
-        C += S
-        S[:] = C[-1]
-        yield pos, C
-        pos += take
+        yield pos, S, P
+        S += P[-1]
 
 
-def _max_normalized(rows: np.ndarray, top: np.ndarray, den: np.ndarray,
+def _abs_top(S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Column max of |S + P[j]| over the rows j of a walk chunk, in float64.
+
+    Correctly rounded addition is monotone, so max_j (S + P[j]) is S plus
+    the column max of P and min_j (S + P[j]) is S plus its column min; the
+    result equals taking |S + P[j]| of every row and then the max, bit for
+    bit, with no float block formed.
+    """
+    top = S + P.max(axis=0)
+    low = S + P.min(axis=0)
+    np.negative(low, out=low)
+    return np.maximum(top, low, out=top)
+
+
+def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarray,
                     best: np.ndarray) -> int:
-    """best <- max(best, max_k rows[k] / den[k]) per column, in place; returns the
-    number of columns divided.
+    """best <- max(best, max_k |S + P[k]| / den[k]) per column, in place; returns
+    the number of columns divided.
 
-    rows is a (k, paths) block of nonnegative values, top its column max
-    and den the k positive normalizers.  Correctly rounded division is
-    monotone in both arguments, so a column with top / min(den) <= best
-    holds no quotient above best and is left alone; the result equals a
-    divide-then-max of the whole block bit for bit.  When at most a
-    quarter of the columns are flagged, those are gathered and divided;
-    with more (as on a first tile, where best is -inf) the block is
-    divided in place.
+    P is a (k, paths) block of a walk chunk's partial sums after the carried
+    sums S, top = _abs_top(S, P) and den the k positive normalizers.
+    Correctly rounded division is monotone in both arguments, so a column
+    with top / min(den) <= best holds no quotient above best and is left
+    alone; the result equals a divide-then-max of the whole block bit for
+    bit.  Only flagged columns become floats: when at most a quarter are
+    flagged, those are gathered as |S[hit] + P[:, hit]| and divided; with
+    more (as on a first tile, where best is -inf) the whole block is.
     """
     hit = np.flatnonzero(top / den.min() > best)
     flagged = len(hit)
     if 4 * flagged > len(best):
-        rows /= den[:, None]
-        np.maximum(best, rows.max(axis=0), out=best)
+        q = np.abs(S + P)
+        q /= den[:, None]
+        np.maximum(best, q.max(axis=0), out=best)
     elif flagged:
         # Repeating flagged columns up to a power of two leaves every max as it
         # is and gives the transients few sizes: with one size per flag count the
         # heap fragments, and over 30 runs peak RSS crept up by about 1 MiB.
         hit = np.resize(hit, 1 << (flagged - 1).bit_length())
-        q = rows[:, hit]
+        q = S[hit] + P[:, hit]
+        np.abs(q, out=q)
         q /= den[:, None]
         best[hit] = np.maximum(best[hit], q.max(axis=0))
     return flagged
@@ -493,23 +526,21 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_rows = np.zeros((len(cp_steps), P))
         sec = 0
-        for pos, C in _walk(draw, P, total):
-            take = len(C)
-            np.abs(C, out=C)
-            # checkpoint rows first: the section loop may leave C unnormalized or divide it
+        for pos, S, part in _walk(draw, P, total):
+            take = len(part)
             lo_cp = np.searchsorted(cp_steps, pos, side="right")
             hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
             for j in range(lo_cp, hi_cp):
                 m = int(cp_steps[j])
-                np.divide(C[m - pos - 1], norm[m - 1], out=cp_rows[j])
+                cp_rows[j] = np.abs(S + part[m - pos - 1]) / norm[m - 1]
             while sec < n_sections:                # sections tile steps 1..total
                 a = max(int(ks[sec]), pos)
                 b = min(int(ks[sec + 1]), pos + take)
                 if b > a:
-                    rows = C[a - pos:b - pos]
-                    top = rows.max(axis=0)
+                    rows = part[a - pos:b - pos]
+                    top = _abs_top(S, rows)
                     np.maximum(prefix, top, out=prefix)
-                    _max_normalized(rows, top, norm[a:b], blockmax[sec])
+                    _max_normalized(S, rows, top, norm[a:b], blockmax[sec])
                 if int(ks[sec + 1]) <= pos + take:
                     snapshots[sec] = prefix
                     sec += 1
@@ -657,13 +688,13 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     ns = np.arange(lo + 1, N + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))           # den[i] normalizes step lo + 1 + i
     runmax = np.zeros(P)
-    for pos, C in _walk(draw, P, N):
-        take = len(C)
+    for pos, S, part in _walk(draw, P, N):
+        take = len(part)
         if pos + take > lo:
             first = max(lo + 1, pos + 1)
-            rows = C[first - pos - 1:]
-            np.abs(rows, out=rows)
-            _max_normalized(rows, rows.max(axis=0), den[first - lo - 1:pos + take - lo], runmax)
+            rows = part[first - pos - 1:]
+            _max_normalized(S, rows, _abs_top(S, rows), den[first - lo - 1:pos + take - lo],
+                            runmax)
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

@@ -309,12 +309,15 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     """(steps, paths) block of iid centered bounded increments, |d| <= scale.
 
     The streaming engines' draw.  A rademacher step takes its signs from
-    the bits of ceil(paths / 64) whole 64-bit words (turned into int8 ±1,
-    cast and scaled), a uniform one takes one double per path, so the
-    draws of step k never depend on how the steps are split into blocks.
-    The block is written into ``out`` (a C-contiguous float64 (steps,
-    paths) array, returned) when given, else into a fresh array; the
-    draws are the same either way.
+    the bits of ceil(paths / 64) whole 64-bit words, turned into ±1 and
+    scaled; a uniform one takes one double per path.  So the draws of step
+    k never depend on how the steps are split into blocks.  The block is
+    written into ``out`` (a C-contiguous (steps, paths) array, returned)
+    when given, else into a fresh float64 array; the draws are the same
+    either way.  ``out`` is float64 or, for a rademacher draw at unit scale
+    only, a signed integer type, which takes the ±1 with no float cast so
+    the walk can sum them as exact small integers.  An ``out`` of any other
+    dtype is a ShapeError.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
@@ -322,16 +325,23 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
         out = np.empty((steps, paths))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
+    integer = np.issubdtype(out.dtype, np.signedinteger)
+    if out.dtype != np.float64 and not (integer and law == "rademacher" and scale == 1.0):
+        raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw at scale {scale}")
     if law == "rademacher":
         w = rng.integers(0, _U64_MAX, size=(steps, -(-paths // 64)), dtype=np.uint64,
                          endpoint=True)
         bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
-        signs = bits.view(np.int8)             # 0/1 -> -1/+1 in place, then one cast
-        signs *= 2
-        signs -= 1
-        out[:] = signs
-        if scale != 1.0:                       # ±1 are already exact at unit scale
-            out *= scale
+        signs = bits.view(np.int8)
+        if integer:                            # 0/1 -> -1/+1 straight into out
+            np.multiply(signs, 2, out=out)
+            out -= 1
+        else:                                  # 0/1 -> -1/+1 in place, then one cast
+            signs *= 2
+            signs -= 1
+            out[:] = signs
+            if scale != 1.0:                   # ±1 are already exact at unit scale
+                out *= scale
     else:
         rng.random(out=out)
         out *= 2.0 * scale

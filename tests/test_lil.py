@@ -13,7 +13,8 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
-                       _checkpoint_steps, _max_normalized, _Realization, _walk)
+                       _abs_top, _checkpoint_steps, _max_normalized, _Realization,
+                       _walk)
 from nclil import lil
 from nclil.cli import main
 from nclil.martingales import iterlog_seq
@@ -230,37 +231,44 @@ class TestBlockCore:
 
     def test_walk_carries_partial_sums_across_chunks(self, monkeypatch):
         incs = np.random.default_rng(0).standard_normal((23, 4))
-        # Exact in the documented order: cumsum within the chunk, then the carry.
-        expected, carry = [], 0.0
+        # Exact in the documented order: cumsum within the chunk, the carry apart.
+        expected, carry = [], np.zeros(4)
         for pos in range(0, 23, 5):
-            part = np.cumsum(incs[pos:pos + 5], axis=0) + carry
-            carry = part[-1]
-            expected.append(part)
+            part = np.cumsum(incs[pos:pos + 5], axis=0)
+            expected.append((carry, part))
+            carry = carry + part[-1]
 
         def draw(pos, take, out):
+            if out is None:
+                out = np.empty((take, 4))
             out[:] = incs[pos:pos + take]
             return out
 
-        # The walk reuses one buffer, so each chunk is copied as it comes.
+        # The walk reuses its arrays, so each chunk is copied as it comes.
         monkeypatch.setattr(lil, "_STREAM_TILE", 5 * 4)                  # 5 steps
-        chunks = [(pos, C.copy()) for pos, C in _walk(draw, 4, 23)]
-        assert [pos for pos, _ in chunks] == [0, 5, 10, 15, 20]
-        assert [len(C) for _, C in chunks] == [5, 5, 5, 5, 3]
-        walked = np.concatenate([C for _, C in chunks], axis=0)
-        np.testing.assert_array_equal(walked, np.concatenate(expected, axis=0))
+        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(draw, 4, 23)]
+        assert [pos for pos, _, _ in chunks] == [0, 5, 10, 15, 20]
+        assert [len(P) for _, _, P in chunks] == [5, 5, 5, 5, 3]
+        for (_, S, P), (carry, part) in zip(chunks, expected):
+            np.testing.assert_array_equal(S, carry)
+            np.testing.assert_array_equal(P, part)
+        walked = np.concatenate([S + P for _, S, P in chunks], axis=0)
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
     def test_walk_hands_out_one_buffer(self, monkeypatch):
         seen = []
 
         def draw(pos, take, out):
+            if out is None:
+                out = np.empty((take, 2), dtype=np.int8)
             seen.append(out)
-            out[:] = 1.0
+            out[:] = 1
             return out
 
         monkeypatch.setattr(lil, "_STREAM_TILE", 4 * 2)                  # chunks of 4 steps
-        sums = [C[-1, 0] for _, C in _walk(draw, 2, 10)]
-        assert sums == [4.0, 8.0, 10.0]
+        walked = [(S.dtype, P.dtype, S[0] + P[-1, 0]) for _, S, P in _walk(draw, 2, 10)]
+        assert walked == [(np.float64, np.int8, 4.0), (np.float64, np.int8, 8.0),
+                          (np.float64, np.int8, 10.0)]
         assert all(np.shares_memory(seen[0], o) for o in seen[1:])
 
     @pytest.mark.parametrize("paths, total, rows", [
@@ -271,14 +279,45 @@ class TestBlockCore:
         buffers = []
 
         def draw(pos, take, out):
-            buffers.append(out.base)
+            if out is None:                  # the first draw makes the walk's buffer
+                out = np.empty((take, paths))
+                buffers.append(out)
+            assert np.shares_memory(out, buffers[0])
             out[:] = 1.0
             return out
 
         for _ in _walk(draw, paths, total):
             pass
-        assert {b.shape for b in buffers} == {(rows, paths)}
+        assert [b.shape for b in buffers] == [(rows, paths)]
         assert buffers[0].size <= max(cap, paths)
+
+    @pytest.mark.parametrize("chunk, dtype", [
+        (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_walk_partials_fit_the_narrowest_integer(self, monkeypatch, chunk, dtype, sign):
+        """An all-+1 or all--1 rademacher walk at unit scale reaches ±chunk within
+        a chunk; its partials take the narrowest type that holds that, and
+        wrap nowhere."""
+        paths, total = 2, chunk + 3                  # the second chunk starts from the carry
+        monkeypatch.setattr(lil, "_STREAM_TILE", chunk * paths)
+        iid = lil._iid_draw(stream_rng(0), "rademacher", 1.0, paths)
+
+        def draw(pos, take, out):
+            out = iid(pos, take, out)                # the engines' draw picks the dtype
+            out[:] = sign
+            return out
+
+        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(draw, paths, total)]
+        assert [P.dtype for _, _, P in chunks] == [dtype, dtype]
+        narrower = {np.int16: np.int8, np.int32: np.int16}.get(dtype)
+        assert narrower is None or chunk > np.iinfo(narrower).max
+        steps = np.full((total, paths), sign, dtype=np.int64)
+        for pos, S, P in chunks:
+            np.testing.assert_array_equal(P, np.cumsum(steps[pos:pos + len(P)], axis=0))
+            np.testing.assert_array_equal(S, np.full(paths, float(sign * pos)))
+        assert chunks[0][2][-1, 0] == sign * chunk
+        walked = np.concatenate([S + P for _, S, P in chunks], axis=0)
+        np.testing.assert_array_equal(walked, np.cumsum(steps, axis=0))
 
 
 def _paths_major_walk(rng, law, scale, paths, total, chunk):
@@ -353,8 +392,9 @@ _ODD_CHUNK = 333       # rows per walk chunk under a patched streaming tile
 
 
 def _patch_tile(monkeypatch, tile):
-    """Set the streaming engines' walk tile to ``tile`` floats and return the
-    list that collects the (pos, take) of every draw they make from then on."""
+    """Set the streaming engines' walk tile to ``tile`` entries and return the
+    list that collects the (pos, take, dtype) of every draw they make from
+    then on."""
     monkeypatch.setattr(lil, "_STREAM_TILE", tile)
     draws = []
     iid_draw = lil._iid_draw
@@ -363,8 +403,9 @@ def _patch_tile(monkeypatch, tile):
         draw = iid_draw(*args)
 
         def counted(pos, take, out):
-            draws.append((pos, take))
-            return draw(pos, take, out)
+            block = draw(pos, take, out)
+            draws.append((pos, take, block.dtype))
+            return block
         return counted
 
     monkeypatch.setattr(lil, "_iid_draw", recording)
@@ -374,127 +415,182 @@ def _patch_tile(monkeypatch, tile):
 def _assert_chunks(draws, rows):
     """In every walk recorded (each starts at pos 0), each draw but the last
     took ``rows`` steps and the last at most that.  Returns the walks' draw counts."""
-    starts = [i for i, (pos, _) in enumerate(draws) if pos == 0]
+    starts = [i for i, (pos, _, _) in enumerate(draws) if pos == 0]
     assert starts and starts[0] == 0
     counts = []
     for a, b in zip(starts, starts[1:] + [len(draws)]):
-        takes = [take for _, take in draws[a:b]]
+        takes = [take for _, take, _ in draws[a:b]]
         assert set(takes[:-1]) <= {rows} and 1 <= takes[-1] <= rows
         counts.append(len(takes))
     return counts
 
 
 class TestMaxNormalized:
-    """The consumers' screened divide against a full divide-then-max, bit for bit."""
+    """The consumers' screened divide against a full divide-then-max of
+    |S + partials|, bit for bit; every case runs on the walk's integer
+    partials (int8) and on float64 ones."""
+
+    DTYPES = (np.int8, np.float64)
 
     @staticmethod
-    def run(rows, den, best):
-        """(flagged, best after, rows after) of the helper, checked against the
-        reference on copies."""
-        expected = np.maximum(best, (rows / den[:, None]).max(axis=0))
-        rows, best = rows.copy(), best.copy()
-        flagged = _max_normalized(rows, rows.max(axis=0), den, best)
+    def run(S, part, den, best):
+        """(flagged, best after) of the helper, checked against the reference;
+        S and the partials are left as they were."""
+        expected = np.maximum(best, (np.abs(S + part) / den[:, None]).max(axis=0))
+        S0, part0, best = S.copy(), part.copy(), best.copy()
+        flagged = _max_normalized(S, part, _abs_top(S, part), den, best)
         np.testing.assert_array_equal(best, expected)
-        return flagged, best, rows
+        np.testing.assert_array_equal(S, S0)
+        np.testing.assert_array_equal(part, part0)
+        return flagged, best
 
     @staticmethod
-    def block(seed, steps=7, paths=64):
-        """|S| of a short rademacher stretch and its sqrt(n L(n)) normalizers."""
+    def block(seed, dtype, steps=7, paths=64):
+        """Carried sums S and the partials of a short rademacher stretch after
+        them (unit steps as int8, steps of sqrt(0.37) as float64), with their
+        sqrt(n L(n)) normalizers."""
         rng = np.random.default_rng(seed)
-        rows = np.abs(rng.integers(-40, 41, size=(steps, paths))).astype(np.float64)
+        signs = rng.choice([-1, 1], size=(steps, paths))
+        S = rng.integers(-40, 41, size=paths).astype(np.float64)
+        if dtype == np.float64:
+            S *= math.sqrt(0.37)
+            part = np.cumsum(signs * math.sqrt(0.37), axis=0)
+        else:
+            part = np.cumsum(signs, axis=0).astype(dtype)
         ns = np.arange(300, 300 + steps, dtype=np.float64)
-        return rows, np.sqrt(ns * iterlog_seq(ns))
+        return S, part, np.sqrt(ns * iterlog_seq(ns))
+
+    def test_abs_top_is_the_column_max_of_abs(self):
+        for dtype in self.DTYPES:
+            S, part, _ = self.block(0, dtype)
+            np.testing.assert_array_equal(_abs_top(S, part), np.abs(S + part).max(axis=0))
 
     def test_minus_inf_start_divides_in_place(self):
-        rows, den = self.block(1)
-        flagged, _, after = self.run(rows, den, np.full(rows.shape[1], -np.inf))
-        assert flagged == rows.shape[1]
-        np.testing.assert_array_equal(after, rows / den[:, None])
+        """A -inf start flags every column, so the whole block is formed and
+        divided in place."""
+        for dtype in self.DTYPES:
+            S, part, den = self.block(1, dtype)
+            flagged, _ = self.run(S, part, den, np.full(len(S), -np.inf))
+            assert flagged == len(S)
 
     def test_none_flagged_leaves_everything(self):
-        rows, den = self.block(2)
-        best = np.full(rows.shape[1], 10.0)
-        flagged, got, after = self.run(rows, den, best)
-        assert flagged == 0
-        np.testing.assert_array_equal(got, best)
-        np.testing.assert_array_equal(after, rows)
+        for dtype in self.DTYPES:
+            S, part, den = self.block(2, dtype)
+            best = np.full(len(S), 10.0)
+            flagged, got = self.run(S, part, den, best)
+            assert flagged == 0
+            np.testing.assert_array_equal(got, best)
 
     def test_tie_is_not_flagged(self):
-        rows, den = self.block(3)
-        best = rows.max(axis=0) / den.min()         # the bound itself, exactly
-        flagged, got, _ = self.run(rows, den, best)
-        assert flagged == 0
-        np.testing.assert_array_equal(got, best)
-        nudged = best.copy()
-        nudged[5] = np.nextafter(best[5], -np.inf)   # one ulp below: flagged alone
-        assert self.run(rows, den, nudged)[0] == 1
+        for dtype in self.DTYPES:
+            S, part, den = self.block(3, dtype)
+            best = _abs_top(S, part) / den.min()     # the bound itself, exactly
+            flagged, got = self.run(S, part, den, best)
+            assert flagged == 0
+            np.testing.assert_array_equal(got, best)
+            nudged = best.copy()
+            nudged[5] = np.nextafter(best[5], -np.inf)   # one ulp below: flagged alone
+            assert self.run(S, part, den, nudged)[0] == 1
 
     def test_all_flagged(self):
-        rows, den = self.block(4)
-        rows += 1.0                                  # every column above zero
-        flagged, _, after = self.run(rows, den, np.zeros(rows.shape[1]))
-        assert flagged == rows.shape[1]
-        np.testing.assert_array_equal(after, rows / den[:, None])
+        for dtype in self.DTYPES:
+            S, part, den = self.block(4, dtype)
+            S = np.abs(S) + 20.0                     # every |S + P| above zero
+            flagged, _ = self.run(S, part, den, np.zeros(len(S)))
+            assert flagged == len(S)
 
     def test_non_monotone_normalizer(self):
         # the largest quotient sits at the smallest normalizer, in the middle
-        den = np.array([3.0, 2.5, 1.0, 2.0, 3.5])
-        rows = np.full((5, 8), 0.9)
-        rows[2, 3] = 2.5
-        flagged, got, after = self.run(rows, den, np.ones(8))
-        assert flagged == 1
-        assert got[3] == 2.5 and np.all(np.delete(got, 3) == 1.0)
-        np.testing.assert_array_equal(after, rows)         # gathered, not divided
+        den = np.array([30.0, 25.0, 10.0, 20.0, 35.0])
+        S = np.full(8, 4.0)
+        for dtype in self.DTYPES:
+            part = np.full((5, 8), 5, dtype=dtype)   # |S + P| = 9 ...
+            part[2, 3] = 21                          # ... but 25 at step 3 of path 3
+            flagged, got = self.run(S, part, den, np.ones(8))
+            assert flagged == 1
+            assert got[3] == 2.5 and np.all(np.delete(got, 3) == 1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_both_branches(self, seed):
         """A best drawn around the block's own quotients flags a few columns
-        (gathered) or many (divided in place)."""
-        rows, den = self.block(seed, steps=11, paths=200)
-        full = (rows / den[:, None]).max(axis=0)
-        rng = np.random.default_rng(seed)
-        for share, gathered in ((0.1, True), (0.6, False)):
-            best = full * rng.uniform(1.0, 1.2, size=full.size)
-            best[rng.random(full.size) < share] *= 0.8
-            flagged, _, after = self.run(rows, den, best)
-            assert 0 < flagged
-            assert (4 * flagged <= full.size) == gathered
-            assert np.array_equal(after, rows) == gathered
+        (gathered) or many (the whole block formed and divided)."""
+        for dtype in self.DTYPES:
+            S, part, den = self.block(seed, dtype, steps=11, paths=200)
+            full = (np.abs(S + part) / den[:, None]).max(axis=0)
+            rng = np.random.default_rng(seed)
+            for share, gathered in ((0.1, True), (0.6, False)):
+                best = full * rng.uniform(1.0, 1.2, size=full.size)
+                best[rng.random(full.size) < share] *= 0.8
+                flagged, _ = self.run(S, part, den, best)
+                assert 0 < flagged
+                assert (4 * flagged <= full.size) == gathered
 
 
 class TestWalkRegression:
     """Bit-identity of the steps-major walk and its consumers with the
-    paths-major reference, at an odd chunk size and a non-unit variance."""
+    paths-major reference: at an odd chunk size, for both laws at a non-unit
+    variance and for rademacher at unit variance (integer partials), and in
+    the engines' own 32-step tile at 4096 paths."""
 
-    @pytest.mark.parametrize("paths", [64, 512])
-    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
-        draws = _patch_tile(monkeypatch, _ODD_CHUNK * paths)
-        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=6000, paths=paths,
-                           law=law, variance=0.37, seed=4, strict=False)
-        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, _ODD_CHUNK)
-        (count,) = _assert_chunks(draws, _ODD_CHUNK)       # one walk, several chunks
+    @staticmethod
+    def check_report(monkeypatch, law, variance, paths, rows, horizon):
+        """lil-run against the reference walk, in chunks of ``rows`` steps;
+        returns the dtypes of the draws' blocks."""
+        draws = _patch_tile(monkeypatch, rows * paths)
+        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=horizon, paths=paths,
+                           law=law, variance=variance, seed=4, strict=False)
+        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, rows)
+        (count,) = _assert_chunks(draws, rows)             # one walk, several chunks
         assert count > 2
         assert ref.deficit > 0.0          # some paths exceed, so e is not trivial
         assert json.dumps(got.to_json(), sort_keys=True) == \
                json.dumps(ref.to_json(), sort_keys=True)
         assert got.checkpoints == ref.checkpoints
         np.testing.assert_array_equal(got.e.diag_array(), ref.e.diag_array())
+        return {dtype for _, _, dtype in draws}
 
-    @pytest.mark.parametrize("paths", [64, 512])
-    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_baseline_per_path_matches_reference(self, monkeypatch, law, paths):
-        draws = _patch_tile(monkeypatch, _ODD_CHUNK * paths)
-        cfg = BaselineConfig(paths=paths, horizon=5000, law=law, seed=6)
+    @staticmethod
+    def check_baseline(monkeypatch, law, paths, rows, horizon):
+        """baseline-scalar's per_path against the reference walk, in chunks of
+        ``rows`` steps; returns the dtypes of the draws' blocks."""
+        draws = _patch_tile(monkeypatch, rows * paths)
+        cfg = BaselineConfig(paths=paths, horizon=horizon, law=law, seed=6)
         rng = stream_rng(cfg.seed, label=f"baseline-{law}")
         scale = 1.0 if law == "rademacher" else math.sqrt(3.0)
         S = np.concatenate(list(_paths_major_walk(rng, law, scale, cfg.paths, cfg.horizon,
-                                                  _ODD_CHUNK)), axis=1)
+                                                  rows)), axis=1)
         lo = cfg.horizon // 10
         ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
         expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
         np.testing.assert_array_equal(scalar_kolmogorov_baseline(cfg).per_path, expected)
-        assert _assert_chunks(draws, _ODD_CHUNK) == [-(-cfg.horizon // _ODD_CHUNK)]
+        assert _assert_chunks(draws, rows) == [-(-cfg.horizon // rows)]
+        return {dtype for _, _, dtype in draws}
+
+    @pytest.mark.parametrize("paths", [64, 512])
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
+        assert self.check_report(monkeypatch, law, 0.37, paths, _ODD_CHUNK, 6000) == \
+            {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("paths", [64, 512])
+    def test_unit_rademacher_report_matches_reference(self, monkeypatch, paths):
+        assert self.check_report(monkeypatch, "rademacher", 1.0, paths, _ODD_CHUNK, 6000) == \
+            {np.dtype(np.int16)}
+
+    @pytest.mark.parametrize("paths", [64, 512])
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_baseline_per_path_matches_reference(self, monkeypatch, law, paths):
+        dtype = np.int16 if law == "rademacher" else np.float64
+        assert self.check_baseline(monkeypatch, law, paths, _ODD_CHUNK, 5000) == {np.dtype(dtype)}
+
+    def test_engines_own_tile_matches_reference(self, monkeypatch):
+        """Both engines at 4096 paths, in the default tile: 32-step chunks of
+        int8 partials."""
+        rows = lil._STREAM_TILE // 4096
+        assert rows == 32
+        for dtypes in (self.check_report(monkeypatch, "rademacher", 1.0, 4096, rows, 1000),
+                       self.check_baseline(monkeypatch, "rademacher", 4096, rows, 1000)):
+            assert dtypes == {np.dtype(np.int8)}
 
 
 class TestChunkInvariance:

@@ -75,6 +75,26 @@ class TestSampling:
                 sample_step_increments(stream_rng(0), law, 1.0, paths=8, steps=3,
                                        out=np.empty((4, 8)))
 
+    def test_out_dtype_checked(self):
+        """Only a rademacher draw at unit scale fits a signed integer block;
+        any other dtype that cannot hold the draw is a ShapeError."""
+        for law, scale, dtype in (("rademacher", 0.7, np.int8), ("uniform", 1.0, np.int16),
+                                  ("rademacher", 1.0, np.uint8),
+                                  ("rademacher", 1.0, np.float32)):
+            with pytest.raises(ShapeError):
+                sample_step_increments(stream_rng(0), law, scale, paths=8, steps=3,
+                                       out=np.empty((3, 8), dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_integer_out_matches_float_draw(self, dtype):
+        rng_int, rng_float = stream_rng(6), stream_rng(6)
+        got = sample_step_increments(rng_int, "rademacher", 1.0, paths=70, steps=40,
+                                     out=np.empty((40, 70), dtype=dtype))
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(
+            got, sample_step_increments(rng_float, "rademacher", 1.0, paths=70, steps=40))
+        assert rng_int.random() == rng_float.random()
+
     def test_rademacher_values(self):
         rng = stream_rng(3)
         block = sample_step_increments(rng, "rademacher", 2.0, paths=8, steps=5)

@@ -22,14 +22,20 @@ def _load(name):
 
 
 def test_bench_walk_times_the_engines_tile(tmp_path):
-    out = tmp_path / "walk.json"
-    argv = ["--paths", "64", "--chunks", "1", "--repeats", "1", "--out", str(out)]
-    assert _load("bench_walk").main(argv) == 0
-    result = json.loads(out.read_text())
-    assert result["config"]["tile_floats"] == lil._STREAM_TILE
-    assert result["config"]["chunk"] == lil._STREAM_TILE // 64
-    assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
-    assert 0.0 < result["flagged_fraction"] <= 1.0
+    """Both laws, so both kinds of partials: integer (rademacher, 2048 steps
+    a chunk at 64 paths) and float64 (uniform)."""
+    bench_walk = _load("bench_walk")
+    for law, dtype in (("rademacher", "int16"), ("uniform", "float64")):
+        out = tmp_path / f"walk-{law}.json"
+        argv = ["--law", law, "--paths", "64", "--chunks", "1", "--repeats", "1",
+                "--out", str(out)]
+        assert bench_walk.main(argv) == 0
+        result = json.loads(out.read_text())
+        assert result["config"]["tile_floats"] == lil._STREAM_TILE
+        assert result["config"]["chunk"] == lil._STREAM_TILE // 64
+        assert result["config"]["partial_dtype"] == dtype
+        assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
+        assert 0.0 < result["flagged_fraction"] <= 1.0
 
 
 def test_bench_cert_runs(tmp_path):
