@@ -322,15 +322,13 @@ def _walk(draw: Callable[[int, int, np.ndarray | None], np.ndarray], paths: int,
     """
     chunk = max(1, min(total, _STREAM_TILE // paths))
     buf = draw(0, chunk, None)
-    # Row by row: np.cumsum along axis 0 strides across rows and is about 15x
-    # slower at 4096 paths; both add in the same order.  The row views of the
-    # one buffer are made once.
-    pairs = list(zip(buf, buf[1:]))
     S = np.zeros(paths)
     for pos in range(0, total, chunk):
         take = min(chunk, total - pos)
         P = buf if pos == 0 else draw(pos, take, buf[:take])
-        for prev, row in pairs[:take - 1]:
+        # Row by row: np.cumsum along axis 0 strides across rows and is about
+        # 15x slower at 4096 paths; both add in the same order.
+        for prev, row in zip(P, P[1:]):
             np.add(row, prev, row)
         yield pos, S, P
         S += P[-1]
@@ -367,7 +365,8 @@ def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarr
     hit = np.flatnonzero(top / den.min() > best)
     flagged = len(hit)
     if 4 * flagged > len(best):
-        q = np.abs(S + P)
+        q = S + P
+        np.abs(q, out=q)
         q /= den[:, None]
         np.maximum(best, q.max(axis=0), out=best)
     elif flagged:
@@ -532,7 +531,10 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
             hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
             for j in range(lo_cp, hi_cp):
                 m = int(cp_steps[j])
-                cp_rows[j] = np.abs(S + part[m - pos - 1]) / norm[m - 1]
+                row = cp_rows[j]
+                np.add(S, part[m - pos - 1], out=row)
+                np.abs(row, out=row)
+                row /= norm[m - 1]
             while sec < n_sections:                # sections tile steps 1..total
                 a = max(int(ks[sec]), pos)
                 b = min(int(ks[sec + 1]), pos + take)

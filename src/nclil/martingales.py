@@ -325,23 +325,19 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
         out = np.empty((steps, paths))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
-    integer = np.issubdtype(out.dtype, np.signedinteger)
-    if out.dtype != np.float64 and not (integer and law == "rademacher" and scale == 1.0):
+    if out.dtype != np.float64 and not (law == "rademacher" and scale == 1.0
+                                        and np.issubdtype(out.dtype, np.signedinteger)):
         raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw at scale {scale}")
     if law == "rademacher":
         w = rng.integers(0, _U64_MAX, size=(steps, -(-paths // 64)), dtype=np.uint64,
                          endpoint=True)
         bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
         signs = bits.view(np.int8)
-        if integer:                            # 0/1 -> -1/+1 straight into out
-            np.multiply(signs, 2, out=out)
-            out -= 1
-        else:                                  # 0/1 -> -1/+1 in place, then one cast
-            signs *= 2
-            signs -= 1
-            out[:] = signs
-            if scale != 1.0:                   # ±1 are already exact at unit scale
-                out *= scale
+        signs *= 2                             # 0/1 -> -1/+1 in place, then one copy
+        signs -= 1
+        out[:] = signs
+        if scale != 1.0:                       # ±1 are already exact at unit scale
+            out *= scale
     else:
         rng.random(out=out)
         out *= 2.0 * scale

@@ -255,6 +255,15 @@ class TestBlockCore:
         walked = np.concatenate([S + P for _, S, P in chunks], axis=0)
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
+    def test_walk_sums_the_block_the_draw_returns(self, monkeypatch):
+        # A draw that ignores ``out`` and returns a fresh block is still summed.
+        def draw(pos, take, out):
+            return np.full((take, 3), 2, dtype=np.int16)
+
+        monkeypatch.setattr(lil, "_STREAM_TILE", 4 * 3)                  # chunks of 4 steps
+        walked = np.concatenate([S + P for _, S, P in _walk(draw, 3, 10)], axis=0)
+        np.testing.assert_array_equal(walked[:, 0], 2.0 * np.arange(1, 11))
+
     def test_walk_hands_out_one_buffer(self, monkeypatch):
         seen = []
 
