@@ -3,7 +3,7 @@
 
 One pass streams ``--chunks`` chunks x ``--paths`` paths through
 ``nclil.lil._walk`` with the engines' increment draw, in the streaming
-engines' own tile of ``nclil.lil._STREAM_TILE`` entries
+engines' own tile of ``nclil.martingales._STREAM_TILE`` entries
 (``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
 JSON ``config``, with the dtype of the partial sums the walk yields), and
 splits the wall time into three layers:
@@ -45,9 +45,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import (_STREAM_TILE, _abs_top, _iid_draw,  # noqa: E402
-                       _max_normalized, _walk)
-from nclil.martingales import _STEP_LAWS, _step_bound, iterlog_seq  # noqa: E402
+from nclil.lil import _abs_top, _iid_draw, _max_normalized, _walk  # noqa: E402
+from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, _step_bound,  # noqa: E402
+                               iterlog_seq)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")

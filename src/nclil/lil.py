@@ -37,7 +37,7 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (StoppingRule, _step_bound,
+from .martingales import (_STREAM_TILE, StoppingRule, _step_bound,
                           gen_model_martingale, gen_tensor_martingale, gue_matrix,
                           iterlog, iterlog_seq, sample_step_increments,
                           stopping_indices)
@@ -79,9 +79,14 @@ class LILParameters:
             raise ConfigError("beta must be positive")
         if self.eps_prime is not None and not 0.0 < self.eps_prime < 1.0:
             raise ConfigError("eps_prime must lie in (0, 1)")
-        if self.series_exponent <= 1.0:
+        try:
+            exponent = self.series_exponent
+        except OverflowError:
+            raise ConfigError("beta^2(1+delta)^2/(4(1+eps)) overflows a float; "
+                              "shrink beta or delta") from None
+        if exponent <= 1.0:
             raise ConfigError(
-                f"beta^2(1+delta)^2/(4(1+eps)) = {self.series_exponent:.6g} <= 1: "
+                f"beta^2(1+delta)^2/(4(1+eps)) = {exponent:.6g} <= 1: "
                 "the block series cannot converge")
 
     @property
@@ -244,8 +249,8 @@ class LILRunConfig:
             raise ConfigError(f"unknown dense generator {self.generator!r}")
         if self.checkpoints < 2:
             raise ConfigError("need at least two checkpoints")
-        if self.window_decades <= 0:
-            raise ConfigError("window_decades must be positive")
+        if not 0 < self.window_decades <= 308:     # 10**window_decades must be a float
+            raise ConfigError(f"window_decades must lie in (0, 308], got {self.window_decades:g}")
 
     def to_json(self) -> dict:
         out = {
@@ -272,13 +277,6 @@ def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     report.blas_threads = threads
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-# Entries in the streaming engines' walk buffer: 1 MiB of floats, 32 steps
-# at 4096 paths, so the draw, the partial sums and the consumer's passes
-# over a chunk stay in a core's L2 cache.  An iid draw does not depend on
-# the chunk; the tile fixes only the rounding of sums that are not integers.
-_STREAM_TILE = 1 << 17
 
 
 def _iid_draw(rng: np.random.Generator, law: str, scale: float, paths: int) -> Callable:

@@ -10,13 +10,13 @@ sample paths (a multiplication-operator surrogate of dimension P) and keep
 only the final values; their brackets and difference bounds are exact by
 the choice of increment law.
 
-Two ensemble draws serve two callers.  ``sample_step_increments`` draws
-iid increments for the streaming engines in ``lil``, which sum them with
-their walker, so every path is marginally a random walk of its law.
-``gen_diagonal_martingale`` alone sign-balances each step across the
-ensemble, so that the realized trace of every difference vanishes to
-rounding (hypothesis (i), which the exponential-moment sweep checks on
-its paths); it sums each balanced chunk into its final values.
+One iid draw, ``sample_step_increments``, serves every ensemble, and
+every ensemble loop holds one buffer of ``_STREAM_TILE`` entries.  The
+streaming engines in ``lil`` sum the draws with their walker, so every
+path is marginally a random walk of its law.  ``gen_diagonal_martingale``
+draws half its paths and mirrors them, so that each step's pair (d, -d)
+sums to exactly 0 and the realized trace of every difference vanishes
+(hypothesis (i), which the exponential-moment sweep checks on its paths).
 
 The centered step laws live in one table, which fixes each law's ratio
 Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
@@ -39,8 +39,13 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_CHUNK_CAP = 1 << 23         # floats in gen_diagonal_martingale's chunk buffer (64 MiB)
 _U64_MAX = np.iinfo(np.uint64).max
+
+# Entries in every ensemble loop's buffer: 1 MiB of floats, 32 steps at 4096
+# paths, so the draw, the partial sums and the consumer's passes over a chunk
+# stay in a core's L2 cache.  An iid draw does not depend on the chunk; the
+# tile fixes only the rounding of sums that are not integers.
+_STREAM_TILE = 1 << 17
 
 # Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
 _STEP_LAWS = {"rademacher": 1.0, "uniform": 1.0 / 3.0}
@@ -345,36 +350,21 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     return out
 
 
-def _balanced_increments(rng: np.random.Generator, law: str, scale: float,
-                         out: np.ndarray) -> np.ndarray:
-    """Fill the (steps, paths) block ``out`` with sign-balanced steps, |d| <= scale.
-
-    Exactly half the paths of each step get each sign (rademacher) or a
-    mirrored magnitude (uniform), so the realized cross-path mean of every
-    step is zero to rounding while the per-path marginal law is that of
-    the table.  A uniform block draws all its magnitudes before its
-    permutations, so the draws depend on the block's number of steps.
-    """
-    half = out.shape[1] // 2
-    if law == "rademacher":
-        out[:, :half] = scale
-        out[:, half:] = -scale
-    else:
-        mags = rng.uniform(0.0, scale, size=(len(out), half))
-        out[:, :half] = mags
-        np.negative(mags, out=out[:, half:])
-    return rng.permuted(out, axis=1, out=out)
-
-
 def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademacher",
                             variance: float = 1.0, seed: int = 0) -> MartingalePath:
-    """Scalar martingale carried by an ensemble of P sample paths.
+    """Scalar martingale carried by an ensemble of P sample paths, mirrored in pairs.
 
-    The bracket and the difference bounds are exact by the law (step
-    variance ``variance``), not estimated from the sample; the sample only
-    carries the distributional statistics.  The steps come in balanced
-    chunks of _CHUNK_CAP // paths steps, drawn into one buffer and summed
-    into the final values S_horizon of the paths, which are all it keeps.
+    The first P/2 paths are iid walks of the law at step variance
+    ``variance``, drawn by ``sample_step_increments`` in chunks of
+    _STREAM_TILE // (P/2) steps into one buffer and summed into their final
+    values h; the other P/2 are their mirror images, so the path keeps
+    S_horizon = [h, -h] and nothing else.  Each step's pair (d, -d) sums to
+    exactly 0 in floating point, so hypothesis (i) holds by construction
+    and ``md_residual`` and ``meta["max_step_mean"]`` are 0.0.  The bracket
+    and the difference bounds are exact by the law, not estimated from the
+    sample; the sample only carries the distributional statistics.  The
+    draws do not depend on the chunk, which fixes only the rounding of sums
+    that are not integers.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -384,22 +374,20 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
         raise ConfigError(f"variance must be positive, got {variance}")
     scale = _step_bound(law, float(variance))     # ess-sup of each increment
     rng = stream_rng(seed, label=f"diag-mart-{law}")
-    # The chunk is part of the sample: a uniform chunk draws its magnitudes
-    # before its permutations.
-    buf = np.empty((max(1, min(horizon, _CHUNK_CAP // paths)), paths))
-    final = np.zeros(paths)
-    max_step_mean = 0.0
+    half = paths // 2
+    buf = np.empty((max(1, min(horizon, _STREAM_TILE // half)), half))
+    head = np.zeros(half)
     for pos in range(0, horizon, len(buf)):
-        block = _balanced_increments(rng, law, scale, buf[:horizon - pos])
-        max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
-        final += block.sum(axis=0)
+        take = min(len(buf), horizon - pos)
+        head += sample_step_increments(rng, law, scale, half, steps=take,
+                                       out=buf[:take]).sum(axis=0)
     s2 = np.cumsum(np.full(horizon, float(variance)))
     return MartingalePath(
-        final=Operator(final, hermitian=True, diagonal=True),
+        final=Operator(np.concatenate([head, -head]), hermitian=True, diagonal=True),
         s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=np.full(horizon, scale),
-        md_residual=max_step_mean,
+        md_residual=0.0,
         meta={"law": law, "seed": seed, "bracket_exact": True, "centering_exact": True,
-              "max_step_mean": max_step_mean})
+              "max_step_mean": 0.0})
 
 
 def gue_matrix(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -184,6 +184,9 @@ def _expineq_trial(args) -> list:
 def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1.0),
                   lambda_points: int = 20, seed: int = 0, workers: int = 1) -> SweepResult:
     _require_at_least(1, trials=trials, lambda_points=lambda_points)
+    _require_distinct(eps=eps_values)
+    if not all(eps > 0.0 for eps in eps_values):
+        raise ConfigError(f"eps must be positive, got {list(eps_values)}")
     args = [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)]
     nested, threads = _run_trials(_expineq_trial, args, workers)
     rows = [r for chunk in nested for r in chunk]

@@ -8,6 +8,7 @@ import math
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,10 @@ class TestConfigErrors:
         ["verify-doob", "--trials-per-kind", "1", "--p", "4,6,4.0"],
         ["verify-dualdoob", "--trials-per-kind", "1", "--kinds", "diagonal,pinching,diagonal"],
         ["verify-dualdoob", "--trials-per-kind", "1", "--p", "1.5,1.5"],
+        ["lil-run", "--beta", "1e200"],
+        ["lil-run", "--delta", "1e308"],
+        ["lil-run", "--window-decades", "1e308"],
+        ["lil-run", "--window-decades", "308.5"],
     ], ids=":".join)
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -293,6 +298,18 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: unknown kind 'foo'" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", ["0.1,0.1", "0.1,0.5,0.10", "-1", "0", "0.5,-0.5"])
+    def test_bad_eps_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, eps):
+        calls = []
+        monkeypatch.setattr(verify, "_expineq_trial", lambda args: calls.append(args) or [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")         # no numpy warning before the error
+            rc = main(["verify-expineq", "--trials", "2", "--eps", eps,
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: eps" in capsys.readouterr().err
         assert calls == []
 
     def test_lists_from_text_or_array_resolve_alike(self, tmp_path):

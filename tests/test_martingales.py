@@ -13,7 +13,7 @@ from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
                    iterlog, iterlog_seq, lp_norm, normalized_trace,
                    sample_step_increments, stopping_indices, stream_rng,
                    validate_differences)
-from nclil import lil, martingales
+from nclil import martingales
 
 E_E = math.exp(math.e)
 
@@ -49,25 +49,28 @@ class TestIterlog:
 class TestSampling:
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_exact_balance(self, law):
-        rng = stream_rng(3)
-        block = martingales._balanced_increments(rng, law, 0.7, np.empty((40, 64)))
-        assert block.shape == (40, 64)
-        np.testing.assert_allclose(block.sum(axis=1), 0.0, atol=1e-12)
-        assert np.max(np.abs(block)) <= 0.7 + 1e-15
-
-    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_out_buffer_matches_fresh_draw(self, law):
-        buf = np.full((50, 64), np.nan)
-        rng_out, rng_fresh = stream_rng(5), stream_rng(5)
-        for steps in (37, 11):
-            got = martingales._balanced_increments(rng_out, law, 0.7, buf[:steps])
-            fresh = martingales._balanced_increments(rng_fresh, law, 0.7,
-                                                     np.empty((steps, 64)))
-            assert np.shares_memory(got, buf)
-            np.testing.assert_array_equal(got, fresh)
-            np.testing.assert_array_equal(np.sort(got, axis=1)[:, ::-1],
-                                          -np.sort(got, axis=1))   # exact balance
-        assert rng_out.random() == rng_fresh.random()
+        """gen_diagonal_martingale mirrors its paths: each step's pair (d, -d)
+        cancels exactly, so every mirrored row of steps, summed as numpy sums
+        512 entries (pairwise, halves first), and the realized trace of the
+        final values are exactly 0."""
+        paths, half, horizon, variance = 512, 256, 600, 0.37
+        path = gen_diagonal_martingale(horizon, paths=paths, law=law, variance=variance,
+                                       seed=9)
+        final = path.final.diag_array()
+        np.testing.assert_array_equal(final[half:], -final[:half])
+        assert np.all(final[:half] + final[half:] == 0.0)
+        assert normalized_trace(path.final) == 0.0
+        assert path.md_residual == 0.0 and path.meta["max_step_mean"] == 0.0
+        # the same steps, drawn in one block: the draws do not depend on the chunk
+        scale = martingales._step_bound(law, variance)
+        head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law, scale,
+                                      half, steps=horizon)
+        rows = np.concatenate([head, -head], axis=1)
+        assert np.max(np.abs(rows)) <= scale
+        assert np.all(rows.sum(axis=1) == 0.0)
+        np.testing.assert_allclose(rows.sum(axis=0), final, rtol=0.0,
+                                   atol=1e-12 * horizon * scale)
+        assert np.max(np.abs(final)) <= horizon * scale
 
     def test_out_shape_checked(self):
         for law in ("rademacher", "uniform"):
@@ -101,7 +104,7 @@ class TestSampling:
         assert set(np.unique(block)) == {-2.0, 2.0}
 
     def test_odd_paths_rejected(self):
-        """Only the balanced draw splits the paths half and half."""
+        """Only the mirrored ensemble splits the paths half and half."""
         for paths in (7, 0):
             with pytest.raises(ConfigError):
                 gen_diagonal_martingale(10, paths=paths)
@@ -243,65 +246,76 @@ class TestGenerators:
         assert ev.min() > -2.5 and ev.max() < 2.5
 
 
-def _hand_loop_diagonal(horizon, paths, law, variance, seed, cap):
-    """gen_diagonal_martingale's summing loop, kept as a reference: fresh unit
-    balanced draws, scaled per step and summed chunk by chunk.  Returns
-    (final values, s2, dnorm, max step mean)."""
-    v = np.full(horizon, float(variance))
-    scales = np.sqrt(v / (1.0 if law == "rademacher" else 1.0 / 3.0))
+def _hand_loop_diagonal(horizon, paths, law, variance, seed, tile):
+    """gen_diagonal_martingale as a reference loop: fresh iid draws on the first
+    half of the paths in chunks of tile // half steps, each chunk's rows added
+    one by one into the head, and the tail the head's mirror image.  Returns
+    (final values, step bound)."""
+    half = paths // 2
+    scale = math.sqrt(variance / (1.0 if law == "rademacher" else 1.0 / 3.0))
     rng = stream_rng(seed, label=f"diag-mart-{law}")
-    s = np.zeros(paths)
-    max_step_mean = 0.0
-    chunk = max(1, min(horizon, cap // paths))
-    done = 0
-    while done < horizon:
-        take = min(chunk, horizon - done)
-        block = martingales._balanced_increments(rng, law, 1.0, np.empty((take, paths)))
-        block *= scales[done:done + take, None]
-        max_step_mean = max(max_step_mean, float(np.max(np.abs(block.mean(axis=1)))))
-        s += block.sum(axis=0)
-        done += take
-    return s, np.cumsum(v), scales, max_step_mean
+    chunk = max(1, min(horizon, tile // half))
+    head = np.zeros(half)
+    for pos in range(0, horizon, chunk):
+        block = sample_step_increments(rng, law, scale, half, steps=min(chunk, horizon - pos))
+        assert np.max(np.abs(block)) <= scale
+        total = block[0].copy()
+        for row in block[1:]:
+            total += row
+        head += total
+    return np.concatenate([head, -head]), scale
+
+
+def _record_draws(monkeypatch):
+    """Steps of every draw gen_diagonal_martingale makes, in order."""
+    steps = []
+    draw = martingales.sample_step_increments
+
+    def recording(*args, **kwargs):
+        steps.append(kwargs["steps"])
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(martingales, "sample_step_increments", recording)
+    return steps
 
 
 class TestDiagonalRegression:
-    """Bit-identity of the ensemble generator with the hand loop, over
-    several chunks with a short last one."""
+    """The mirrored ensemble: iid draws on half the paths, summed in one tile."""
 
-    @pytest.mark.parametrize("variance", [0.37], ids=["scalar"])
+    @pytest.mark.parametrize("variance", [1.0, 0.37], ids=["unit", "scalar"])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_matches_hand_loop(self, monkeypatch, law, variance):
-        paths, horizon, cap = 64, 30, 64 * 7          # chunks of 7, 7, 7, 7, 2 steps
-        monkeypatch.setattr(martingales, "_CHUNK_CAP", cap)
+        paths, horizon = 64, 30
+        monkeypatch.setattr(martingales, "_STREAM_TILE", 32 * 7)   # chunks of 7 steps
+        steps = _record_draws(monkeypatch)
         path = gen_diagonal_martingale(horizon, paths=paths, law=law, variance=variance,
                                        seed=11)
-        final, s2, dnorm, max_step_mean = _hand_loop_diagonal(horizon, paths, law,
-                                                              variance, 11, cap)
+        assert steps == [7, 7, 7, 7, 2]
+        final, scale = _hand_loop_diagonal(horizon, paths, law, variance, 11, 32 * 7)
         np.testing.assert_array_equal(path.final.diag_array(), final)
-        np.testing.assert_array_equal(path.s2, s2)
-        np.testing.assert_array_equal(path.dnorm, dnorm)
-        assert path.md_residual == max_step_mean
+        np.testing.assert_array_equal(path.s2, np.cumsum(np.full(horizon, variance)))
+        np.testing.assert_array_equal(path.dnorm, np.full(horizon, scale))
+        assert path.md_residual == 0.0
         assert path.meta == {"law": law, "seed": 11, "bracket_exact": True,
-                             "centering_exact": True, "max_step_mean": max_step_mean}
+                             "centering_exact": True, "max_step_mean": 0.0}
 
-    def test_keeps_its_own_budget(self, monkeypatch):
-        """The balanced uniform draw takes a whole chunk's magnitudes before
-        that chunk's permutations, so the chunk is part of the sample: the
-        streaming engines' walk tile must not reach this generator."""
+    @pytest.mark.parametrize("law, variance", [("rademacher", 1.0), ("rademacher", 0.37),
+                                               ("uniform", 1.0), ("uniform", 0.81)])
+    def test_tile_invariant(self, monkeypatch, law, variance):
+        """The draws do not depend on the tile; only the rounding of sums that
+        are not integers does, so unit rademacher sums are bit-identical."""
         def run():
-            path = gen_diagonal_martingale(5000, paths=512, law="uniform", variance=0.81)
-            return path.final.diag_array(), path.md_residual
+            return gen_diagonal_martingale(3000, paths=512, law=law, variance=variance,
+                                           seed=4).final.diag_array()
 
-        final, md_residual = run()
-        monkeypatch.setattr(lil, "_STREAM_TILE", 512 * 7)
-        patched_final, patched_md_residual = run()
-        np.testing.assert_array_equal(patched_final, final)
-        assert patched_md_residual == md_residual
-        # Its own 64 MiB budget holds all 5000 steps at 512 paths in one chunk;
-        # a 1 MiB chunk (256 steps) would draw a different sample.
-        ref_final, _, _, ref_max_step_mean = _hand_loop_diagonal(5000, 512, "uniform", 0.81,
-                                                                 0, 1 << 23)
-        np.testing.assert_array_equal(final, ref_final)
-        assert md_residual == ref_max_step_mean
-        tiled_final = _hand_loop_diagonal(5000, 512, "uniform", 0.81, 0, 1 << 17)[0]
-        assert np.max(np.abs(tiled_final - final)) > 1.0
+        steps = _record_draws(monkeypatch)
+        whole = run()
+        assert steps == [512] * 5 + [440]                 # the 1 MiB tile at 256 paths
+        monkeypatch.setattr(martingales, "_STREAM_TILE", 256 * 7)
+        steps.clear()
+        tiled = run()
+        assert steps == [7] * 428 + [4]
+        if law == "rademacher" and variance == 1.0:
+            np.testing.assert_array_equal(tiled, whole)
+        else:
+            scale = martingales._step_bound(law, variance)
+            np.testing.assert_allclose(tiled, whole, rtol=0.0, atol=1e-12 * 3000 * scale)

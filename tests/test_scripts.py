@@ -4,11 +4,16 @@ The scripts import private names of the package; running them here makes a
 rename break a test rather than the script.
 """
 
+import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from nclil import lil
+import nclil
+from nclil.martingales import _STREAM_TILE
 from nclil.operators import _openblas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -31,8 +36,8 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
                 "--out", str(out)]
         assert bench_walk.main(argv) == 0
         result = json.loads(out.read_text())
-        assert result["config"]["tile_floats"] == lil._STREAM_TILE
-        assert result["config"]["chunk"] == lil._STREAM_TILE // 64
+        assert result["config"]["tile_floats"] == _STREAM_TILE
+        assert result["config"]["chunk"] == _STREAM_TILE // 64
         assert result["config"]["partial_dtype"] == dtype
         assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
         assert 0.0 < result["flagged_fraction"] <= 1.0
@@ -48,3 +53,24 @@ def test_bench_cert_runs(tmp_path):
     assert 0 < calls["doob.shared"] < calls["doob.cold"]
     screen = result["screen_by_dim"]
     assert screen and all(c["cleared"] + c["eigvalsh"] > 0 for c in screen.values())
+
+
+def test_run_verifications_one_sweep(tmp_path):
+    """The sweep runner as a program, in a fresh working directory.  At seed 1
+    the two exp-moment trials include an ensemble trial, so the run goes
+    through the mirrored ensemble generator."""
+    src = str(Path(nclil.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_verifications.py"), "expineq",
+                           "--trials", "2", "--seed", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify-expineq: exit 0" in proc.stdout
+    out = tmp_path / "out" / "verify-expineq"
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["trials"] == 2 and summary["violations"] == 0
+    assert summary["checks"] == 2 * 3 * 20
+    with open(out / "trials.csv", newline="") as f:
+        carriers = {row["carrier"] for row in csv.DictReader(f)}
+    assert any(c.startswith("ensemble:") for c in carriers)

@@ -90,6 +90,16 @@ class TestExpineqSweep:
                 assert row["log_lhs"] == pytest.approx(0.0, abs=1e-9)
                 assert row["log_rhs"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("eps_values, message", [
+        ((0.1, 0.5, 0.1), "eps lists 0.1 more than once"),
+        ((0.5, -1.0), "eps must be positive"),
+        ((0.0,), "eps must be positive"),
+        ((float("nan"),), "eps must be positive"),
+    ])
+    def test_bad_eps_rejected(self, eps_values, message):
+        with pytest.raises(ConfigError, match=message):
+            sweep_expineq(trials=1, eps_values=eps_values, lambda_points=2)
+
     def test_workers_match_serial(self):
         serial = sweep_expineq(trials=4, lambda_points=3, seed=7, workers=1)
         parallel = sweep_expineq(trials=4, lambda_points=3, seed=7, workers=2)
