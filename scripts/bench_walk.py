@@ -5,22 +5,24 @@ One pass streams ``--chunks`` chunks x ``--paths`` paths through
 ``nclil.lil._walk`` with the engines' increment draw, in the streaming
 engines' own tile of ``nclil.martingales._STREAM_TILE`` entries
 (``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
-JSON ``config``, with the dtype of the partial sums the walk yields), and
-splits the wall time into three layers:
+JSON ``config``, with the dtype of the partial sums the walk yields and
+the size of the consumer's work buffer), and splits the wall time into
+three layers:
 
 - ``draw``: ``sample_step_increments`` for one chunk, through
   ``nclil.lil._iid_draw``, the iid draw that ``lil-run`` and
-  ``baseline-scalar`` make: unpacked bits of random 64-bit words written
-  as ±1 into the narrowest integer type that holds a chunk's sums for
-  rademacher, one double per path-step for uniform;
+  ``baseline-scalar`` make: the bytes of raw 64-bit words looked up as
+  eight ±1 each, into the narrowest integer type that holds a chunk's
+  sums, for rademacher, one double per path-step for uniform;
 - ``walk``: what ``_walk`` adds around the draw (the row adds that turn
   a chunk's steps into partial sums, integer for rademacher, and the
   carried sum);
 - ``consume``: the column max of |S_n| from the partials'
   column max and min (``nclil.lil._abs_top``) and the running max of
   |S_n| / sqrt(n L(n)) per path through ``nclil.lil._max_normalized``,
-  the consumer both streaming engines call, which forms and divides
-  only the paths whose running max can move.
+  the consumer both streaming engines call, which gathers and divides
+  only the paths whose running max can move, in batches through one work
+  buffer allocated per walk as the engines do (``nclil.lil._work_buffer``).
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
@@ -45,7 +47,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import _abs_top, _iid_draw, _max_normalized, _walk  # noqa: E402
+from nclil.lil import (_abs_top, _iid_draw, _max_normalized, _walk,  # noqa: E402
+                       _work_buffer)
 from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, _step_bound,  # noqa: E402
                                iterlog_seq)
 from nclil.rng import stream_rng  # noqa: E402
@@ -63,6 +66,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
     ns = np.arange(1, total + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))
     runmax = np.zeros(paths)
+    work = _work_buffer(paths)
     spent = dict.fromkeys(LAYERS, 0.0)
     flagged = 0
 
@@ -83,7 +87,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
         t1 = time.perf_counter()
         walked += t1 - t0
         flagged += _max_normalized(S, part, _abs_top(S, part), den[pos:pos + len(part)],
-                                   runmax)
+                                   runmax, work)
         spent["consume"] += time.perf_counter() - t1
     spent["walk"] = walked - spent["draw"]
     return {k: v / chunks for k, v in spent.items()}, flagged / (chunks * paths), str(part.dtype)
@@ -113,6 +117,7 @@ def main(argv=None) -> int:
     result = {
         "unit": "s per chunk",
         "config": {"tile_floats": _STREAM_TILE, "chunk": chunk, "partial_dtype": dtypes[0],
+                   "work_floats": len(_work_buffer(args.paths)),
                    **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
         "flagged_fraction": statistics.fmean(fractions),

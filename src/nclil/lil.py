@@ -20,7 +20,7 @@ The streaming engine and the scalar baseline draw iid steps and sum them
 with one chunked walker, ``_walk``, whose buffer is one cache-sized tile
 of ``_STREAM_TILE`` entries.  A unit rademacher walk sums its chunks as
 exact small integers; both consumers form floats only for the paths whose
-running max can move.
+running max can move, gathered in batches into one work buffer per walk.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class LILParameters:
             raise ConfigError(
                 f"beta^2(1+delta)^2/(4(1+eps)) = {exponent:.6g} <= 1: "
                 "the block series cannot converge")
+        if not math.isfinite(self.threshold):
+            raise ConfigError("threshold beta(1+delta_prime) overflows a float")
 
     @property
     def series_exponent(self) -> float:
@@ -346,8 +348,13 @@ def _abs_top(S: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.maximum(top, low, out=top)
 
 
+def _work_buffer(paths: int) -> np.ndarray:
+    """_max_normalized's work buffer: a quarter tile, at least a chunk column, its S and best."""
+    return np.empty(max(_STREAM_TILE // 4, _STREAM_TILE // paths + 2))
+
+
 def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarray,
-                    best: np.ndarray) -> int:
+                    best: np.ndarray, work: np.ndarray) -> int:
     """best <- max(best, max_k |S + P[k]| / den[k]) per column, in place; returns
     the number of columns divided.
 
@@ -356,27 +363,21 @@ def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarr
     Correctly rounded division is monotone in both arguments, so a column
     with top / min(den) <= best holds no quotient above best and is left
     alone; the result equals a divide-then-max of the whole block bit for
-    bit.  Only flagged columns become floats: when at most a quarter are
-    flagged, those are gathered as |S[hit] + P[:, hit]| and divided; with
-    more (as on a first tile, where best is -inf) the whole block is.
+    bit.  Only flagged columns become floats, gathered in batches into the
+    float64 ``work`` buffer at k + 2 entries a column (P's k, S, best).
     """
     hit = np.flatnonzero(top / den.min() > best)
-    flagged = len(hit)
-    if 4 * flagged > len(best):
-        q = S + P
+    k = len(den)
+    batch = len(work) // (k + 2)
+    for i in range(0, len(hit), batch):
+        ix = hit[i:i + batch]
+        w = work[:(k + 2) * len(ix)].reshape(k + 2, -1)
+        q, s, b = w[:k], S.take(ix, out=w[k]), best.take(ix, out=w[k + 1])
+        np.add(P.take(ix, axis=1), s, out=q)
         np.abs(q, out=q)
         q /= den[:, None]
-        np.maximum(best, q.max(axis=0), out=best)
-    elif flagged:
-        # Repeating flagged columns up to a power of two leaves every max as it
-        # is and gives the transients few sizes: with one size per flag count the
-        # heap fragments, and over 30 runs peak RSS crept up by about 1 MiB.
-        hit = np.resize(hit, 1 << (flagged - 1).bit_length())
-        q = S[hit] + P[:, hit]
-        np.abs(q, out=q)
-        q /= den[:, None]
-        best[hit] = np.maximum(best[hit], q.max(axis=0))
-    return flagged
+        best[ix] = np.maximum(q.max(axis=0, out=s), b, out=s)
+    return len(hit)
 
 
 def _checkpoint_steps(total: int, count: int) -> np.ndarray:
@@ -522,7 +523,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         snapshots = np.zeros((n_sections, P))      # prefix max of |S| at each ks[i+1]
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_rows = np.zeros((len(cp_steps), P))
-        sec = 0
+        sec, work = 0, _work_buffer(P)
         for pos, S, part in _walk(draw, P, total):
             take = len(part)
             lo_cp = np.searchsorted(cp_steps, pos, side="right")
@@ -540,7 +541,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
                     rows = part[a - pos:b - pos]
                     top = _abs_top(S, rows)
                     np.maximum(prefix, top, out=prefix)
-                    _max_normalized(S, rows, top, norm[a:b], blockmax[sec])
+                    _max_normalized(S, rows, top, norm[a:b], blockmax[sec], work)
                 if int(ks[sec + 1]) <= pos + take:
                     snapshots[sec] = prefix
                     sec += 1
@@ -687,14 +688,13 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
                      _step_bound(cfg.law, 1.0), P)
     ns = np.arange(lo + 1, N + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))           # den[i] normalizes step lo + 1 + i
-    runmax = np.zeros(P)
+    runmax, work = np.zeros(P), _work_buffer(P)
     for pos, S, part in _walk(draw, P, N):
-        take = len(part)
-        if pos + take > lo:
-            first = max(lo + 1, pos + 1)
-            rows = part[first - pos - 1:]
-            _max_normalized(S, rows, _abs_top(S, rows), den[first - lo - 1:pos + take - lo],
-                            runmax)
+        end = pos + len(part)                      # the chunk's last step
+        if end > lo:
+            rows = part[max(lo - pos, 0):]
+            _max_normalized(S, rows, _abs_top(S, rows), den[end - lo - len(rows):end - lo],
+                            runmax, work)
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

@@ -39,7 +39,9 @@ from .rng import stream_rng
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
 MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
-_U64_MAX = np.iinfo(np.uint64).max
+
+# Row b: the eight ±1 int8 signs of the bits of byte b, lowest first, as one uint64.
+_SIGNS = (2 * (np.arange(256)[:, None] >> np.arange(8) & 1) - 1).astype(np.int8).view(np.uint64)
 
 # Entries in every ensemble loop's buffer: 1 MiB of floats, 32 steps at 4096
 # paths, so the draw, the partial sums and the consumer's passes over a chunk
@@ -314,15 +316,16 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
     """(steps, paths) block of iid centered bounded increments, |d| <= scale.
 
     The streaming engines' draw.  A rademacher step takes its signs from
-    the bits of ceil(paths / 64) whole 64-bit words, turned into ±1 and
-    scaled; a uniform one takes one double per path.  So the draws of step
-    k never depend on how the steps are split into blocks.  The block is
-    written into ``out`` (a C-contiguous (steps, paths) array, returned)
-    when given, else into a fresh float64 array; the draws are the same
-    either way.  ``out`` is float64 or, for a rademacher draw at unit scale
-    only, a signed integer type, which takes the ±1 with no float cast so
-    the walk can sum them as exact small integers.  An ``out`` of any other
-    dtype is a ShapeError.
+    the bits of ceil(paths / 64) whole raw words of the bit generator (a
+    full-range ``rng.integers``' words), one table lookup of eight ±1 per
+    byte, then scaled; a uniform one takes one double per path.  So the
+    draws of step k never depend on how the steps are split into blocks.
+    The block is written into ``out`` (a C-contiguous (steps, paths) array,
+    returned) when given, else into a fresh float64 array; the draws are
+    the same either way.  ``out`` is float64 or, for a rademacher draw at
+    unit scale only, a signed integer type, which takes the ±1 with no
+    float cast so the walk can sum them as exact small integers.  An
+    ``out`` of any other dtype is a ShapeError.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
@@ -330,17 +333,14 @@ def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
         out = np.empty((steps, paths))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
-    if out.dtype != np.float64 and not (law == "rademacher" and scale == 1.0
-                                        and np.issubdtype(out.dtype, np.signedinteger)):
+    if out.dtype != np.float64 and (law, scale, out.dtype.kind) != ("rademacher", 1.0, "i"):
         raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw at scale {scale}")
     if law == "rademacher":
-        w = rng.integers(0, _U64_MAX, size=(steps, -(-paths // 64)), dtype=np.uint64,
-                         endpoint=True)
-        bits = np.unpackbits(w.view(np.uint8), axis=1, count=paths, bitorder="little")
-        signs = bits.view(np.int8)
-        signs *= 2                             # 0/1 -> -1/+1 in place, then one copy
-        signs -= 1
-        out[:] = signs
+        raw = rng.bit_generator.random_raw((steps, -(-paths // 64))).view(np.uint8)
+        if out.dtype == np.int8 and paths % 64 == 0:    # lookup into out; "clip" avoids a copy
+            _SIGNS.take(raw, out=out.view(np.uint64), mode="clip")
+        else:
+            out[:] = _SIGNS.take(raw).view(np.int8)[:, :paths]
         if scale != 1.0:                       # ±1 are already exact at unit scale
             out *= scale
     else:

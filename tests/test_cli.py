@@ -269,6 +269,7 @@ class TestConfigErrors:
         ["verify-dualdoob", "--trials-per-kind", "1", "--p", "1.5,1.5"],
         ["lil-run", "--beta", "1e200"],
         ["lil-run", "--delta", "1e308"],
+        ["lil-run", "--horizon", "20000", "--paths", "64", "--delta-prime", "1e308"],
         ["lil-run", "--window-decades", "1e308"],
         ["lil-run", "--window-decades", "308.5"],
     ], ids=":".join)

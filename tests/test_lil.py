@@ -46,6 +46,13 @@ class TestParameters:
     def test_threshold(self):
         assert LILParameters(delta_prime=0.1).threshold == pytest.approx(2.2)
 
+    def test_threshold_must_be_finite(self):
+        """An infinite threshold would pass the limsup gate whatever the walk did."""
+        with pytest.raises(ConfigError, match="delta_prime"):
+            LILParameters(delta_prime=1e308)
+        edge = LILParameters(beta=2.0, delta_prime=8e307)
+        assert math.isfinite(edge.threshold)
+
 
 class TestStreamingEngine:
     def test_deterministic_json(self):
@@ -437,17 +444,19 @@ def _assert_chunks(draws, rows):
 class TestMaxNormalized:
     """The consumers' screened divide against a full divide-then-max of
     |S + partials|, bit for bit; every case runs on the walk's integer
-    partials (int8) and on float64 ones."""
+    partials (int8, int16) and on float64 ones."""
 
-    DTYPES = (np.int8, np.float64)
+    DTYPES = (np.int8, np.int16, np.float64)
 
     @staticmethod
-    def run(S, part, den, best):
-        """(flagged, best after) of the helper, checked against the reference;
-        S and the partials are left as they were."""
+    def run(S, part, den, best, columns=None):
+        """(flagged, best after) of the helper, checked against the reference,
+        with a work buffer of ``columns`` batch columns (default: all of
+        them); S and the partials are left as they were."""
         expected = np.maximum(best, (np.abs(S + part) / den[:, None]).max(axis=0))
         S0, part0, best = S.copy(), part.copy(), best.copy()
-        flagged = _max_normalized(S, part, _abs_top(S, part), den, best)
+        work = np.full((len(den) + 2) * (columns or len(S)), np.nan)
+        flagged = _max_normalized(S, part, _abs_top(S, part), den, best, work)
         np.testing.assert_array_equal(best, expected)
         np.testing.assert_array_equal(S, S0)
         np.testing.assert_array_equal(part, part0)
@@ -456,8 +465,8 @@ class TestMaxNormalized:
     @staticmethod
     def block(seed, dtype, steps=7, paths=64):
         """Carried sums S and the partials of a short rademacher stretch after
-        them (unit steps as int8, steps of sqrt(0.37) as float64), with their
-        sqrt(n L(n)) normalizers."""
+        them (unit steps as integers, steps of sqrt(0.37) as float64), with
+        their sqrt(n L(n)) normalizers."""
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1, 1], size=(steps, paths))
         S = rng.integers(-40, 41, size=paths).astype(np.float64)
@@ -474,9 +483,7 @@ class TestMaxNormalized:
             S, part, _ = self.block(0, dtype)
             np.testing.assert_array_equal(_abs_top(S, part), np.abs(S + part).max(axis=0))
 
-    def test_minus_inf_start_divides_in_place(self):
-        """A -inf start flags every column, so the whole block is formed and
-        divided in place."""
+    def test_minus_inf_start_flags_every_column(self):
         for dtype in self.DTYPES:
             S, part, den = self.block(1, dtype)
             flagged, _ = self.run(S, part, den, np.full(len(S), -np.inf))
@@ -519,20 +526,41 @@ class TestMaxNormalized:
             assert flagged == 1
             assert got[3] == 2.5 and np.all(np.delete(got, 3) == 1.0)
 
+    @pytest.mark.parametrize("columns", [1, 3, 7])
+    def test_batches_with_a_partial_last_one(self, columns):
+        """A buffer of a few columns: the 64 flagged columns of a -inf start go
+        through it in several batches, the last one partial at 3 and 7."""
+        for dtype in self.DTYPES:
+            S, part, den = self.block(7, dtype, steps=9)
+            flagged, _ = self.run(S, part, den, np.full(len(S), -np.inf), columns)
+            assert flagged == len(S)
+            best = _abs_top(S, part) / den.min()     # the screen's own bound ...
+            best[::5] *= 0.9                         # ... below it at 13 columns
+            assert self.run(S, part, den, best, columns)[0] == 13
+
     @pytest.mark.parametrize("seed", range(6))
     def test_both_branches(self, seed):
         """A best drawn around the block's own quotients flags a few columns
-        (gathered) or many (the whole block formed and divided)."""
+        (one batch of a quarter of them) or many (several batches)."""
         for dtype in self.DTYPES:
             S, part, den = self.block(seed, dtype, steps=11, paths=200)
             full = (np.abs(S + part) / den[:, None]).max(axis=0)
             rng = np.random.default_rng(seed)
-            for share, gathered in ((0.1, True), (0.6, False)):
+            for share, one_batch in ((0.1, True), (0.6, False)):
                 best = full * rng.uniform(1.0, 1.2, size=full.size)
                 best[rng.random(full.size) < share] *= 0.8
-                flagged, _ = self.run(S, part, den, best)
+                flagged, _ = self.run(S, part, den, best, columns=full.size // 4)
                 assert 0 < flagged
-                assert (4 * flagged <= full.size) == gathered
+                assert (4 * flagged <= full.size) == one_batch
+
+    @pytest.mark.parametrize("paths", [2, 4, 4096])
+    def test_work_buffer_holds_a_chunk_column(self, paths):
+        """A quarter tile, or one whole chunk column when the chunk is taller
+        (65536 rows at 2 paths, 32768 at 4), with its S and best entries."""
+        rows = lil._STREAM_TILE // paths
+        work = lil._work_buffer(paths)
+        assert len(work) // (rows + 2) >= 1
+        assert len(work) == max(lil._STREAM_TILE // 4, rows + 2)
 
 
 class TestWalkRegression:
@@ -600,6 +628,46 @@ class TestWalkRegression:
         for dtypes in (self.check_report(monkeypatch, "rademacher", 1.0, 4096, rows, 1000),
                        self.check_baseline(monkeypatch, "rademacher", 4096, rows, 1000)):
             assert dtypes == {np.dtype(np.int8)}
+
+
+class TestTallChunks:
+    """At 2 and 4 paths the engines' own tile walks in chunks of 65536 and
+    32768 rows, at least as many as a quarter tile's work buffer holds; the
+    consumers still take a whole chunk column in one call, and match the
+    reference walk."""
+
+    @staticmethod
+    def tallest_call(monkeypatch):
+        """A list that collects the row count of every consumer call."""
+        heights = []
+        screened = lil._max_normalized
+
+        def recording(S, P, top, den, best, work):
+            heights.append(len(den))
+            return screened(S, P, top, den, best, work)
+
+        monkeypatch.setattr(lil, "_max_normalized", recording)
+        return heights
+
+    @pytest.mark.parametrize("paths, rows", [(2, 65536), (4, 32768)])
+    def test_streaming_report(self, monkeypatch, paths, rows):
+        heights = self.tallest_call(monkeypatch)
+        draws = _patch_tile(monkeypatch, lil._STREAM_TILE)
+        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=10 * rows,
+                           paths=paths, seed=4, strict=False)
+        got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, rows)
+        assert len(_assert_chunks(draws, rows)) == 1 and max(heights) == rows
+        assert json.dumps(got.to_json(), sort_keys=True) == \
+               json.dumps(ref.to_json(), sort_keys=True)
+        np.testing.assert_array_equal(got.e.diag_array(), ref.e.diag_array())
+
+    @pytest.mark.parametrize("paths, rows", [(2, 65536), (4, 32768)])
+    def test_baseline_per_path(self, monkeypatch, paths, rows):
+        heights = self.tallest_call(monkeypatch)
+        assert paths * rows == lil._STREAM_TILE
+        assert TestWalkRegression.check_baseline(monkeypatch, "rademacher", paths, rows,
+                                                 3 * rows) == {np.dtype(np.int32)}
+        assert max(heights) == rows
 
 
 class TestChunkInvariance:

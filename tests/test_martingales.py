@@ -129,6 +129,26 @@ class TestSampling:
         bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
         np.testing.assert_array_equal(block, np.where(bits == 1, scale, -scale))
 
+    @pytest.mark.parametrize("paths", [1, 2, 63, 64, 65, 4094])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_sign_table_matches_unpackbits(self, paths, steps):
+        """The byte-table signs equal the unpacked bits of full-range words,
+        and each draw consumes the same number of raw words; at 64 paths an
+        int8 ``out`` is filled by the lookup itself."""
+        cases = [(dtype, 1.0) for dtype in (np.int8, np.int16, np.float64)]
+        cases.append((np.float64, math.sqrt(0.37)))
+        for seed, (dtype, scale) in enumerate(cases):
+            rng, ref = stream_rng(seed, label="signs"), stream_rng(seed, label="signs")
+            got = sample_step_increments(rng, "rademacher", scale, paths=paths, steps=steps,
+                                         out=np.empty((steps, paths), dtype=dtype))
+            words = ref.integers(0, np.iinfo(np.uint64).max, size=(steps, -(-paths // 64)),
+                                 dtype=np.uint64, endpoint=True)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, np.where(bits == 1, scale, -scale))
+            np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
+                                          ref.bit_generator.random_raw(3))
+
     def test_iid_uniform_bounded(self):
         block = sample_step_increments(stream_rng(3), "uniform", 0.7, paths=70, steps=400)
         assert np.max(np.abs(block)) <= 0.7

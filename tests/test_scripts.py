@@ -28,7 +28,8 @@ def _load(name):
 
 def test_bench_walk_times_the_engines_tile(tmp_path):
     """Both laws, so both kinds of partials: integer (rademacher, 2048 steps
-    a chunk at 64 paths) and float64 (uniform)."""
+    a chunk at 64 paths) and float64 (uniform), with the engines' work
+    buffer of a quarter tile."""
     bench_walk = _load("bench_walk")
     for law, dtype in (("rademacher", "int16"), ("uniform", "float64")):
         out = tmp_path / f"walk-{law}.json"
@@ -39,6 +40,7 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
         assert result["config"]["tile_floats"] == _STREAM_TILE
         assert result["config"]["chunk"] == _STREAM_TILE // 64
         assert result["config"]["partial_dtype"] == dtype
+        assert result["config"]["work_floats"] == max(_STREAM_TILE // 4, _STREAM_TILE // 64 + 2)
         assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
         assert 0.0 < result["flagged_fraction"] <= 1.0
 
