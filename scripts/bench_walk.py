@@ -23,11 +23,16 @@ three layers:
   the consumer both streaming engines call, which gathers and divides
   only the paths whose running max can move, in batches through one work
   buffer allocated per walk as the engines do (``nclil.lil._work_buffer``).
+  As in ``lil-run`` at its defaults (unit variance, eta 1.5), the running
+  max restarts at -inf at each eta-adic boundary of the bracket
+  (``nclil.martingales.stopping_indices``), and a chunk that straddles
+  one is consumed in two calls; the ``boundaries`` crossed are recorded
+  in ``config``.
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
-``flagged_fraction`` is the mean over the chunks of all passes of the
-share of paths the consumer divided.
+``flagged_fraction`` is the mean over the consumer calls of all passes of
+the share of paths divided.
 
     PYTHONPATH=src python scripts/bench_walk.py --repeats 5 --out walk.json
 """
@@ -47,28 +52,36 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import (_abs_top, _iid_draw, _max_normalized, _walk,  # noqa: E402
-                       _work_buffer)
+from nclil.lil import (LILParameters, _abs_top, _iid_draw,  # noqa: E402
+                       _max_normalized, _walk, _work_buffer)
 from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, _step_bound,  # noqa: E402
-                               iterlog_seq)
+                               iterlog_seq, stopping_indices)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
 
 
+def section_ends(total: int) -> list:
+    """Ends of lil-run's sections within steps 1..total at its default unit
+    variance: the eta-adic boundaries of the bracket s^2_n = n, then total."""
+    ns = np.arange(1, total + 1, dtype=np.float64)
+    return [*stopping_indices(ns, LILParameters().eta).ks[1:].tolist(), total]
+
+
 def one_pass(law: str, paths: int, chunk: int, chunks: int,
              seed: int) -> tuple[dict, float, str]:
     """Seconds per layer for one walk over chunks x chunk steps, the mean
-    share of paths the consumer divided per chunk, and the partials' dtype."""
+    share of paths the consumer divided per call, and the partials' dtype."""
     total = chunks * chunk
     iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, _step_bound(law, 1.0),
                     paths)
     ns = np.arange(1, total + 1, dtype=np.float64)
     den = np.sqrt(ns * iterlog_seq(ns))
-    runmax = np.zeros(paths)
+    ends = section_ends(total)
+    runmax = np.full(paths, -np.inf)
     work = _work_buffer(paths)
     spent = dict.fromkeys(LAYERS, 0.0)
-    flagged = 0
+    flagged = calls = sec = 0
 
     def draw(pos, take, out):
         t0 = time.perf_counter()
@@ -86,11 +99,19 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
             break
         t1 = time.perf_counter()
         walked += t1 - t0
-        flagged += _max_normalized(S, part, _abs_top(S, part), den[pos:pos + len(part)],
-                                   runmax, work)
+        lo, end = pos, pos + len(part)
+        while lo < end:                            # the chunk's pieces, one per section
+            hi = min(ends[sec], end)
+            rows = part[lo - pos:hi - pos]
+            flagged += _max_normalized(S, rows, _abs_top(S, rows), den[lo:hi], runmax, work)
+            calls += 1
+            if hi == ends[sec]:                    # the section ends: its max restarts
+                runmax.fill(-np.inf)
+                sec += 1
+            lo = hi
         spent["consume"] += time.perf_counter() - t1
     spent["walk"] = walked - spent["draw"]
-    return {k: v / chunks for k, v in spent.items()}, flagged / (chunks * paths), str(part.dtype)
+    return {k: v / chunks for k, v in spent.items()}, flagged / (calls * paths), str(part.dtype)
 
 
 def main(argv=None) -> int:
@@ -103,8 +124,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=None, help="write the JSON here too")
     args = ap.parse_args(argv)
-    if min(args.paths, args.chunks, args.repeats) < 1 or args.paths % 2:
-        ap.error("sizes must be >= 1 and --paths even")
+    if min(args.paths, args.chunks, args.repeats) < 1:
+        ap.error("sizes must be >= 1")
     chunk = max(1, _STREAM_TILE // args.paths)          # steps per chunk of the engines' walk
 
     one_pass(args.law, args.paths, chunk, 1, args.seed)             # warm-up
@@ -118,6 +139,7 @@ def main(argv=None) -> int:
         "unit": "s per chunk",
         "config": {"tile_floats": _STREAM_TILE, "chunk": chunk, "partial_dtype": dtypes[0],
                    "work_floats": len(_work_buffer(args.paths)),
+                   "boundaries": len(section_ends(chunk * args.chunks)) - 1,
                    **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
         "flagged_fraction": statistics.fmean(fractions),

@@ -9,7 +9,7 @@ decomposition argument behind the almost-uniform iterated-logarithm
 bound, next to a classical scalar calibration run.
 """
 
-from .errors import (ConfigError, DomainError, HypothesisViolation,
+from .errors import (ConfigError, HypothesisViolation,
                      InsufficientHorizonError, NclilError, ShapeError)
 from .filtration import (AlgebraModel, CEAxiomReport, conditional_expectation,
                          random_full_element, random_level_element,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraModel", "BaselineConfig", "BaselineReport",
     "BlockBound", "BlockRow", "CEAxiomReport", "ChebyshevResult",
-    "ColumnNormBounds", "ConfigError", "DomainError", "DoobCheck",
+    "ColumnNormBounds", "ConfigError", "DoobCheck",
     "DualDoobCheck", "ExpIneqParams", "ExpMomentResult",
     "HypothesisViolation", "InsufficientHorizonError", "LILParameters",
     "LILRunConfig", "MartingalePath", "NclilError", "Operator",

@@ -1,20 +1,23 @@
 """Command-line harness: one command table, one resolve path, one emit path.
 
 COMMANDS maps each subcommand to its help text, its config keys (each a
-coercer and a default) and a runner.  main() takes every command through
-the same steps: parse the flags, one ``--key-with-dashes`` per key plus
-``--out``, ``--config`` and the command's switches; resolve defaults <
+coercer and a default), a runner and its switches.  main() takes every
+command through the same steps: parse the flags, one ``--key-with-dashes``
+per key plus ``--out``, ``--config`` and the command's switches (each sets
+a boolean key to the opposite of its default); resolve defaults <
 ``--config`` JSON file < flags; coerce every value through its key's
-coercer, wherever it came from, so that a bad value is a ConfigError
-naming the key (exit 1); echo the values to resolved-config.json; call
-the runner; write summary.json, the runner's CSVs and, when a check
-failed, reproducer.json naming the offending trials (exit 2).
+coercer, wherever it came from, so that a bad value is a ConfigError naming
+the key (exit 1, as is a run too large for memory); echo the values to
+resolved-config.json; call the runner on them; write summary.json, the
+runner's CSVs and, when a check failed, reproducer.json naming the
+offending trials (exit 2).
 
 Each default is stated once, next to the code that uses it: in the config
-dataclasses of lil-run, baseline-scalar and demo-semicircular, and in the
-signatures of the verify sweeps.  Runners look their entry points up
-through the module at call time, so a wrapper installed on the module
-attribute (a tracer, for instance) sees every call.
+dataclasses of lil-run, baseline-scalar and demo-semicircular, in the
+signatures of the verify sweeps, and in COMMANDS for ks_tol and per_path.
+Runners look their entry points up through the module at call time, so a
+wrapper installed on the module attribute (a tracer, for instance) sees
+every call.
 """
 
 from __future__ import annotations
@@ -138,15 +141,15 @@ class Outcome:
 class Command:
     help: str
     keys: dict                    # key -> (coercer, default)
-    run: Callable                 # (resolved config, parsed flags) -> Outcome
-    switches: tuple = ()          # (flag, key it sets to False or None, help)
+    run: Callable                 # resolved config -> Outcome
+    switches: tuple = ()          # (flag, bool key it sets to not its default, help)
 
 
 def _sweep(text: str, fn_name: str, coercers: dict, rename: dict | None = None) -> Command:
     """Command running verify.<fn_name>; ``rename`` maps keys to its parameter names."""
     rename = rename or {}
 
-    def run(cfg: dict, args) -> Outcome:
+    def run(cfg: dict) -> Outcome:
         res = getattr(verify, fn_name)(**{rename.get(k, k): v for k, v in cfg.items()})
         return Outcome(res.to_json(), {"trials.csv": res.rows},
                        f"{len(res.rows)} checks, {len(res.violations)} violations",
@@ -162,7 +165,7 @@ _LIL_RUN = {"horizon": _int, "paths": _int, "law": _str, "variance": _float, "se
             "generator": _str, "bound_scale": _float, "strict": _bool}
 
 
-def _lil_run(cfg: dict, args) -> Outcome:
+def _lil_run(cfg: dict) -> Outcome:
     run = {k: cfg[k] for k in _LIL_RUN}
     run["model"] = None if run["model"] is None else AlgebraModel(**run["model"])
     report = lil.run_lil_experiment(lil.LILRunConfig(
@@ -183,17 +186,18 @@ def _lil_run(cfg: dict, args) -> Outcome:
         "" if report.bc["ok"] else "summability wiring check failed", {"bc": report.bc})
 
 
-def _baseline(cfg: dict, args) -> Outcome:
-    rep = lil.scalar_kolmogorov_baseline(lil.BaselineConfig(**cfg))
+def _baseline(cfg: dict) -> Outcome:
+    rep = lil.scalar_kolmogorov_baseline(lil.BaselineConfig(
+        **{k: v for k, v in cfg.items() if k != "per_path"}))
     csvs = {}
-    if args.per_path:
+    if cfg["per_path"]:
         csvs["paths.csv"] = [{"path": i, "runmax": float(v)} for i, v in enumerate(rep.per_path)]
     flag = " (pre-asymptotic horizon)" if rep.preasymptotic else ""
     return Outcome(rep.to_json(), csvs, f"median={rep.median:.4f} q90={rep.q90:.4f} "
                                         f"frac>2={rep.frac_above_2:.4f}{flag}")
 
 
-def _semicircle(cfg: dict, args) -> Outcome:
+def _semicircle(cfg: dict) -> Outcome:
     cfg = dict(cfg)
     ks_tol = cfg.pop("ks_tol")
     rep = lil.semicircular_demo(lil.SemicircleConfig(
@@ -231,8 +235,9 @@ COMMANDS = {
         (("--allow-uncertified", "strict", "keep uncertified blocks instead of failing"),)),
     "baseline-scalar": Command(
         "classical random-walk calibration",
-        _keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str, "seed": _int}),
-        _baseline, (("--per-path", None, "write per-path maxima"),)),
+        {**_keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str, "seed": _int}),
+         "per_path": (_bool, False)},
+        _baseline, (("--per-path", "per_path", "write per-path maxima to paths.csv"),)),
     "demo-semicircular": Command(
         "matrix sum edge statistics",
         {**_keys(lil.SemicircleConfig, {"size": _int, "checkpoints": _list(_int),
@@ -257,10 +262,8 @@ def build_parser() -> _Parser:
                 sp.add_argument("--" + key.replace("_", "-"), dest=key,
                                 help=f"default {default}")
         for flag, key, text in cmd.switches:
-            if key is None:
-                sp.add_argument(flag, action="store_true", help=text)
-            else:
-                sp.add_argument(flag, dest=key, action="store_const", const=False, help=text)
+            sp.add_argument(flag, dest=key, action="store_const", const=not cmd.keys[key][1],
+                            help=text)
     return parser
 
 
@@ -300,7 +303,7 @@ def _emit(name: str, cmd: Command, cfg: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved-config.json", {"command": name, **cfg})
     started = time.perf_counter()
-    res = cmd.run(cfg, args)
+    res = cmd.run(cfg)
     _write_json(out / "summary.json",
                 {**res.summary, "runtime_seconds": time.perf_counter() - started})
     for fname, rows in res.csvs.items():
@@ -322,6 +325,9 @@ def main(argv=None) -> int:
         return _emit(args.command, cmd, _resolve(cmd.keys, args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:      # a size the machine cannot hold is bad input too
+        print("config error: out of memory, shrink the run:", exc, file=sys.stderr)
         return 1
     except NclilError as exc:
         print(f"error: {exc}", file=sys.stderr)

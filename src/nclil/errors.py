@@ -9,10 +9,6 @@ class ConfigError(NclilError):
     """Invalid parameters or configuration (CLI exit code 1)."""
 
 
-class DomainError(NclilError):
-    """Functional calculus applied outside the function's domain."""
-
-
 class ShapeError(NclilError):
     """Dimension or storage mismatch between operators and models."""
 

@@ -25,7 +25,7 @@ multiplicity m^(n-k) in the model's own layout (y (x) 1 for tensor,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class AlgebraModel:
     @property
     def dim(self) -> int:
         return self.m ** self.n
-
-    @property
-    def levels(self) -> range:
-        return range(self.n + 1)
 
     def level_dim(self, k: int) -> int:
         return self.m ** k
@@ -131,30 +127,20 @@ def conditional_expectation(model: AlgebraModel, x: Operator, k: int) -> Operato
     return Operator(y, hermitian=x.hermitian, mult=model.dim // da, layout=model.kind)
 
 
-def random_level_element(model: AlgebraModel, k: int, rng: np.random.Generator,
-                         hermitian: bool = True, positive: bool = False) -> Operator:
-    """Random element of the level-k subalgebra, O(1)-normalized."""
+def random_level_element(model: AlgebraModel, k: int, rng: np.random.Generator) -> Operator:
+    """Random hermitian element of the level-k subalgebra, O(1)-normalized."""
     _check_level(model, k)
     d = model.level_dim(k)
     rest = model.dim // d
     if model.kind == "diagonal":
-        v = rng.standard_normal(d)
-        if positive:
-            v = np.abs(v)
-        return Operator(np.repeat(v, rest), hermitian=True, diagonal=True)
+        return Operator(np.repeat(rng.standard_normal(d), rest), hermitian=True, diagonal=True)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    y = (g + g.conj().T) / (2.0 * np.sqrt(d))
-    if positive:
-        y = y @ y.conj().T  # hermitian square, psd
-        y = 0.5 * (y + y.conj().T)
-    if not hermitian and not positive:
-        y = g / np.sqrt(d)
-    return Operator(y, hermitian=hermitian or positive, mult=rest, layout=model.kind)
+    return Operator((g + g.conj().T) / (2.0 * np.sqrt(d)), hermitian=True, mult=rest,
+                    layout=model.kind)
 
 
-def random_full_element(model: AlgebraModel, rng: np.random.Generator,
-                        hermitian: bool = True) -> Operator:
-    return random_level_element(model, model.n, rng, hermitian=hermitian)
+def random_full_element(model: AlgebraModel, rng: np.random.Generator) -> Operator:
+    return random_level_element(model, model.n, rng)
 
 
 @dataclass
@@ -211,7 +197,7 @@ def verify_ce_axioms(model: AlgebraModel, samples: int = 100, seed: int = 0) -> 
     for _ in range(samples):
         k = int(rng.integers(0, model.n + 1))
         j = int(rng.integers(0, k + 1))
-        x = random_full_element(model, rng, hermitian=True)
+        x = random_full_element(model, rng)
         a = random_level_element(model, k, rng)
         b = random_level_element(model, k, rng)
         ex = conditional_expectation(model, x, k)

@@ -19,7 +19,7 @@ import numpy as np
 from . import operators as op
 from .errors import ConfigError, HypothesisViolation, NclilError, ShapeError
 from .filtration import AlgebraModel, conditional_expectation
-from .martingales import MD_RESIDUAL_TOL, MartingalePath, iterlog
+from .martingales import MD_RESIDUAL_TOL, MartingalePath
 from .operators import Operator
 
 CENTER_TOL = 1e-9       # hypothesis i: |tau(x_n)|
@@ -382,32 +382,25 @@ class DualDoobCheck:
     holds: bool
 
 
-def dual_doob_check(model: AlgebraModel, positives: Sequence[Operator], p: float,
-                    levels: Sequence[int] | None = None) -> DualDoobCheck:
+def dual_doob_check(model: AlgebraModel, positives: Sequence[Operator],
+                    p: float) -> DualDoobCheck:
     """Check ||sum_i E_i(a_i)||_p <= 2^{2(p-1)/p} ||sum_i a_i||_p, p in [1, 2].
 
-    The a_i must be positive; levels defaults to 1..len(a) and must be
-    nondecreasing within the model's tower.  At p = 1 the constant is 1
-    and both sides agree by trace preservation.
+    The a_i must be positive, and a_i is projected onto level i of the
+    model's tower, i = 1..len(a).  At p = 1 the constant is 1 and both
+    sides agree by trace preservation.
     """
     if not 1.0 <= p <= 2.0:
         raise ConfigError(f"p must lie in [1, 2], got {p}")
     if len(positives) == 0:
         raise ConfigError("need at least one operator")
-    if levels is None:
-        levels = list(range(1, len(positives) + 1))
-    levels = [int(k) for k in levels]
-    if len(levels) != len(positives):
-        raise ConfigError("one level per operator required")
-    if any(b < a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("levels must be nondecreasing")
     for a in positives:
         if not a.hermitian:
             raise NclilError("summands must be hermitian")
         floor = -1e-10 * (1.0 + op.lp_norm(a, np.inf))
         if op.min_eigenvalue(a) < floor:
             raise NclilError("summands must be positive semidefinite")
-    projected = sum(conditional_expectation(model, a, k) for a, k in zip(positives, levels))
+    projected = sum(conditional_expectation(model, a, k) for k, a in enumerate(positives, 1))
     total = sum(positives)
     lhs = op.lp_norm(projected, p)
     cp = 2.0 ** (2.0 * (p - 1.0) / p)
@@ -470,15 +463,14 @@ class ChebyshevResult:
 
 
 def chebyshev_bound(xs: Sequence[Operator], t: float, p: float,
-                    bounds: ColumnNormBounds | None = None) -> ChebyshevResult:
+                    bounds: ColumnNormBounds) -> ChebyshevResult:
     """Constructive Chebyshev: tau(1 - e) <= t^{-p} ||certificate||_p^p.
 
-    With b the certificate and e its spectral projection below t, the
-    claim is the per-eigenvalue identity 1_{(t, inf)}(b) <= (b/t)^p traced
-    out, so the residual rhs - s must never go below -1e-10.
+    ``bounds`` is the family's column-norm enclosure; with b its
+    certificate and e the spectral projection of b below t, the claim is
+    the per-eigenvalue identity 1_{(t, inf)}(b) <= (b/t)^p traced out, so
+    the residual rhs - s must never go below -1e-10.
     """
-    if bounds is None:
-        bounds = column_maximal_norm_bounds(xs, p=max(p, 2.0))
     pr = probc_upper(xs, t, bounds.certificate)
     norm_b = op.lp_norm(bounds.certificate, p) if p != bounds.p else bounds.upper
     if norm_b == 0.0:
@@ -534,9 +526,6 @@ class BlockBound:
     bound_exact <= bound_final has to pay for, so the comparison needs
     c (ell - ln ell) >= ln 8, an index condition reported as gate_ell
     alongside the p >= 4 and alpha-cap gates.
-    lam_iterlog is the tilt the iterated-logarithm normalizer would give;
-    its ratio to lam is reported because the two differ by orders of
-    magnitude and only the surrogate keeps the closed-form chain valid.
     """
 
     n: int
@@ -554,12 +543,6 @@ class BlockBound:
     gate_p: bool
     gate_ell: bool = False
     gate_alpha: bool | None = None
-    alpha_cap: float = 0.0
-    mid: float | None = None
-    chain_exact_le_mid: bool | None = None
-    chain_mid_le_final: bool | None = None
-    lam_iterlog: float | None = None
-    tilt_ratio: float | None = None
 
     @property
     def valid(self) -> bool:
@@ -568,7 +551,6 @@ class BlockBound:
 
 
 def block_tail_bound(n: int, eta: float, delta: float, eps: float, beta: float = 2.0,
-                     s2_next: float | None = None,
                      alpha_next: float | None = None) -> BlockBound:
     if n < 1:
         raise ConfigError(f"block index must be >= 1, got {n}")
@@ -589,27 +571,10 @@ def block_tail_bound(n: int, eta: float, delta: float, eps: float, beta: float =
     bound_final = ell ** (-c)
     alpha_cap = 2.0 * math.sqrt(eps) / (beta * (1.0 + delta))
     gate_alpha = None if alpha_next is None else bool(alpha_next <= alpha_cap)
-    mid = None
-    chain_left = None
-    chain_right = None
-    lam_iterlog = None
-    ratio = None
-    if s2_next is not None:
-        if s2_next <= 0:
-            raise ConfigError("bracket value must be positive")
-        u2 = iterlog(s2_next)
-        lam_iterlog = beta * (1.0 + delta) * u2 / (2.0 * (1.0 + eps))
-        ratio = lam_iterlog / lam
-        if s2_next > 1.0:
-            mid = math.log(s2_next) ** (-c)
-            chain_left = bool(bound_exact <= mid * (1.0 + 1e-12))
-            chain_right = bool(mid <= bound_final * (1.0 + 1e-12))
     return BlockBound(
         n=n, eta=eta, delta=delta, eps=eps, beta=beta, ell=ell, lam=lam, p=p, c=c,
         bound_exact=bound_exact, bound_final=bound_final,
         exact_le_final=bool(bound_exact <= bound_final * (1.0 + 1e-12)),
         gate_p=bool(p >= 4.0),
         gate_ell=bool(c * (ell - math.log(ell)) >= math.log(8.0)),
-        gate_alpha=gate_alpha, alpha_cap=alpha_cap,
-        mid=mid, chain_exact_le_mid=chain_left, chain_mid_le_final=chain_right,
-        lam_iterlog=lam_iterlog, tilt_ratio=ratio)
+        gate_alpha=gate_alpha)

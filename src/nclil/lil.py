@@ -242,8 +242,8 @@ class LILRunConfig:
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.model is None:
-            if self.paths < 2 or self.paths % 2:
-                raise ConfigError("paths must be even and >= 2")
+            if self.paths < 1:
+                raise ConfigError("paths must be >= 1")
             if self.variance <= 0:
                 raise ConfigError("variance must be positive")
             _step_bound(self.law, self.variance)      # rejects a law outside the table
@@ -253,17 +253,6 @@ class LILRunConfig:
             raise ConfigError("need at least two checkpoints")
         if not 0 < self.window_decades <= 308:     # 10**window_decades must be a float
             raise ConfigError(f"window_decades must lie in (0, 308], got {self.window_decades:g}")
-
-    def to_json(self) -> dict:
-        out = {
-            "params": self.params.to_json(), "horizon": self.horizon,
-            "paths": self.paths, "law": self.law, "variance": self.variance,
-            "seed": self.seed, "generator": self.generator,
-            "bound_scale": self.bound_scale, "checkpoints": self.checkpoints,
-            "window_decades": self.window_decades, "strict": self.strict,
-            "model": None if self.model is None else self.model.to_json(),
-        }
-        return out
 
 
 def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
@@ -471,7 +460,7 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
         n=n, k_start=int(ks[n]), k_end=int(ks[n + 1]), s2_end=float(s2_end[n - 1]),
         u_end=float(u_end[n - 1]), alpha_end=float(alpha_end[n - 1]),
         bound=block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
-                               s2_next=float(s2_end[n - 1]), alpha_next=float(alpha_end[n - 1])),
+                               alpha_next=float(alpha_end[n - 1])),
         q_block=float(real.q_block[n - 1]), q_theory=float(real.q_theory[n - 1]),
         semantics=real.semantics, used=n in used) for n in range(1, B + 1)]
     union = float(sum(rows[n - 1].q_block for n in used))
@@ -637,8 +626,8 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.paths < 2 or self.paths % 2:
-            raise ConfigError("paths must be even and >= 2")
+        if self.paths < 1:
+            raise ConfigError("paths must be >= 1")
         if self.horizon < 10:
             raise ConfigError("horizon must be >= 10")
         _step_bound(self.law, 1.0)      # rejects a law outside the table

@@ -360,11 +360,10 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
     values h; the other P/2 are their mirror images, so the path keeps
     S_horizon = [h, -h] and nothing else.  Each step's pair (d, -d) sums to
     exactly 0 in floating point, so hypothesis (i) holds by construction
-    and ``md_residual`` and ``meta["max_step_mean"]`` are 0.0.  The bracket
-    and the difference bounds are exact by the law, not estimated from the
-    sample; the sample only carries the distributional statistics.  The
-    draws do not depend on the chunk, which fixes only the rounding of sums
-    that are not integers.
+    and ``md_residual`` is 0.0.  The bracket and the difference bounds are
+    exact by the law, not estimated from the sample; the sample only
+    carries the distributional statistics.  The draws do not depend on the
+    chunk, which fixes only the rounding of sums that are not integers.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -385,9 +384,7 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
     return MartingalePath(
         final=Operator(np.concatenate([head, -head]), hermitian=True, diagonal=True),
         s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=np.full(horizon, scale),
-        md_residual=0.0,
-        meta={"law": law, "seed": seed, "bracket_exact": True, "centering_exact": True,
-              "max_step_mean": 0.0})
+        md_residual=0.0, meta={"law": law, "seed": seed})
 
 
 def gue_matrix(rng: np.random.Generator, size: int) -> np.ndarray:

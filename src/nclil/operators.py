@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NclilError, ShapeError
+from .errors import NclilError, ShapeError
 
 HERM_ATOL = 1e-10       # residual allowed when the hermitian flag is set
 RECON_TOL = 1e-9        # eigendecomposition must reconstruct this well
@@ -135,11 +135,6 @@ class Operator:
         if self.diagonal:
             return np.diag(self.data.astype(np.complex128))
         return np.array(self._block_at(1))
-
-    def diag_array(self) -> np.ndarray:
-        if not self.diagonal:
-            raise ShapeError("operator is not stored diagonally")
-        return np.array(self.data)
 
     def adjoint(self) -> "Operator":
         if self.diagonal:
@@ -360,7 +355,8 @@ def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_function(x: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Spectral functional calculus f(x) for hermitian x and real-valued f."""
+    """Spectral functional calculus f(x) for hermitian x; f maps the array of
+    eigenvalues to finite real values elementwise (``np.sqrt``, not ``math.sqrt``)."""
     if not x.hermitian:
         raise NclilError("functional calculus requires a hermitian operator")
     if x.diagonal:
@@ -374,18 +370,12 @@ def apply_function(x: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operat
 
 
 def _eval_on_spectrum(f, vals: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(vals), dtype=np.float64)
-        if out.shape != vals.shape:
-            raise TypeError("not vectorized")
-    except (TypeError, ValueError):
-        try:
-            out = np.array([float(f(float(v))) for v in vals])
-        except Exception as exc:
-            raise DomainError(f"function raised {exc!r} on the spectrum") from exc
+    out = np.asarray(f(vals), dtype=np.float64)
+    if out.shape != vals.shape:
+        raise NclilError(f"function must act elementwise on the spectrum, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         bad = vals[~np.isfinite(out)][0]
-        raise DomainError(f"function is undefined at eigenvalue {bad!r}")
+        raise NclilError(f"function is undefined at eigenvalue {bad!r}")
     return out
 
 

@@ -264,7 +264,7 @@ def _dual_doob_trial(args) -> list:
     model = AlgebraModel(kind, 2, depth)
     positives = []
     for _ in range(depth):
-        g = random_full_element(model, rng, hermitian=True)
+        g = random_full_element(model, rng)
         positives.append(op.symmetrize(g @ g))     # square of hermitian, psd
     rows = []
     for p in ps:

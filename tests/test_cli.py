@@ -205,6 +205,20 @@ class TestBaselineAndDemo:
         summary = read_json(out / "summary.json")
         assert summary["preasymptotic"] is True
         assert len(read_csv(out / "paths.csv")) == 64
+        assert read_json(out / "resolved-config.json")["per_path"] is True
+
+    def test_per_path_from_config_file(self, tmp_path):
+        """per_path is a config key like any other; --per-path only sets it."""
+        base = ["baseline-scalar", "--paths", "64", "--horizon", "2000"]
+        cfg = _write(tmp_path, json.dumps({"per_path": True}))
+        on, off = tmp_path / "on", tmp_path / "off"
+        assert main([*base, "--config", cfg, "--out", str(on)]) == 0
+        assert main([*base, "--out", str(off)]) == 0
+        assert read_json(on / "resolved-config.json")["per_path"] is True
+        assert read_json(off / "resolved-config.json")["per_path"] is False
+        assert len(read_csv(on / "paths.csv")) == 64
+        assert not (off / "paths.csv").exists()
+        assert read_json(on / "summary.json")["median"] == read_json(off / "summary.json")["median"]
 
     def test_demo_ok(self, tmp_path):
         out = tmp_path / "o"
@@ -312,6 +326,21 @@ class TestConfigErrors:
         assert rc == 1
         assert "config error: eps" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("command, entry", [
+        ("lil-run", "run_lil_experiment"), ("baseline-scalar", "scalar_kolmogorov_baseline"),
+        ("demo-semicircular", "semicircular_demo")])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, command, entry):
+        """A run too large for the machine, as numpy reports it, is a config error."""
+        def oversized(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(lil, entry, oversized)
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and "7.28 TiB" in err
+        assert not (out / "summary.json").exists()
 
     def test_lists_from_text_or_array_resolve_alike(self, tmp_path):
         flags, cfg = tmp_path / "flags", tmp_path / "cfg"

@@ -101,9 +101,9 @@ class TestDiagonalCE:
         model = AlgebraModel("diagonal", 2, 2)
         x = Operator([1.0, 3.0, 5.0, 9.0], hermitian=True)
         e1 = conditional_expectation(model, x, 1)
-        np.testing.assert_allclose(e1.diag_array(), [2.0, 2.0, 7.0, 7.0])
+        np.testing.assert_allclose(e1.data, [2.0, 2.0, 7.0, 7.0])
         e0 = conditional_expectation(model, x, 0)
-        np.testing.assert_allclose(e0.diag_array(), [4.5] * 4)
+        np.testing.assert_allclose(e0.data, [4.5] * 4)
 
     def test_vector_storage_enforced(self, rng):
         model = AlgebraModel("diagonal", 2, 2)
@@ -114,7 +114,7 @@ class TestDiagonalCE:
     def test_level_element_shape(self, rng):
         model = AlgebraModel("diagonal", 3, 3)
         y = random_level_element(model, 1, rng)
-        v = y.diag_array()
+        v = y.data
         # constant on each of the 3 cells of size 9
         assert np.ptp(v[:9]) == 0 and np.ptp(v[9:18]) == 0
 
@@ -135,7 +135,7 @@ class TestAxioms:
     def test_tower_property(self, seed, k, j):
         model = AlgebraModel("tensor", 2, 3)
         r = stream_rng(seed)
-        x = random_full_element(model, r, hermitian=True)
+        x = random_full_element(model, r)
         lo, hi = min(j, k), max(j, k)
         via = conditional_expectation(model, conditional_expectation(model, x, hi), lo)
         direct = conditional_expectation(model, x, lo)

@@ -348,14 +348,6 @@ class TestDualDoob:
                 pos.append(symmetrize(g @ g.adjoint()))
             assert dual_doob_check(model, pos, p=p).holds
 
-    def test_collapsed_levels_projects_to_trace(self, rng):
-        # levels=[0, 0] sends every summand through E_0 = tau(.) 1
-        model = AlgebraModel("tensor", 2, 3)
-        g = random_level_element(model, 2, rng)
-        a = symmetrize(g @ g.adjoint())
-        chk = dual_doob_check(model, [a, a], p=1.0, levels=[0, 0])
-        assert chk.lhs == pytest.approx(2.0 * normalized_trace(a), abs=1e-10)
-
     def test_rejects_bad_input(self, rng):
         model = AlgebraModel("tensor", 2, 3)
         x = random_hermitian(rng, 8)       # not psd
@@ -446,13 +438,6 @@ class TestBlockBound:
             assert bb.gate_ell == bb.exact_le_final
         assert not block_tail_bound(n=3, eta=1.5, delta=0.1, eps=0.1).valid
         assert block_tail_bound(n=4, eta=1.5, delta=0.1, eps=0.1).valid
-
-    def test_chain_through_bracket(self):
-        s2 = 1.5 ** 42                    # inside block 20 at eta = 1.5
-        bb = block_tail_bound(n=20, eta=1.5, delta=0.1, eps=0.1, s2_next=s2)
-        assert bb.mid is not None
-        assert bb.chain_exact_le_mid and bb.chain_mid_le_final
-        assert bb.tilt_ratio is not None and bb.tilt_ratio < 0.5
 
     def test_series_summable(self):
         c = block_tail_bound(n=1, eta=1.5, delta=0.1, eps=0.1).c

@@ -56,11 +56,11 @@ class TestSampling:
         paths, half, horizon, variance = 512, 256, 600, 0.37
         path = gen_diagonal_martingale(horizon, paths=paths, law=law, variance=variance,
                                        seed=9)
-        final = path.final.diag_array()
+        final = path.final.data
         np.testing.assert_array_equal(final[half:], -final[:half])
         assert np.all(final[:half] + final[half:] == 0.0)
         assert normalized_trace(path.final) == 0.0
-        assert path.md_residual == 0.0 and path.meta["max_step_mean"] == 0.0
+        assert path.md_residual == 0.0
         # the same steps, drawn in one block: the draws do not depend on the chunk
         scale = martingales._step_bound(law, variance)
         head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law, scale,
@@ -250,7 +250,6 @@ class TestGenerators:
                                        variance=2.0, seed=5)
         np.testing.assert_allclose(path.s2, 2.0 * np.arange(1, 501), rtol=1e-12)
         assert path.md_residual < 1e-12
-        assert path.meta["bracket_exact"]
 
     def test_diagonal_martingale_rejects_nonpositive_variance(self):
         for variance in (0.0, -1.0, math.nan):
@@ -311,12 +310,11 @@ class TestDiagonalRegression:
                                        seed=11)
         assert steps == [7, 7, 7, 7, 2]
         final, scale = _hand_loop_diagonal(horizon, paths, law, variance, 11, 32 * 7)
-        np.testing.assert_array_equal(path.final.diag_array(), final)
+        np.testing.assert_array_equal(path.final.data, final)
         np.testing.assert_array_equal(path.s2, np.cumsum(np.full(horizon, variance)))
         np.testing.assert_array_equal(path.dnorm, np.full(horizon, scale))
         assert path.md_residual == 0.0
-        assert path.meta == {"law": law, "seed": 11, "bracket_exact": True,
-                             "centering_exact": True, "max_step_mean": 0.0}
+        assert path.meta == {"law": law, "seed": 11}
 
     @pytest.mark.parametrize("law, variance", [("rademacher", 1.0), ("rademacher", 0.37),
                                                ("uniform", 1.0), ("uniform", 0.81)])
@@ -325,7 +323,7 @@ class TestDiagonalRegression:
         are not integers does, so unit rademacher sums are bit-identical."""
         def run():
             return gen_diagonal_martingale(3000, paths=512, law=law, variance=variance,
-                                           seed=4).final.diag_array()
+                                           seed=4).final.data
 
         steps = _record_draws(monkeypatch)
         whole = run()

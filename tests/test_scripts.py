@@ -12,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import nclil
+from nclil import LILParameters, stopping_indices
 from nclil.martingales import _STREAM_TILE
 from nclil.operators import _openblas
 
@@ -29,7 +32,8 @@ def _load(name):
 def test_bench_walk_times_the_engines_tile(tmp_path):
     """Both laws, so both kinds of partials: integer (rademacher, 2048 steps
     a chunk at 64 paths) and float64 (uniform), with the engines' work
-    buffer of a quarter tile."""
+    buffer of a quarter tile, and the running max restarted at the 9
+    eta-adic boundaries lil-run's default bracket crosses in 2048 steps."""
     bench_walk = _load("bench_walk")
     for law, dtype in (("rademacher", "int16"), ("uniform", "float64")):
         out = tmp_path / f"walk-{law}.json"
@@ -41,8 +45,14 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
         assert result["config"]["chunk"] == _STREAM_TILE // 64
         assert result["config"]["partial_dtype"] == dtype
         assert result["config"]["work_floats"] == max(_STREAM_TILE // 4, _STREAM_TILE // 64 + 2)
+        ks = stopping_indices(np.arange(1.0, _STREAM_TILE // 64 + 1), LILParameters().eta).ks
+        assert result["config"]["boundaries"] == len(ks) - 1 == 9
         assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
         assert 0.0 < result["flagged_fraction"] <= 1.0
+    odd = tmp_path / "walk-odd.json"                  # any path count >= 1, as in the engines
+    assert bench_walk.main(["--paths", "63", "--chunks", "1", "--repeats", "1",
+                            "--out", str(odd)]) == 0
+    assert json.loads(odd.read_text())["config"]["chunk"] == _STREAM_TILE // 63
 
 
 def test_bench_cert_runs(tmp_path):
