@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the certificate layers of the dense LIL engine and the doob sweep on their own.
+"""Time the certificate layers of the dense LIL engine, the doob sweep and the dense
+``Operator`` routines on their own.
 
 The families are those of the benchmark's ``dense`` workload
 (``lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified``,
@@ -30,6 +31,14 @@ domination gap the search asks for by the block dimension it is solved
 at: cleared by the Cholesky screen, or sent to ``eigvalsh``.  Diagonal
 families take exact row minima and are not screened.
 
+The ``operator`` layer times the dense ``Operator`` routines on their
+own: ``Operator(h, hermitian=True)``, ``symmetrize`` and ``eigenvalues``
+of a hermitian block h at each dimension of ``OPERATOR_DIMS``, in
+microseconds per call, over a batch of max(4, 2**18 // dim**2) calls a
+pass.  ``generator_peak_mib`` is the tracemalloc peak of a second
+``gen_model_martingale`` and ``gen_tensor_martingale`` call at
+``tensor:2:8`` (unit bounds), whose level-8 blocks are 256 x 256.
+
 Every layer runs on one OpenBLAS thread, as the engines and sweeps do
 (``config.blas_threads`` is 1, or null where no OpenBLAS could be pinned),
 so a second numpy process on the cores does not slow a pass by spinning
@@ -46,6 +55,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -60,12 +70,18 @@ from nclil import (AlgebraModel, LILParameters, LILRunConfig,  # noqa: E402
 from nclil import inequalities, lil, verify  # noqa: E402
 from nclil.inequalities import (column_maximal_norm_bounds,  # noqa: E402
                                 doob_consequence_check, probc_upper)
-from nclil.operators import _one_blas_thread  # noqa: E402
+from nclil.martingales import (gen_model_martingale,  # noqa: E402
+                               gen_tensor_martingale)
+from nclil.operators import (Operator, _one_blas_thread, eigenvalues,  # noqa: E402
+                             symmetrize)
+from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("certificate.block", "certificate.prefix", "probc.block", "probc.prefix")
 WORKLOAD = "lil-run --model tensor:2:8 --horizon 8 --eta 1.2 --allow-uncertified --seed 0"
 DOOB_WORKLOAD = "verify-doob --trials-per-kind 8 --seed 0"
 DOOB_PS = (4.0, 6.0, 8.0)
+OPERATOR_DIMS = (16, 64, 256)
+GENERATOR_MODEL = AlgebraModel("tensor", 2, 8)
 
 
 def dense_families() -> list:
@@ -181,6 +197,36 @@ def eigvalsh_pass(families: list) -> dict:
     return dict(by_dim)
 
 
+def operator_pass(blocks: dict) -> dict:
+    """{routine: {dim: microseconds per call}} of one pass over the blocks."""
+    spent = {"construct": {}, "symmetrize": {}, "eigenvalues": {}}
+    for dim, h in blocks.items():
+        x = Operator(h, hermitian=True)
+        calls = max(4, 2 ** 18 // dim ** 2)
+        for name, fn in (("construct", lambda: Operator(h, hermitian=True)),
+                         ("symmetrize", lambda: symmetrize(x)),
+                         ("eigenvalues", lambda: eigenvalues(x))):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            spent[name][str(dim)] = (time.perf_counter() - t0) / calls * 1e6
+    return spent
+
+
+def generator_peaks() -> dict:
+    """{generator: MiB} traced peak of a second call at GENERATOR_MODEL."""
+    peaks = {}
+    for name, gen in (("model", gen_model_martingale), ("tensor", gen_tensor_martingale)):
+        gen(GENERATOR_MODEL)
+        tracemalloc.start()
+        try:
+            gen(GENERATOR_MODEL)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def spread(xs: list) -> dict:
     return {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
 
@@ -216,6 +262,15 @@ def measure(repeats: int) -> dict:
                  for mode, shared in (("cold", False), ("shared", True))}
     for mode, runs in doob_runs.items():
         layers[f"doob.{mode}"] = spread([s for s, _ in runs])
+    blocks = {}
+    for dim in OPERATOR_DIMS:
+        rng = stream_rng(0, dim, "bench-operator")
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        blocks[dim] = 0.5 * (g + g.conj().T)
+    operator_pass(blocks)                                  # warm-up
+    op_runs = [operator_pass(blocks) for _ in range(repeats)]
+    operator = {name: {dim: spread([r[name][dim] for r in op_runs]) for dim in op_runs[0][name]}
+                for name in op_runs[0]}
     eig = {}
     for dim in sorted({d for c in counts for d in c}):
         eig[str(dim)] = {"matrices": counts[0].get(dim, [0])[0],
@@ -223,13 +278,17 @@ def measure(repeats: int) -> dict:
     return {
         "unit": "s per pass over all families",
         "config": {"workload": WORKLOAD, "doob_workload": DOOB_WORKLOAD,
-                   "doob_ps": list(DOOB_PS), "repeats": repeats},
+                   "doob_ps": list(DOOB_PS), "repeats": repeats,
+                   "operator_dims": list(OPERATOR_DIMS),
+                   "generator_model": GENERATOR_MODEL.to_json()},
         "families": {**{kind: sum(1 for f in families if f[0] == kind)
                         for kind in ("block", "prefix")}, "doob": len(doob)},
         "layers": layers,
         "feasibilize_calls": {f"doob.{mode}": runs[0][1] for mode, runs in doob_runs.items()},
         "screen_by_dim": screen_pass(doob),
         "eigvalsh_by_dim": eig,
+        "operator_us": operator,
+        "generator_peak_mib": generator_peaks(),
     }
 
 

@@ -134,9 +134,24 @@ def random_level_element(model: AlgebraModel, k: int, rng: np.random.Generator) 
     rest = model.dim // d
     if model.kind == "diagonal":
         return Operator(np.repeat(rng.standard_normal(d), rest), hermitian=True, diagonal=True)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return Operator((g + g.conj().T) / (2.0 * np.sqrt(d)), hermitian=True, mult=rest,
+    return Operator(_gaussian_hermitian(rng, d, 2.0 * np.sqrt(d)), hermitian=True, mult=rest,
                     layout=model.kind)
+
+
+def _gaussian_hermitian(rng: np.random.Generator, d: int, divisor: float) -> np.ndarray:
+    """(g + g^H) / divisor for g = a + ib, a and b two (d, d) standard normal draws in turn.
+
+    The real and imaginary parts are a + a^T and b - b^T, formed in place in
+    one complex array; every entry has the bits of the complex expression
+    whenever no draw is exactly zero.
+    """
+    out = np.empty((d, d), dtype=np.complex128)
+    g = rng.standard_normal((d, d))
+    np.add(g, g.T, out=out.real)
+    rng.standard_normal(out=g)
+    np.subtract(g, g.T, out=out.imag)
+    out /= divisor
+    return out
 
 
 def random_full_element(model: AlgebraModel, rng: np.random.Generator) -> Operator:
@@ -214,7 +229,7 @@ def verify_ce_axioms(model: AlgebraModel, samples: int = 100, seed: int = 0) -> 
         ej = conditional_expectation(model, x, j)
         rep.tower = max(rep.tower, _opnorm(ejk - ej))
 
-        sq = x @ x if model.kind == "diagonal" else op.symmetrize(x.adjoint() @ x)
+        sq = x @ x if model.kind == "diagonal" else op.abs_square(x)
         esq = conditional_expectation(model, sq, k)
         rep.positivity = max(rep.positivity, max(0.0, -op.min_eigenvalue(esq)))
 

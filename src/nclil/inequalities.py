@@ -301,7 +301,7 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
         raise ConfigError(f"p must be >= 2, got {p}")
     if len({x.dim for x in xs}) > 1:
         raise ShapeError(f"family mixes dimensions {sorted({x.dim for x in xs})}")
-    squares = [op.symmetrize(x.adjoint() @ x) for x in xs]
+    squares = [op.abs_square(x) for x in xs]
     scale = max(op.lp_norm(c, np.inf) for c in squares)
     if len({c.diagonal for c in squares}) > 1:      # mixed storage: search dense
         squares = [Operator(c.dense_array(), hermitian=True) if c.diagonal else c
@@ -438,7 +438,7 @@ def probc_upper(xs: Sequence[Operator], t: float, dominator: Operator) -> ProbcR
         raise NclilError("dominator must be positive semidefinite")
     bsq = op.symmetrize(b @ b)
     for x in xs:
-        gap = op.min_eigenvalue(bsq - op.symmetrize(x.adjoint() @ x))
+        gap = op.min_eigenvalue(bsq - op.abs_square(x))
         if gap < -FEAS_TOL * (1.0 + scale * scale):
             raise NclilError(f"dominator fails to dominate the family (gap {gap:.3e})")
     e = op.spectral_projection(b, -math.inf, t)

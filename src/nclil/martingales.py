@@ -33,7 +33,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import ConfigError, NclilError, ShapeError
-from .filtration import AlgebraModel, conditional_expectation, random_level_element
+from .filtration import (AlgebraModel, _gaussian_hermitian, conditional_expectation,
+                         random_level_element)
 from .operators import Operator
 from .rng import stream_rng
 
@@ -143,8 +144,7 @@ def bracket_norms(model: AlgebraModel, diffs: Sequence[Operator]):
     s2 = np.empty(len(diffs))
     acc = None
     for i, d in enumerate(diffs):
-        sq = op.symmetrize(d.adjoint() @ d)
-        inc = conditional_expectation(model, sq, i)  # E_{k-1} with k = i+1
+        inc = conditional_expectation(model, op.abs_square(d), i)  # E_{k-1} with k = i+1
         acc = inc if acc is None else acc + inc
         s2[i] = op.lp_norm(acc, np.inf)
     return s2, np.sqrt(iterlog_seq(s2))
@@ -205,14 +205,13 @@ def _haar_sa_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     signs = rng.choice([-1.0, 1.0], size=d)
-    w = (q * signs) @ q.conj().T
-    return 0.5 * (w + w.conj().T)
+    return op._hermitian_part((q * signs) @ q.conj().T)
 
 
 def _traceless_site(rng: np.random.Generator, m: int, norm: float) -> np.ndarray:
     for _ in range(64):
         g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = 0.5 * (g + g.conj().T)
+        a = op._hermitian_part(g)
         a -= (np.trace(a).real / m) * np.eye(m)
         top = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         if top > 1e-8:
@@ -272,15 +271,20 @@ def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, coupling: str = "
         raise ConfigError(f"unknown coupling {coupling!r}")
     horizon, bounds = _dense_bounds(model, bound_seq, horizon)
     rng = stream_rng(seed, label=f"tensor-mart-{model.m}-{model.n}")
-    diffs = []
-    for k in range(1, horizon + 1):
-        a = _traceless_site(rng, model.m, float(bounds[k - 1]))
-        past = model.level_dim(k - 1)
-        w = np.eye(past) if coupling == "none" else _haar_sa_unitary(rng, past)
-        rest = model.dim // (past * model.m)
-        diffs.append(Operator(np.kron(w, a), hermitian=True, mult=rest, layout="tensor"))
+    diffs = [_tensor_difference(model, k, float(bounds[k - 1]), coupling, rng)
+             for k in range(1, horizon + 1)]
     return _assemble_dense_path(model, diffs,
                                 {"generator": "tensor", "coupling": coupling, "seed": seed})
+
+
+def _tensor_difference(model: AlgebraModel, k: int, bound: float, coupling: str,
+                       rng: np.random.Generator) -> Operator:
+    """d_k = w_{k-1} (x) a_k with ||a_k||_inf = bound, stored at level k."""
+    a = _traceless_site(rng, model.m, bound)
+    past = model.level_dim(k - 1)
+    w = np.eye(past) if coupling == "none" else _haar_sa_unitary(rng, past)
+    return Operator(np.kron(w, a), hermitian=True, mult=model.dim // (past * model.m),
+                    layout="tensor")
 
 
 def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
@@ -293,21 +297,27 @@ def gen_model_martingale(model: AlgebraModel, bound_seq=None, seed: int = 0,
     """
     horizon, bounds = _dense_bounds(model, bound_seq, horizon)
     rng = stream_rng(seed, label=f"model-mart-{model.kind}-{model.m}-{model.n}")
-    diffs = []
-    for k in range(1, horizon + 1):
-        d = None
-        for _ in range(64):
-            y = random_level_element(model, k, rng)
-            cand = y - conditional_expectation(model, y, k - 1)
-            top = op.lp_norm(cand, np.inf)
-            if top > 1e-10:
-                d = cand * (float(bounds[k - 1]) / top)
-                break
-        if d is None:
-            raise NclilError(f"level {k} produced no nonzero centered element")
-        diffs.append(d)
+    diffs = [_centered_level_element(model, k, float(bounds[k - 1]), rng)
+             for k in range(1, horizon + 1)]
     return _assemble_dense_path(model, diffs,
                                 {"generator": "model", "kind": model.kind, "seed": seed})
+
+
+def _centered_level_element(model: AlgebraModel, k: int, bound: float,
+                            rng: np.random.Generator) -> Operator:
+    """y - E_{k-1}(y) for a random hermitian y of level k, rescaled to norm ``bound``.
+
+    Its draws and their centered candidates die with the call, so no level's
+    blocks outlive it beside the difference.
+    """
+    for _ in range(64):
+        y = random_level_element(model, k, rng)
+        cand = y - conditional_expectation(model, y, k - 1)
+        del y                                   # not held while cand is scaled
+        top = op.lp_norm(cand, np.inf)
+        if top > 1e-10:
+            return cand * (bound / top)
+    raise NclilError(f"level {k} produced no nonzero centered element")
 
 
 def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
@@ -389,5 +399,4 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
 
 def gue_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standardized GUE draw with tau(h^2) ~ 1 and spectrum filling (-2, 2)."""
-    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return (g + g.conj().T) / math.sqrt(4.0 * size)
+    return _gaussian_hermitian(rng, size, math.sqrt(4.0 * size))

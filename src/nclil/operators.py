@@ -72,7 +72,7 @@ class Operator:
 
     def __init__(self, data, hermitian: bool = False, diagonal: bool | None = None,
                  mult: int = 1, layout: str | None = None):
-        arr = np.array(data)
+        arr = np.asarray(data)
         if diagonal is None:
             diagonal = arr.ndim == 1
         if mult != 1:
@@ -91,18 +91,23 @@ class Operator:
                     arr = arr.astype(np.complex128)
             else:
                 arr = arr.astype(np.float64)
-            herm_resid = 0.0 if arr.dtype == np.float64 else float(np.max(np.abs(arr.imag)))
         else:
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
                 raise ShapeError(f"dense storage requires a square matrix, got {arr.shape}")
-            arr = arr.astype(np.complex128)
-            herm_resid = float(np.max(np.abs(arr - arr.conj().T))) if hermitian else 0.0
-        if hermitian:
-            scale = 1.0 + float(np.max(np.abs(arr)))
-            if herm_resid > HERM_ATOL * scale:
-                raise NclilError(f"hermitian flag set but residual {herm_resid:.3e} exceeds tolerance")
-        if not np.all(np.isfinite(arr)):
+            arr = np.array(arr, dtype=np.complex128)    # the one copy, in the input's order
+        # A non-finite entry makes the scale below inf or nan, so no hermitian
+        # residual can fail against it: checking finiteness first changes no verdict.
+        if not np.isfinite(arr).all():
             raise NclilError("operator entries must be finite")
+        if hermitian:
+            if diagonal:
+                herm_resid = 0.0 if arr.dtype == np.float64 else float(np.max(np.abs(arr.imag)))
+                top = float(np.max(np.abs(arr)))
+            else:
+                herm_resid, top = _hermitian_extents(arr)
+            if herm_resid > HERM_ATOL * (1.0 + top):
+                raise NclilError(f"hermitian flag set but residual {herm_resid:.3e} "
+                                 f"exceeds tolerance")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "hermitian", bool(hermitian))
@@ -157,8 +162,8 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         a, b, diag, mult, layout = self._coerce(other)
-        return Operator(a + b, hermitian=self.hermitian and other.hermitian, diagonal=diag,
-                        mult=mult, layout=layout)
+        return Operator(_into_lift(np.add, a, b), hermitian=self.hermitian and other.hermitian,
+                        diagonal=diag, mult=mult, layout=layout)
 
     def __radd__(self, other):
         if other == 0:  # lets sum() start from 0
@@ -169,8 +174,8 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         a, b, diag, mult, layout = self._coerce(other)
-        return Operator(a - b, hermitian=self.hermitian and other.hermitian, diagonal=diag,
-                        mult=mult, layout=layout)
+        return Operator(_into_lift(np.subtract, a, b), hermitian=self.hermitian and other.hermitian,
+                        diagonal=diag, mult=mult, layout=layout)
 
     def __neg__(self):
         return Operator(-self.data, hermitian=self.hermitian, diagonal=self.diagonal,
@@ -198,6 +203,54 @@ class Operator:
         kind = "diag" if self.diagonal else "dense"
         level = f", block={self.data.shape[0]}, {self.layout}" if self.mult > 1 else ""
         return f"Operator({kind}, dim={self.dim}{level}, hermitian={self.hermitian})"
+
+
+_ROW_BLOCK = 1 << 14    # entries per row block of the hermitian check: one block to 128 rows
+
+
+def _hermitian_extents(a: np.ndarray) -> tuple[float, float]:
+    """(max|a - a^H|, max|a|) of a square matrix, taken over row blocks.
+
+    The maxima are exactly the whole-array ones, but no temporary is larger
+    than a block of _ROW_BLOCK entries.
+    """
+    n = len(a)
+    step = max(1, _ROW_BLOCK // n)
+    resid = top = 0.0
+    for i in range(0, n, step):
+        rows = a[i:i + step]
+        diff = np.conjugate(rows)       # |conj(x) - y| has the bits of |x - conj(y)|
+        np.subtract(diff, a[:, i:i + step].T, out=diff)
+        resid = max(resid, float(np.abs(diff).max()))
+        top = max(top, float(np.abs(rows).max()))
+    return resid, top
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 * (a + a^H) of a float or complex square array, bit for bit, in one array.
+
+    The sum is formed as conj(a^T) + a, which complex addition makes the
+    same bits.  The result is C-ordered whatever the order of a, as that
+    expression's is: BLAS may round an operand of another order differently.
+    """
+    out = np.conjugate(a.T, order="C")
+    out += a
+    out *= 0.5
+    return out
+
+
+def _into_lift(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ufunc(a, b) of two operands from ``_coerce``, written into one that it lifted.
+
+    Stored data is read-only, so a writeable operand is a fresh complex lift
+    that nothing else holds.  Only a C-ordered one is written into: ufunc(a,
+    b) is C-ordered unless both operands are F-ordered, and the result keeps
+    its bits and its order either way.
+    """
+    for out in (a, b):
+        if out.flags.writeable and out.flags.c_contiguous:
+            return ufunc(a, b, out=out)
+    return ufunc(a, b)
 
 
 def _common_embedding(xs) -> tuple:
@@ -254,8 +307,20 @@ class Projection(Operator):
 def symmetrize(x: Operator) -> Operator:
     if x.diagonal:
         return Operator(x.data.real if np.iscomplexobj(x.data) else x.data, hermitian=True, diagonal=True)
+    return x._like(_hermitian_part(x.data), True)
+
+
+def abs_square(x: Operator) -> Operator:
+    """|x|^2 = x^* x, symmetrized: ``symmetrize(x.adjoint() @ x)`` bit for bit.
+
+    A dense x takes one product of raw blocks, laid out as the adjoint's and
+    so rounded by BLAS the same, without the adjoint and the product as
+    operators of their own.
+    """
+    if x.diagonal:
+        return symmetrize(x.adjoint() @ x)
     a = x.data
-    return x._like(0.5 * (a + a.conj().T), True)
+    return x._like(_hermitian_part(a.conj().T @ a), True)
 
 
 def normalized_trace(x: Operator):
@@ -278,7 +343,7 @@ def eigenvalues(x: Operator) -> np.ndarray:
         raise NclilError("eigenvalues requires a hermitian operator")
     if x.diagonal:
         return np.sort(x.data.real.astype(np.float64))
-    return np.linalg.eigvalsh(0.5 * (x.data + x.data.conj().T))
+    return np.linalg.eigvalsh(_hermitian_part(x.data))
 
 
 def singular_values(x: Operator) -> np.ndarray:
@@ -286,7 +351,7 @@ def singular_values(x: Operator) -> np.ndarray:
     if x.diagonal:
         return np.sort(np.abs(x.data))[::-1]
     if x.hermitian:
-        return np.sort(np.abs(np.linalg.eigvalsh(0.5 * (x.data + x.data.conj().T))))[::-1]
+        return np.sort(np.abs(np.linalg.eigvalsh(_hermitian_part(x.data))))[::-1]
     return np.linalg.svd(x.data, compute_uv=False)
 
 
@@ -346,9 +411,11 @@ def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The raw-array core of ``spectral_decomposition``, for callers that hold
     a dense block rather than an ``Operator``.
     """
-    a = 0.5 * (block + block.conj().T)
+    a = _hermitian_part(block)
     w, u = np.linalg.eigh(a)
-    resid = float(np.max(np.abs((u * w) @ u.conj().T - a)))
+    r = (u * w) @ u.conj().T
+    r -= a
+    resid = float(np.max(np.abs(r)))
     if resid > RECON_TOL * (1.0 + float(np.max(np.abs(a)))):
         raise NclilError(f"eigendecomposition failed to reconstruct, residual {resid:.3e}")
     return w, u
@@ -397,7 +464,7 @@ def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
     ind = (sd.eigenvalues > lo + ENDPOINT_FUZZ) & (sd.eigenvalues <= hi + ENDPOINT_FUZZ)
     u = sd.eigenvectors
     p = (u * ind.astype(np.float64)) @ u.conj().T
-    return Projection(0.5 * (p + p.conj().T), mult=x.mult, layout=x.layout)
+    return Projection(_hermitian_part(p), mult=x.mult, layout=x.layout)
 
 
 def psd_sqrt(x: Operator) -> Operator:

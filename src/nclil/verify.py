@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import ConfigError
-from .filtration import (_KINDS, CE_AXIOM_TOL, AlgebraModel, random_full_element,
-                         verify_ce_axioms)
+from .filtration import (_KINDS, CE_AXIOM_TOL, AlgebraModel, _gaussian_hermitian,
+                         random_full_element, verify_ce_axioms)
 from .inequalities import (ExpIneqParams, chebyshev_bound,
                            column_maximal_norm_bounds, doob_consequence_check,
                            dual_doob_check, exp_moment_sides,
@@ -95,13 +95,19 @@ def _run_trials(fn: Callable, args_list: Iterable, workers: int = 1) -> tuple[li
     be pinned).  With one thread, each trial's arithmetic is the same in
     every process and at every caller setting, so the results do not
     depend on the worker count or the caller's BLAS thread count.
+
+    A pool starts all of its processes at its first task, so it gets no
+    more than there are trials or cores; with one, no pool is started and
+    the process machinery is not even imported.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     args_list = list(args_list)
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
     with _one_blas_thread() as threads:
         if workers <= 1:
             return [fn(a) for a in args_list], threads
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = max(1, math.ceil(len(args_list) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_one_thread) as pool:
             return list(pool.map(fn, args_list, chunksize=chunksize)), threads
@@ -302,8 +308,7 @@ def _chebyshev_trial(args) -> list:
     count = int(rng.integers(2, 6))
     xs = []
     for _ in range(count):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        xs.append(Operator((g + g.conj().T) / (2.0 * np.sqrt(dim)), hermitian=True))
+        xs.append(Operator(_gaussian_hermitian(rng, dim, 2.0 * np.sqrt(dim)), hermitian=True))
     p = float(rng.choice([2.0, 4.0, 6.0]))
     bounds = column_maximal_norm_bounds(xs, p=max(p, 2.0))
     top = max(bounds.upper, 1e-6)

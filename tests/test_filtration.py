@@ -119,6 +119,24 @@ class TestDiagonalCE:
         assert np.ptp(v[:9]) == 0 and np.ptp(v[9:18]) == 0
 
 
+class TestRandomElements:
+    @pytest.mark.parametrize("kind,k", [("tensor", 3), ("pinching", 4), ("tensor", 0)])
+    def test_level_element_bits_of_the_complex_expression(self, kind, k):
+        """The block is (g + g^H) / (2 sqrt d) of g = a + ib, two standard
+        normal draws in turn, bit for bit and C-ordered, and the stream ends
+        where that expression leaves it."""
+        model = AlgebraModel(kind, 2, 4)
+        d = model.level_dim(k)
+        ref, r = stream_rng(5), stream_rng(5)
+        g = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
+        want = (g + g.conj().T) / (2.0 * np.sqrt(d))
+        y = random_level_element(model, k, r)
+        assert (y.mult, y.hermitian) == (model.dim // d, True)
+        assert y.data.flags.c_contiguous
+        assert y.data.tobytes() == want.tobytes()
+        assert r.standard_normal() == ref.standard_normal()
+
+
 class TestAxioms:
     @pytest.mark.parametrize("kind,m,n", [
         ("tensor", 2, 4), ("tensor", 3, 2),

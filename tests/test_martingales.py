@@ -1,6 +1,7 @@
 """Martingale generators, bracket profiles, stopping rule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,11 @@ class TestGenerators:
             with pytest.raises(ConfigError):
                 gen_diagonal_martingale(horizon=5, paths=8, variance=variance)
 
+    def test_gue_bits_of_the_complex_expression(self):
+        ref, r = stream_rng(17), stream_rng(17)
+        g = ref.standard_normal((30, 30)) + 1j * ref.standard_normal((30, 30))
+        assert gue_matrix(r, 30).tobytes() == ((g + g.conj().T) / math.sqrt(120.0)).tobytes()
+
     def test_gue_normalization(self):
         rng = stream_rng(17)
         h = gue_matrix(rng, 300)
@@ -263,6 +269,26 @@ class TestGenerators:
         assert abs(tau_h2 - 1.0) < 0.15
         ev = np.linalg.eigvalsh(h)
         assert ev.min() > -2.5 and ev.max() < 2.5
+
+
+class TestDenseMemory:
+    @pytest.mark.parametrize("gen", [gen_model_martingale, gen_tensor_martingale])
+    def test_traced_peak_of_generation(self, gen):
+        """At tensor:2:8 the level-8 blocks are 256 x 256 complex, 1 MiB each,
+        and the path holds 1.34 MiB of partial sums.  Each block is formed
+        once, so a call peaks below 6 MiB (8.84 and 7.09 MiB when every block
+        was copied 3-5 times).  tracemalloc counts numpy's allocations, so the
+        peak does not depend on the machine; the first call leaves lazy
+        set-up out of the traced one."""
+        model = AlgebraModel("tensor", 2, 8)
+        gen(model)
+        tracemalloc.start()
+        try:
+            gen(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def _hand_loop_diagonal(horizon, paths, law, variance, seed, tile):

@@ -18,7 +18,8 @@ from nclil import (NclilError, Operator, Projection, ShapeError,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
 from nclil import inequalities as ineq
-from nclil.operators import singular_number
+from nclil.operators import (_hermitian_extents, _hermitian_part, abs_square,
+                             singular_number)
 
 from operator_samples import random_diag, random_general, random_hermitian
 
@@ -99,6 +100,91 @@ class TestArithmetic:
         x = random_general(rng, 4)
         y = x.adjoint() @ x
         assert min_eigenvalue(symmetrize(y)) > -1e-10
+
+
+def _same_array(got, want):
+    """Equal bits, dtype, shape and memory order."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+           (want.flags.c_contiguous, want.flags.f_contiguous)
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+class TestOneCopy:
+    """Dense blocks are formed once, with the bits and the memory order of
+    the full-size expressions they replace."""
+
+    @staticmethod
+    def block(rng, n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g[0, 1], g[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)   # signed zeros
+        return g
+
+    @pytest.mark.parametrize("layout", ["C", "F", "slice", "step", "real"])
+    def test_hermitian_part_bitwise(self, rng, layout):
+        a = self.block(rng, 9)
+        big = np.tile(a, (2, 2))
+        a = {"C": a, "F": np.asfortranarray(a), "slice": big[1:10, 3:12],
+             "step": big[::2, ::2], "real": np.ascontiguousarray(a.real)}[layout]
+        _same_array(_hermitian_part(a), 0.5 * (a + a.conj().T))
+
+    @pytest.mark.parametrize("n", [1, 16, 128, 200])
+    def test_hermitian_extents_are_the_whole_array_maxima(self, rng, n):
+        """200 rows take three row blocks (81, 81, 38); the asymmetry and the
+        largest entry sit in the last one."""
+        a = self.block(rng, n) if n > 1 else np.array([[2.0 - 1.0j]])
+        a = a + a.conj().T
+        a[-1, 0] += 1e-3 - 2e-3j
+        a[-1, -1] = 9.0
+        want = (float(np.max(np.abs(a - a.conj().T))), float(np.max(np.abs(a))))
+        assert _hermitian_extents(a) == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_construction_copies_and_keeps_order(self, rng, order):
+        h = self.block(rng, 6)
+        arr = np.array(h + h.conj().T, order=order)
+        x = Operator(arr, hermitian=True)
+        assert not np.shares_memory(x.data, arr)
+        assert arr.flags.writeable and not x.data.flags.writeable
+        assert x.data.flags.f_contiguous == (order == "F")
+        before = x.data.copy()
+        arr[0, 0] += 1.0
+        np.testing.assert_array_equal(x.data, before)
+
+    def test_sums_write_into_the_lift_only(self, rng):
+        """x + y and x - y of operators at two levels: the lifted block is the
+        sum's storage, the stored blocks are untouched, and the bits are those
+        of the lifted expression."""
+        x = Operator(self.block(rng, 2), mult=4, layout="tensor")
+        y = Operator(self.block(rng, 4), mult=2, layout="tensor")
+        xs, ys = x.data.copy(), y.data.copy()
+        lift = x._block_at(2)
+        for got, want in ((x + y, lift + y.data), (x - y, lift - y.data),
+                          (y - x, y.data - lift), (y + x, y.data + lift)):
+            assert (got.mult, got.layout) == (2, "tensor")
+            _same_array(got.data, want)
+        np.testing.assert_array_equal(x.data, xs)
+        np.testing.assert_array_equal(y.data, ys)
+
+    def test_mixed_storage_sum_keeps_the_order(self, rng):
+        """An F-ordered dense operand and a diagonal one are both written out
+        fresh; the sum goes into the C-ordered one, as a + b is C-ordered."""
+        f = random_general(rng, 5).adjoint()
+        d = random_diag(rng, 5)
+        assert f.data.flags.f_contiguous and not f.data.flags.c_contiguous
+        for got, want in ((f + d, f.dense_array() + d.dense_array()),
+                          (f - d, f.dense_array() - d.dense_array()),
+                          (d - f, d.dense_array() - f.dense_array())):
+            _same_array(got.data, want)
+
+    def test_abs_square_bitwise(self, rng):
+        """Level-embedded, F-ordered (an adjoint's) and diagonal operands."""
+        embedded = Operator(self.block(rng, 4), mult=2, layout="pinching")
+        for x in (embedded, random_general(rng, 5).adjoint(), random_diag(rng, 5)):
+            got, want = abs_square(x), symmetrize(x.adjoint() @ x)
+            assert (got.hermitian, got.diagonal, got.mult, got.layout) == \
+                   (want.hermitian, want.diagonal, want.mult, want.layout)
+            _same_array(got.data, want.data)
 
 
 class TestTraceAndNorms:

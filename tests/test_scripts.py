@@ -65,6 +65,15 @@ def test_bench_cert_runs(tmp_path):
     assert 0 < calls["doob.shared"] < calls["doob.cold"]
     screen = result["screen_by_dim"]
     assert screen and all(c["cleared"] + c["eigvalsh"] > 0 for c in screen.values())
+    assert result["config"]["operator_dims"] == [16, 64, 256]
+    timed = result["operator_us"]
+    assert set(timed) == {"construct", "symmetrize", "eigenvalues"}
+    for by_dim in timed.values():
+        assert set(by_dim) == {"16", "64", "256"}
+        assert all(0.0 < t["min"] <= t["median"] <= t["max"] for t in by_dim.values())
+    peaks = result["generator_peak_mib"]
+    assert set(peaks) == {"model", "tensor"}
+    assert all(1.0 < mib < 6.0 for mib in peaks.values())   # the path alone holds 1.34 MiB
 
 
 def test_run_verifications_one_sweep(tmp_path):

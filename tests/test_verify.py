@@ -1,11 +1,17 @@
 """Smoke tests for the randomized sweep drivers at reduced trial counts."""
 
+import concurrent.futures
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blas_pin import blas_threads, caller_blas_threads
+import nclil
 from nclil import verify
 from nclil.errors import ConfigError
 from nclil.filtration import CE_AXIOM_TOL, AlgebraModel
@@ -110,6 +116,45 @@ class TestExpineqSweep:
         b = sweep_expineq(trials=3, lambda_points=3, seed=11)
         assert a.rows == b.rows
         assert a.rows != sweep_expineq(trials=3, lambda_points=3, seed=12).rows
+
+
+class TestPool:
+    def test_no_more_processes_than_trials_or_cores(self, monkeypatch):
+        """workers=10**6 asks a pool for at most min(trials, cores) processes.
+        A recording serial executor stands in for the pool, so no process is
+        started; the rows are the serial ones."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        got = sweep_doob(trials_per_kind=1, ps=(4.0,), workers=10**6)
+        expected = min(3, os.cpu_count() or 1)                  # one trial per kind
+        assert sizes == ([expected] if expected > 1 else [])
+        assert got.rows == sweep_doob(trials_per_kind=1, ps=(4.0,), workers=1).rows
+
+    def test_cli_import_leaves_the_process_machinery_out(self):
+        src = str(Path(nclil.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, nclil.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDoobSweep:
