@@ -23,11 +23,15 @@ three layers:
   the consumer both streaming engines call, which gathers and divides
   only the paths whose running max can move, in batches through one work
   buffer allocated per walk as the engines do (``nclil.lil._work_buffer``).
-  As in ``lil-run`` at its defaults (unit variance, eta 1.5), the running
-  max restarts at -inf at each eta-adic boundary of the bracket
-  (``nclil.martingales.stopping_indices``), and a chunk that straddles
-  one is consumed in two calls; the ``boundaries`` crossed are recorded
-  in ``config``.
+  The normalizers are the baseline's (``nclil.lil._baseline_den``), computed
+  one window at a time through the engines' ``nclil.lil._windowed``, so
+  their cost falls in this layer as it does in the engines.  As in
+  ``lil-run`` at its defaults (unit variance, eta 1.5), the running max
+  restarts at -inf at each eta-adic boundary of the bracket, the stopping
+  times of the engine's closed-form profile
+  (``nclil.martingales.LinearBracket``), and a chunk that straddles one is
+  consumed in two calls; the ``boundaries`` crossed are recorded in
+  ``config``.
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
@@ -52,10 +56,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import (LILParameters, _abs_top, _iid_draw,  # noqa: E402
-                       _max_normalized, _walk, _work_buffer)
-from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, _step_bound,  # noqa: E402
-                               iterlog_seq, stopping_indices)
+from nclil.lil import (LILParameters, _abs_top, _baseline_den,  # noqa: E402
+                       _iid_draw, _max_normalized, _walk, _windowed, _work_buffer)
+from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, LinearBracket,  # noqa: E402
+                               _step_bound, stopping_indices)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
@@ -64,8 +68,8 @@ LAYERS = ("draw", "walk", "consume")
 def section_ends(total: int) -> list:
     """Ends of lil-run's sections within steps 1..total at its default unit
     variance: the eta-adic boundaries of the bracket s^2_n = n, then total."""
-    ns = np.arange(1, total + 1, dtype=np.float64)
-    return [*stopping_indices(ns, LILParameters().eta).ks[1:].tolist(), total]
+    profile = LinearBracket(1.0, total, 1.0)
+    return [*stopping_indices(profile, LILParameters().eta).ks[1:].tolist(), total]
 
 
 def one_pass(law: str, paths: int, chunk: int, chunks: int,
@@ -75,8 +79,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
     total = chunks * chunk
     iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, _step_bound(law, 1.0),
                     paths)
-    ns = np.arange(1, total + 1, dtype=np.float64)
-    den = np.sqrt(ns * iterlog_seq(ns))
+    den = _windowed(_baseline_den, total)
     ends = section_ends(total)
     runmax = np.full(paths, -np.inf)
     work = _work_buffer(paths)
@@ -103,7 +106,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
         while lo < end:                            # the chunk's pieces, one per section
             hi = min(ends[sec], end)
             rows = part[lo - pos:hi - pos]
-            flagged += _max_normalized(S, rows, _abs_top(S, rows), den[lo:hi], runmax, work)
+            flagged += _max_normalized(S, rows, _abs_top(S, rows), den(lo, hi), runmax, work)
             calls += 1
             if hi == ends[sec]:                    # the section ends: its max restarts
                 runmax.fill(-np.inf)

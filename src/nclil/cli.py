@@ -162,7 +162,9 @@ _LIL_PARAMS = {"eta": _float, "delta": _float, "delta_prime": _float, "eps": _fl
                "eps_prime": lambda v: None if v is None else _float(v), "beta": _float}
 _LIL_RUN = {"horizon": _int, "paths": _int, "law": _str, "variance": _float, "seed": _int,
             "checkpoints": _int, "window_decades": _float, "model": _model,
-            "generator": _str, "bound_scale": _float, "strict": _bool}
+            "generator": _str, "bound_scale": _float, "strict": _bool, "progress": _bool}
+_PROGRESS = ("--progress", "progress",
+             "print steps done, steps/s and the ETA of the walk to stderr about once a second")
 
 
 def _lil_run(cfg: dict) -> Outcome:
@@ -232,12 +234,14 @@ COMMANDS = {
         "block decomposition experiment",
         {**_keys(lil.LILRunConfig, _LIL_RUN), **_keys(lil.LILParameters, _LIL_PARAMS)},
         _lil_run,
-        (("--allow-uncertified", "strict", "keep uncertified blocks instead of failing"),)),
+        (("--allow-uncertified", "strict", "keep uncertified blocks instead of failing"),
+         _PROGRESS)),
     "baseline-scalar": Command(
         "classical random-walk calibration",
-        {**_keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str, "seed": _int}),
+        {**_keys(lil.BaselineConfig, {"paths": _int, "horizon": _int, "law": _str, "seed": _int,
+                                      "progress": _bool}),
          "per_path": (_bool, False)},
-        _baseline, (("--per-path", "per_path", "write per-path maxima to paths.csv"),)),
+        _baseline, (("--per-path", "per_path", "write per-path maxima to paths.csv"), _PROGRESS)),
     "demo-semicircular": Command(
         "matrix sum edge statistics",
         {**_keys(lil.SemicircleConfig, {"size": _int, "checkpoints": _list(_int),

@@ -21,11 +21,15 @@ with one chunked walker, ``_walk``, whose buffer is one cache-sized tile
 of ``_STREAM_TILE`` entries.  A unit rademacher walk sums its chunks as
 exact small integers; both consumers form floats only for the paths whose
 running max can move, gathered in batches into one work buffer per walk.
+Neither holds an array as long as the horizon: the bracket is a closed
+form read where it is needed, and the normalizers come one window of
+``_NORM_WINDOW`` steps at a time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -37,9 +41,9 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (_STREAM_TILE, StoppingRule, _step_bound,
-                          gen_model_martingale, gen_tensor_martingale, gue_matrix,
-                          iterlog, iterlog_seq, sample_step_increments,
+from .martingales import (_STREAM_TILE, BracketProfile, LinearBracket, StoppingRule,
+                          _step_bound, gen_model_martingale, gen_tensor_martingale,
+                          gue_matrix, iterlog, iterlog_seq, sample_step_increments,
                           stopping_indices)
 from .operators import Projection
 from .rng import stream_rng
@@ -223,6 +227,8 @@ class LILRunConfig:
     With ``model`` unset the experiment streams a classical path ensemble
     (law/variance/paths); with a model it builds a dense martingale and
     runs the certificate route, which only makes sense at small horizons.
+    ``progress`` reports the streaming walk on stderr (``_with_progress``);
+    the dense route, at most model.n steps, ignores it.
     """
 
     params: LILParameters = field(default_factory=LILParameters)
@@ -237,6 +243,7 @@ class LILRunConfig:
     checkpoints: int = 200
     window_decades: float = 1.0
     strict: bool = True
+    progress: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -321,6 +328,54 @@ def _walk(draw: Callable[[int, int, np.ndarray | None], np.ndarray], paths: int,
             np.add(row, prev, row)
         yield pos, S, P
         S += P[-1]
+
+
+def _with_progress(walk: Iterator[tuple], total: int, label: str) -> Iterator[tuple]:
+    """The chunks of ``walk``, passed through, with a progress line on stderr.
+
+    After a chunk is consumed, at most once a second by ``time.monotonic``,
+    prints the steps done out of ``total``, the steps per second since the
+    start and the time left at that rate.  The chunks and what the consumer
+    does with them are untouched; a run without progress does not wrap its
+    walk at all.
+    """
+    start = last = time.monotonic()
+    for pos, S, P in walk:
+        done = pos + len(P)
+        yield pos, S, P
+        now = time.monotonic()
+        if now - last >= 1.0:
+            rate = done / (now - start)
+            print(f"{label}: {done}/{total} steps, {rate:.0f} steps/s, "
+                  f"ETA {(total - done) / rate:.0f} s", file=sys.stderr, flush=True)
+            last = now
+
+
+# Steps per window of the walk's normalizers: 64 KiB of floats, four chunks
+# at 64 paths and 256 at 4096.
+_NORM_WINDOW = 1 << 13
+
+
+def _windowed(norms: Callable[[int, int], np.ndarray], end: int) -> Callable:
+    """``norms(a, b)``, the normalizers of steps a+1 .. b, served from one window.
+
+    A consumer asks for ranges in step order.  A range the window does not
+    hold starts a new window at its first step, of _NORM_WINDOW steps cut at
+    step ``end``, or of the whole range when one chunk asks for more (65536
+    steps at 2 paths).  Each normalizer depends on its own step only, so
+    the values are those of the whole-horizon array, bit for bit.  The
+    slices returned are views of the window, valid until the next call.
+    """
+    lo = hi = 0
+    vals = np.empty(0)
+
+    def window(a: int, b: int) -> np.ndarray:
+        nonlocal lo, hi, vals
+        if not lo <= a <= b <= hi:
+            lo, hi = a, max(b, min(end, a + _NORM_WINDOW))
+            vals = norms(lo, hi)
+        return vals[a - lo:b - lo]
+    return window
 
 
 def _abs_top(S: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -448,30 +503,30 @@ def _bc_checks(deficit: float, union: float, limsup: float, thr: float,
     }
 
 
-def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
-                  dnorm: np.ndarray, realize: Callable, horizon: int, law: str,
-                  carrier: str, knob: str) -> TailReport:
+def _block_report(engine: str, cfg: LILRunConfig, profile: BracketProfile,
+                  realize: Callable, law: str, carrier: str, knob: str) -> TailReport:
     """Block decomposition of one run around an engine's realization.
 
-    Blocks run between the eta-adic stopping times of the bracket profile
-    s2.  The used blocks start at n0 = max(n1, n2), n1 and n2 being the
+    Blocks run between the eta-adic stopping times of the bracket profile,
+    which is read only at block ends and starts and at the checkpoints.
+    The used blocks start at n0 = max(n1, n2), n1 and n2 being the
     first blocks from which the ratio and alpha gates hold onward; with no
     such block a strict run fails, otherwise all blocks are used with the
     gates waived.  ``realize(rule, used)`` realizes their exceptional sets.
     """
     pars = cfg.params
     thr = pars.threshold
-    rule = stopping_indices(s2, pars.eta)
+    rule = stopping_indices(profile, pars.eta)
     B, ks = rule.blocks, rule.ks
     if B < 1:
         raise InsufficientHorizonError(
-            f"horizon {horizon} holds no complete block at eta = {pars.eta}")
+            f"horizon {profile.horizon} holds no complete block at eta = {pars.eta}")
     if int(ks[2:].min()) < 1:
         raise ConfigError(f"one step crosses several thresholds; shrink {knob}")
-    end_idx = ks[2:] - 1                           # step k_{n+1} of block n = 1..B
-    s2_end, u_end = s2[end_idx], u[end_idx]
-    alpha_end = dnorm[end_idx] * u_end / np.sqrt(s2_end)
-    u_start = u[ks[1:-1]]                          # step k_n + 1 of block n
+    ends = ks[2:]                                  # step k_{n+1} of block n = 1..B
+    s2_end, u_end = profile.s2(ends), profile.u(ends)
+    alpha_end = profile.dnorm(ends) * u_end / np.sqrt(s2_end)
+    u_start = profile.u(ks[1:-1] + 1)              # step k_n + 1 of block n
 
     alpha_cap = 2.0 * math.sqrt(pars.eps) / (pars.beta * (1.0 + pars.delta))
     ratio_floor = 1.0 - pars.eps_prime_resolved
@@ -513,11 +568,11 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
     theory_total = float(cumulative[-1]) if cumulative else 0.0
     bc = _bc_checks(real.deficit, union, limsup, thr, theory_total, _BC_TOLERANCES[engine])
     cp = real.cp_steps
-    cps = {"m": cp.tolist(), "s2": s2[cp - 1].tolist(), "u": u[cp - 1].tolist(),
+    cps = {"m": cp.tolist(), "s2": profile.s2(cp).tolist(), "u": profile.u(cp).tolist(),
            **real.cp_stats}
 
     return TailReport(
-        engine=engine, params=pars, horizon=horizon, seed=cfg.seed, law=law,
+        engine=engine, params=pars, horizon=profile.horizon, seed=cfg.seed, law=law,
         carrier=carrier, threshold=thr, n0=n0, n1=n1, n2=n2, blocks=rows,
         used_blocks=used, deficit=real.deficit, union_bound=union,
         empirical_limsup=limsup, limsup_windows=windows,
@@ -529,20 +584,22 @@ def _block_report(engine: str, cfg: LILRunConfig, s2: np.ndarray, u: np.ndarray,
 def _run_streaming(cfg: LILRunConfig) -> TailReport:
     """Exceptional sets realized per path: e keeps the paths that never exceed.
 
-    Besides the walk's tile and the consumer's work buffer, the realization
-    holds only what its outputs read: the (sections x paths) float64 block
-    maxima, the (blocks x paths) booleans of the theory event (the prefix
-    max of |S| at each block end against its threshold, known before the
-    walk) and the (paths x checkpoints) table of |S_m|, in
-    np.min_scalar_type(total) for an integer walk (uint16 from 256 to 65535
-    steps, uint32 beyond) and in float64 otherwise.
+    The bracket is the closed form s^2_n = v n (``LinearBracket``), read at
+    block ends and checkpoints, with the normalizers of the walk computed
+    one window of _NORM_WINDOW steps at a time; no array as long as the
+    horizon exists.  Besides the walk's tile, that window and the
+    consumer's work buffer, the realization holds only what its outputs
+    read: the (sections x paths) float64 block maxima, the (blocks x paths)
+    booleans of the theory event (the prefix max of |S| at each block end
+    against its threshold, known before the walk) and the (paths x
+    checkpoints) table of |S_m|, in np.min_scalar_type(total) for an
+    integer walk (uint16 from 256 to 65535 steps, uint32 beyond) and in
+    float64 otherwise.
     """
     pars = cfg.params
     N, P = cfg.horizon, cfg.paths
     scale = _step_bound(cfg.law, cfg.variance)      # per-step difference bound
-    s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
-    u = np.sqrt(iterlog_seq(s2))
-    norm = np.sqrt(s2) * u
+    profile = LinearBracket(cfg.variance, N, scale)
     draw = _iid_draw(stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}"), cfg.law, scale, P)
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
@@ -551,12 +608,14 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         prefix = np.zeros(P)
         n_sections = len(ks) - 1                   # sections 0..B, section i = (ks[i], ks[i+1]]
         blockmax = np.full((n_sections, P), -np.inf)
-        theory_thr = pars.beta * (1.0 + pars.delta) * norm[ks[2:] - 1]
+        theory_thr = pars.beta * (1.0 + pars.delta) * profile.norm(ks[2:])
+        norms = _windowed(profile.norm_range, total)
         exceed_theory = np.empty((B, P), dtype=bool)   # row n-1: prefix max of |S| at ks[n+1]
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_abs, absS = None, np.empty(P)
         sec, work = 0, _work_buffer(P)
-        for pos, S, part in _walk(draw, P, total):
+        walk = _walk(draw, P, total)
+        for pos, S, part in _with_progress(walk, total, "lil-run") if cfg.progress else walk:
             if cp_abs is None:                     # |S_m| of an integer walk is an integer <= total
                 cp_abs = np.empty((P, len(cp_steps)), np.min_scalar_type(total)
                                   if part.dtype.kind == "i" else np.float64)
@@ -573,7 +632,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
                     rows = part[a - pos:b - pos]
                     top = _abs_top(S, rows)
                     np.maximum(prefix, top, out=prefix)
-                    _max_normalized(S, rows, top, norm[a:b], blockmax[sec], work)
+                    _max_normalized(S, rows, top, norms(a, b), blockmax[sec], work)
                 if int(ks[sec + 1]) <= pos + take:
                     if sec:
                         np.greater(prefix, theory_thr[sec - 1], out=exceed_theory[sec - 1])
@@ -589,13 +648,12 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
             semantics="empirical", q_block=exceed.mean(axis=1),
             q_theory=exceed_theory.mean(axis=1),
             e=Projection(kept.astype(np.float64), diagonal=True), deficit=float(bad.mean()),
-            levels=s2[ks[used_ix + 1] - 1],
+            levels=profile.s2(ks[used_ix + 1]),
             kept_sup=blockmax[used_ix][:, kept].max(axis=1, initial=-np.inf),
-            cp_steps=cp_steps, cp_stats=_checkpoint_stats(cp_abs, norm[cp_steps - 1], kept))
+            cp_steps=cp_steps, cp_stats=_checkpoint_stats(cp_abs, profile.norm(cp_steps), kept))
 
-    return _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
-                         realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
-                         knob="the variance")
+    return _block_report("streaming-ensemble", cfg, profile, realize, law=cfg.law,
+                         carrier=f"paths={P}", knob="the variance")
 
 
 def _intersect_projections(projs: Sequence[Projection], model: AlgebraModel) -> Projection:
@@ -616,10 +674,11 @@ def _run_dense(cfg: LILRunConfig) -> TailReport:
     generate = {"tensor": gen_tensor_martingale, "model": gen_model_martingale}[cfg.generator]
     path = generate(model, bound_seq=np.full(horizon, cfg.bound_scale), seed=cfg.seed,
                     horizon=horizon)
-    norm = np.sqrt(path.s2) * path.u
+    profile = BracketProfile(path.s2, path.u, path.dnorm)
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
         ks = rule.ks
+        norm = profile.norm_range(0, int(ks[-1]))
         rs = [path.partial(m) * (1.0 / norm[m - 1]) for m in range(1, int(ks[-1]) + 1)]
         q_block, q_theory, block_projs = [], [], {}
         for n in range(1, rule.blocks + 1):
@@ -644,15 +703,15 @@ def _run_dense(cfg: LILRunConfig) -> TailReport:
         cp_rs = [rs[int(m) - 1] for m in cp_steps]
         return _Realization(
             semantics="certificate", q_block=q_block, q_theory=q_theory, e=e,
-            deficit=float(1.0 - e.trace), levels=path.s2[np.array(used_steps, dtype=np.int64) - 1],
+            deficit=float(1.0 - e.trace), levels=profile.s2(np.array(used_steps, dtype=np.int64)),
             kept_sup=np.array([op.lp_norm(rs[m - 1] @ e, np.inf) for m in used_steps]),
             cp_steps=cp_steps, cp_stats={
                 "r_max_all": [op.lp_norm(r, np.inf) for r in cp_rs],
                 "r_max_kept": [op.lp_norm(r @ e, np.inf) for r in cp_rs],
                 "r_mean_kept": [op.lp_norm(r @ e, 1.0) for r in cp_rs]})
 
-    return _block_report("dense-certificate", cfg, path.s2, path.u, path.dnorm, realize,
-                         horizon=horizon, law=f"{cfg.generator}-generator",
+    return _block_report("dense-certificate", cfg, profile, realize,
+                         law=f"{cfg.generator}-generator",
                          carrier=f"model={model.kind}:m={model.m}:n={model.n}",
                          knob="bound_scale")
 
@@ -663,6 +722,7 @@ class BaselineConfig:
     horizon: int = 1_000_000
     law: str = "rademacher"
     seed: int = 0
+    progress: bool = False          # walk progress on stderr; not part of the outputs
 
     def __post_init__(self):
         if self.paths < 1:
@@ -700,6 +760,16 @@ class BaselineReport:
         }
 
 
+def _baseline_den(a: int, b: int) -> np.ndarray:
+    """sqrt(n L(n)) of steps a+1 .. b, the baseline's normalizer.
+
+    It rounds differently from the streaming bracket's sqrt(s^2) u at unit
+    variance, so each keeps its own expression.
+    """
+    ns = np.arange(a + 1, b + 1, dtype=np.float64)
+    return np.sqrt(ns * iterlog_seq(ns))
+
+
 def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     """Classical random-walk calibration of the normalized statistic.
 
@@ -707,22 +777,24 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     |S_n|/sqrt(n L(n)) for each of P unit-variance paths.  At desk
     horizons the median sits well below the asymptotic constant sqrt(2)
     and the mass above 2 is small; horizons under 1e5 are flagged as
-    pre-asymptotic rather than rejected.
+    pre-asymptotic rather than rejected.  The normalizers are computed one
+    window of _NORM_WINDOW steps at a time, so besides the walk's tile and
+    the consumer's work buffer the run holds O(paths) floats whatever the
+    horizon.
     """
     start = time.perf_counter()
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
     draw = _iid_draw(stream_rng(cfg.seed, label=f"baseline-{cfg.law}"), cfg.law,
                      _step_bound(cfg.law, 1.0), P)
-    ns = np.arange(lo + 1, N + 1, dtype=np.float64)
-    den = np.sqrt(ns * iterlog_seq(ns))           # den[i] normalizes step lo + 1 + i
+    den = _windowed(_baseline_den, N)
     runmax, work = np.zeros(P), _work_buffer(P)
-    for pos, S, part in _walk(draw, P, N):
+    walk = _walk(draw, P, N)
+    for pos, S, part in _with_progress(walk, N, "baseline-scalar") if cfg.progress else walk:
         end = pos + len(part)                      # the chunk's last step
         if end > lo:
             rows = part[max(lo - pos, 0):]
-            _max_normalized(S, rows, _abs_top(S, rows), den[end - lo - len(rows):end - lo],
-                            runmax, work)
+            _max_normalized(S, rows, _abs_top(S, rows), den(end - len(rows), end), runmax, work)
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

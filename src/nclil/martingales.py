@@ -182,20 +182,99 @@ class StoppingRule:
         return range(int(self.ks[n]) + 1, int(self.ks[n + 1]) + 1)
 
 
+class BracketProfile:
+    """The bracket of a path by step, read where it is needed.
+
+    ``s2``, ``u``, ``dnorm`` and the normalizer ``norm`` = sqrt(s^2) u take
+    an array of steps (1-indexed, step n is entry n - 1 of the arrays);
+    ``norm_range(a, b)`` gives the normalizers of steps a+1 .. b and
+    ``count_below(levels)`` the number of steps whose s^2 lies below each
+    level, which places the stopping times.  This class wraps the arrays
+    of a dense path (``u`` and ``dnorm`` may be omitted when only the
+    stopping times are read); ``LinearBracket`` evaluates the closed form
+    of an iid ensemble instead, and holds no array as long as the horizon.
+    """
+
+    def __init__(self, s2: np.ndarray, u: np.ndarray | None = None,
+                 dnorm: np.ndarray | None = None):
+        self._s2, self._u, self._dnorm = s2, u, dnorm
+        self.horizon = len(s2)
+
+    def s2(self, steps) -> np.ndarray:
+        return self._s2[np.asarray(steps) - 1]
+
+    def u(self, steps) -> np.ndarray:
+        return self._u[np.asarray(steps) - 1]
+
+    def dnorm(self, steps) -> np.ndarray:
+        return self._dnorm[np.asarray(steps) - 1]
+
+    def norm(self, steps) -> np.ndarray:
+        return np.sqrt(self.s2(steps)) * self.u(steps)
+
+    def norm_range(self, a: int, b: int) -> np.ndarray:
+        return self.norm(np.arange(a + 1, b + 1))
+
+    def count_below(self, levels: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._s2, levels, side="left")
+
+
+class LinearBracket(BracketProfile):
+    """s^2_n = v n of an iid ensemble at step variance v with difference bound
+    ``bound``, evaluated on demand.
+
+    Each value is formed by the expression the whole-horizon arrays used
+    (``v * n`` on float64 steps, ``np.sqrt(iterlog_seq(s2))``, then
+    ``np.sqrt(s2) * u``), elementwise, so it has their bits at any step.
+    """
+
+    def __init__(self, variance: float, horizon: int, bound: float):
+        self.variance, self.horizon, self.bound = variance, int(horizon), bound
+
+    def s2(self, steps) -> np.ndarray:
+        return self.variance * np.asarray(steps, dtype=np.float64)
+
+    def u(self, steps) -> np.ndarray:
+        return np.sqrt(iterlog_seq(self.s2(steps)))
+
+    def dnorm(self, steps) -> np.ndarray:
+        return np.full(np.shape(steps), self.bound)
+
+    def count_below(self, levels: np.ndarray) -> np.ndarray:
+        """#{n <= horizon : v n < level}, as ``np.searchsorted`` on the whole profile.
+
+        ceil(level / v) is the first step at or above a level up to the
+        rounding of the quotient; the products v n are nondecreasing in n,
+        so stepping it down while the step before still reaches the level,
+        and up while it does not, lands on the exact step in a step or two.
+        """
+        levels = np.asarray(levels, dtype=np.float64)
+        n = np.clip(np.ceil(levels / self.variance), 1, self.horizon + 1).astype(np.int64)
+        while True:
+            down = (n > 1) & (self.s2(n - 1) >= levels)
+            up = (n <= self.horizon) & (self.s2(n) < levels)
+            if not (down.any() or up.any()):
+                return n - 1
+            n += up.astype(np.int64) - down
+
+
 def stopping_indices(s2, eta: float) -> StoppingRule:
-    """Compute the eta-adic stopping times of a nondecreasing bracket profile."""
+    """The eta-adic stopping times of a nondecreasing bracket: a
+    BracketProfile, or an array of s^2_1 .. s^2_N."""
     if not 1.0 < eta < 2.0:
         raise ConfigError(f"eta must lie in (1, 2), got {eta}")
-    s2 = np.asarray(s2, dtype=np.float64)
-    if len(s2) == 0 or np.any(np.diff(s2) < -1e-12 * (1.0 + abs(float(s2[-1])))):
-        raise NclilError("bracket profile must be nonempty and nondecreasing")
-    top = float(s2[-1])
+    if not isinstance(s2, BracketProfile):
+        arr = np.asarray(s2, dtype=np.float64)
+        if len(arr) == 0 or np.any(np.diff(arr) < -1e-12 * (1.0 + abs(float(arr[-1])))):
+            raise NclilError("bracket profile must be nonempty and nondecreasing")
+        s2 = BracketProfile(arr)
+    top = float(s2.s2(s2.horizon))
     n_max = 0
     if top >= eta * eta:
         n_max = int(math.floor(math.log(top) / (2.0 * math.log(eta)) + 1e-12))
     ks = np.zeros(n_max + 1, dtype=np.int64)
     thresholds = eta ** (2.0 * np.arange(1, n_max + 1))
-    ks[1:] = np.searchsorted(s2, thresholds, side="left")
+    ks[1:] = s2.count_below(thresholds)
     return StoppingRule(eta=eta, ks=ks)
 
 

@@ -409,14 +409,26 @@ def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) = eigh of 0.5*(block + block^H), checked to reconstruct within RECON_TOL.
 
     The raw-array core of ``spectral_decomposition``, for callers that hold
-    a dense block rather than an ``Operator``.
+    a dense block rather than an ``Operator``.  The residual
+    max|u diag(w) u^H - a| and the scale max|a| are taken over row blocks
+    of at most _ROW_BLOCK entries, as in ``_hermitian_extents``: rows i of
+    the product are conj(conj(u_i) w u^T), so no full-size temporary is
+    formed beside a and the returned pair.
     """
     a = _hermitian_part(block)
     w, u = np.linalg.eigh(a)
-    r = (u * w) @ u.conj().T
-    r -= a
-    resid = float(np.max(np.abs(r)))
-    if resid > RECON_TOL * (1.0 + float(np.max(np.abs(a)))):
+    n = len(a)
+    step = max(1, _ROW_BLOCK // n)
+    resid = top = 0.0
+    for i in range(0, n, step):
+        r = np.conjugate(u[i:i + step])
+        r *= w
+        r = r @ u.T
+        np.conjugate(r, out=r)
+        r -= a[i:i + step]
+        resid = max(resid, float(np.abs(r).max()))
+        top = max(top, float(np.abs(a[i:i + step]).max()))
+    if resid > RECON_TOL * (1.0 + top):
         raise NclilError(f"eigendecomposition failed to reconstruct, residual {resid:.3e}")
     return w, u
 

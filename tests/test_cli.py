@@ -239,6 +239,51 @@ class TestBaselineAndDemo:
         assert rep["ks_first"] > 0.0001
 
 
+class TestProgress:
+    """--progress reports the walk on stderr and changes no output.  The clock
+    reads 0.5 s more at each call, so a line is due after every second chunk
+    of 512 steps (256 paths), at a rate of 1024 steps/s."""
+
+    CALLS = {"lil-run": ["lil-run", "--horizon", "20000", "--paths", "256", "--seed", "2"],
+             "baseline-scalar": ["baseline-scalar", "--horizon", "20000", "--paths", "256",
+                                 "--per-path"]}
+
+    @staticmethod
+    def outputs(out):
+        """Every file the run wrote but resolved-config.json, summary.json
+        without its runtime."""
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name not in ("resolved-config.json", "summary.json")}
+        summary = read_json(out / "summary.json")
+        del summary["runtime_seconds"]
+        return summary, files
+
+    @pytest.mark.parametrize("command", CALLS)
+    def test_lines_on_stderr_outputs_unchanged(self, tmp_path, monkeypatch, capsys, command):
+        argv, on, off = self.CALLS[command], tmp_path / "on", tmp_path / "off"
+        assert main([*argv, "--out", str(off)]) == 0
+        assert capsys.readouterr().err == ""
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(lil.time, "monotonic", lambda: 0.5 * next(ticks))
+        assert main([*argv, "--progress", "--out", str(on)]) == 0
+        err = capsys.readouterr().err
+        assert read_json(on / "resolved-config.json")["progress"] is True
+        assert self.outputs(on) == self.outputs(off)
+        total = (int(read_csv(on / "blocks.csv")[-1]["k_end"]) if command == "lil-run"
+                 else 20000)
+        expected = []
+        for j in range(1, -(-total // 512) // 2 + 1):     # after chunk 2j, at j seconds
+            done = min(1024 * j, total)
+            expected.append(f"{command}: {done}/{total} steps, {done / j:.0f} steps/s, "
+                            f"ETA {(total - done) / (done / j):.0f} s")
+        assert len(expected) > 5 and err.splitlines() == expected
+
+    def test_off_leaves_the_walk_unwrapped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lil, "_with_progress", lambda *a: pytest.fail("walk wrapped"))
+        for command, argv in self.CALLS.items():
+            assert main([*argv, "--out", str(tmp_path / command)]) == 0
+
+
 def _write(tmp_path, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
@@ -363,8 +408,8 @@ OPTIONS = {
     "lil-run": {"--horizon", "--paths", "--law", "--variance", "--eta", "--delta",
                 "--delta-prime", "--eps", "--eps-prime", "--beta", "--checkpoints",
                 "--window-decades", "--model", "--generator", "--bound-scale",
-                "--allow-uncertified"},
-    "baseline-scalar": {"--paths", "--horizon", "--law", "--per-path"},
+                "--allow-uncertified", "--progress"},
+    "baseline-scalar": {"--paths", "--horizon", "--law", "--per-path", "--progress"},
     "demo-semicircular": {"--size", "--checkpoints", "--ks-tol"},
 }
 COMMON = {"-h", "--help", "--out", "--config", "--seed"}

@@ -18,7 +18,7 @@ from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
                        _walk)
 from nclil import lil
 from nclil.cli import main
-from nclil.martingales import iterlog_seq
+from nclil.martingales import BracketProfile, LinearBracket, iterlog_seq, stopping_indices
 from nclil.operators import _openblas
 from nclil.rng import stream_rng
 
@@ -402,9 +402,9 @@ def _reference_stream_report(cfg, chunk):
                                          "r_max_kept": max_kept.tolist(),
                                          "r_mean_kept": mean_kept.tolist()})
 
-    report = _block_report("streaming-ensemble", cfg, s2, u, np.broadcast_to(scale, (N,)),
-                           realize, horizon=N, law=cfg.law, carrier=f"paths={P}",
-                           knob="the variance")
+    profile = BracketProfile(s2, u, np.broadcast_to(scale, (N,)))   # whole-horizon arrays
+    report = _block_report("streaming-ensemble", cfg, profile, realize, law=cfg.law,
+                           carrier=f"paths={P}", knob="the variance")
     report.blas_threads = 1 if _openblas() else None      # the runner's stamp
     return report
 
@@ -751,7 +751,98 @@ class TestChunkInvariance:
         np.testing.assert_array_equal(default[1], odd[1])
 
 
+class TestNormWindows:
+    """The normalizers served by window equal the whole-horizon arrays bit for
+    bit: at window edges that fall inside chunks and sections, and for a
+    chunk taller than a window."""
+
+    @staticmethod
+    def whole(v, total):
+        """(lil-run's sqrt(s^2) u, the baseline's sqrt(n L(n))) of steps 1..total."""
+        ns = np.arange(1, total + 1, dtype=np.float64)
+        s2 = v * ns
+        return np.sqrt(s2) * np.sqrt(iterlog_seq(s2)), np.sqrt(ns * iterlog_seq(ns))
+
+    @pytest.mark.parametrize("v", [1.0, 0.37, 3.0])
+    @pytest.mark.parametrize("window", [1, 7, 1000, lil._NORM_WINDOW])
+    def test_pieces_of_a_walk(self, monkeypatch, v, window):
+        """The ranges a consumer asks for: 333-step chunks cut at lil-run's
+        section ends, then one 20000-step chunk (taller than every window)."""
+        monkeypatch.setattr(lil, "_NORM_WINDOW", window)
+        total = 30_000
+        ends = [*stopping_indices(v * np.arange(1.0, total + 1), 1.5).ks[1:].tolist(), total]
+        cuts = sorted(set(range(0, 10_000, _ODD_CHUNK)) | {e for e in ends if e < 10_000}
+                      | {10_000, total})
+        norm, den = self.whole(v, total)
+        for served, whole in ((lil._windowed(LinearBracket(v, total, 1.0).norm_range, total),
+                               norm),
+                              (lil._windowed(lil._baseline_den, total), den)):
+            for a, b in zip(cuts, cuts[1:]):
+                np.testing.assert_array_equal(served(a, b), whole[a:b])
+
+    @staticmethod
+    def record_windows(monkeypatch):
+        """The (first, last) steps of every window the two engines compute."""
+        windows = []
+        lil_norms, den = LinearBracket.norm_range, lil._baseline_den
+
+        def lil_recording(self, a, b):
+            windows.append((a, b))
+            return lil_norms(self, a, b)
+
+        def den_recording(a, b):
+            windows.append((a, b))
+            return den(a, b)
+
+        monkeypatch.setattr(LinearBracket, "norm_range", lil_recording)
+        monkeypatch.setattr(lil, "_baseline_den", den_recording)
+        return windows
+
+    @pytest.mark.parametrize("v", [1.0, 0.37])
+    def test_engines_across_window_edges(self, monkeypatch, v):
+        """Windows of 1000 steps against 333-step chunks: both engines match the
+        reference walk, which normalizes with whole-horizon arrays."""
+        windows = self.record_windows(monkeypatch)
+        monkeypatch.setattr(lil, "_NORM_WINDOW", 1000)
+        TestWalkRegression.check_report(monkeypatch, "rademacher", v, 64, _ODD_CHUNK, 6000)
+        TestWalkRegression.check_baseline(monkeypatch, "rademacher", 64, _ODD_CHUNK, 5000)
+        assert len(windows) > 8 and all(b - a <= 1000 for a, b in windows)
+        assert any(a % _ODD_CHUNK for a, _ in windows)     # windows start inside chunks
+
+    def test_tall_chunks_widen_the_window(self, monkeypatch):
+        """At 2 paths a chunk is 65536 steps, eight default windows: each window
+        holds one whole chunk (the baseline's first one starts at step 10^5 / 10)."""
+        windows = self.record_windows(monkeypatch)
+        rows = lil._STREAM_TILE // 2
+        assert rows > lil._NORM_WINDOW
+        TestWalkRegression.check_baseline(monkeypatch, "rademacher", 2, rows, 100_000)
+        assert windows == [(10_000, rows), (rows, 100_000)]
+
+
 class TestStreamingMemory:
+    @pytest.mark.parametrize("engine", ["lil-run", "baseline-scalar"])
+    def test_traced_peak_flat_in_the_horizon(self, engine):
+        """10^5 and 10^6 steps at 64 paths: the traced peaks of the two calls
+        lie within one window of normalizers (8 bytes a step) of each other,
+        where a whole-horizon float64 array differs by 7.2 MB.  A first call
+        leaves lazy set-up out of the traced ones."""
+        def run(horizon):
+            if engine == "lil-run":
+                run_lil_experiment(LILRunConfig(horizon=horizon, paths=64, seed=3))
+            else:
+                scalar_kolmogorov_baseline(BaselineConfig(horizon=horizon, paths=64, seed=3))
+
+        run(10 ** 5)
+        peaks = []
+        for horizon in (10 ** 5, 10 ** 6):
+            tracemalloc.start()
+            try:
+                run(horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8 * lil._NORM_WINDOW, peaks
+
     def test_traced_peak_below_one_float_checkpoint_table(self):
         """The streaming engine holds no float64 (checkpoints x paths) table.
         tracemalloc counts numpy's allocations, so the peak does not depend on

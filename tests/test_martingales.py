@@ -217,6 +217,63 @@ class TestStoppingRule:
         assert np.all(np.diff(ks) >= 0)
 
 
+class TestLinearBracket:
+    """The streaming engines' closed-form bracket s^2_n = v n against the
+    materialized arrays it replaced, bit for bit."""
+
+    VARIANCES = (1.0, 0.37, 3.0, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("horizon", [1000, 1024, 1_000_000])
+    @pytest.mark.parametrize("eta", [1.1, 1.2, math.sqrt(2.0), 1.5, 1.9])
+    @pytest.mark.parametrize("v", VARIANCES)
+    def test_stopping_times_equal_searchsorted(self, v, eta, horizon):
+        """At eta = sqrt(2) and v = 1 the thresholds eta^(2n) sit one ulp
+        above the steps 2^n, and 1024 is the last of them."""
+        s2 = v * np.arange(1, horizon + 1, dtype=np.float64)
+        got = stopping_indices(martingales.LinearBracket(v, horizon, 1.0), eta).ks
+        np.testing.assert_array_equal(got, stopping_indices(s2, eta).ks)
+
+    def test_thresholds_on_a_step(self):
+        """eta = 1.25 at v = 2^-8: eta^2 = 400 v and eta^4 = 625 v exactly, so
+        k_1 = 399 and k_2 = 624 (the step that reaches a level is not below it)."""
+        v, horizon = 2.0 ** -8, 5000
+        assert 1.25 ** 2.0 == 400 * v and 1.25 ** 4.0 == 625 * v
+        ks = stopping_indices(martingales.LinearBracket(v, horizon, 1.0), 1.25).ks
+        assert ks[1:3].tolist() == [399, 624]
+        np.testing.assert_array_equal(
+            ks, stopping_indices(v * np.arange(1, horizon + 1, dtype=np.float64), 1.25).ks)
+
+    @pytest.mark.parametrize("v", VARIANCES + (2.0 ** -8,))
+    def test_count_below_on_and_beside_steps(self, v):
+        """Levels equal to a step's s^2, one ulp either side of it, below the
+        first step and beyond the last.  At v = 0.37, ceil(level / v) misses
+        the step by one for the level on step 11 or 22 and one ulp above
+        step 21 or 33, so both corrections run."""
+        horizon = 5000
+        profile = martingales.LinearBracket(v, horizon, 1.0)
+        s2 = v * np.arange(1, horizon + 1, dtype=np.float64)
+        on = profile.s2(np.array([1, 2, 3, 11, 21, 22, 33, 399, 400, 625, 4096, horizon]))
+        levels = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                                 [0.5 * v, 7.0 * v * horizon]])
+        np.testing.assert_array_equal(profile.count_below(levels),
+                                      np.searchsorted(s2, levels, side="left"))
+
+    @pytest.mark.parametrize("v", VARIANCES)
+    def test_values_equal_the_whole_horizon_arrays(self, v):
+        horizon = 200_000
+        s2 = v * np.arange(1, horizon + 1, dtype=np.float64)
+        u = np.sqrt(iterlog_seq(s2))
+        norm = np.sqrt(s2) * u
+        profile = martingales.LinearBracket(v, horizon, 0.5)
+        steps = np.array([1, 2, 16, 17, 33, 1000, 65536, 123457, horizon])
+        np.testing.assert_array_equal(profile.s2(steps), s2[steps - 1])
+        np.testing.assert_array_equal(profile.u(steps), u[steps - 1])
+        np.testing.assert_array_equal(profile.norm(steps), norm[steps - 1])
+        np.testing.assert_array_equal(profile.dnorm(steps), np.full(len(steps), 0.5))
+        for a, b in ((0, 33), (33, 8225), (123_456, horizon)):      # unaligned ranges
+            np.testing.assert_array_equal(profile.norm_range(a, b), norm[a:b])
+
+
 class TestGenerators:
     def test_tensor_martingale_property(self):
         model = AlgebraModel("tensor", 2, 6)

@@ -19,7 +19,7 @@ from nclil import (NclilError, Operator, Projection, ShapeError,
                    spectral_projection, stream_rng, symmetrize)
 from nclil import inequalities as ineq
 from nclil.operators import (_hermitian_extents, _hermitian_part, abs_square,
-                             singular_number)
+                             hermitian_eigh, singular_number)
 
 from operator_samples import random_diag, random_general, random_hermitian
 
@@ -249,6 +249,34 @@ class TestSpectral:
         np.testing.assert_allclose(dec.reconstruct(), x.dense_array(), atol=1e-9)
         u = dec.eigenvectors
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_hermitian_eigh_is_eigh_of_the_hermitian_part(self, rng, n):
+        """At 200 rows the residual runs over row blocks of 81 rows (the last
+        38); the pair returned is numpy's eigh of 0.5 (a + a^H)."""
+        for block in (rng.standard_normal((n, n)),
+                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+            w, u = hermitian_eigh(block)
+            ref_w, ref_u = np.linalg.eigh(0.5 * (block + block.conj().T))
+            np.testing.assert_array_equal(w, ref_w)
+            np.testing.assert_array_equal(u, ref_u)
+
+    @pytest.mark.parametrize("n, row", [(8, 3), (200, 0), (200, 130), (200, 199)])
+    def test_hermitian_eigh_rejects_a_perturbed_decomposition(self, rng, monkeypatch, n, row):
+        """An eigenvector entry moved by 1e-6 breaks the reconstruction by far
+        more than RECON_TOL, in whichever row block it lands."""
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, u = eigh(a)
+            u[row, n // 2] += 1e-6
+            return w, u
+
+        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        hermitian_eigh(block)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NclilError, match="failed to reconstruct"):
+            hermitian_eigh(block)
 
     def test_diag_decomposition_sorted(self):
         x = Operator([3.0, -1.0, 2.0], hermitian=True)

@@ -55,6 +55,18 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
     assert json.loads(odd.read_text())["config"]["chunk"] == _STREAM_TILE // 63
 
 
+def test_bench_walk_reads_the_engines_windows(monkeypatch):
+    """The consumer's normalizers come through the engines' window helper, as
+    in baseline-scalar: after a one-chunk warm-up, 5 chunks of 2048 steps (64
+    paths) take one window of _NORM_WINDOW = 8192 steps and one of the rest."""
+    bench_walk = _load("bench_walk")
+    windows, den = [], bench_walk._baseline_den
+    monkeypatch.setattr(bench_walk, "_baseline_den",
+                        lambda a, b: windows.append((a, b)) or den(a, b))
+    assert bench_walk.main(["--paths", "64", "--chunks", "5", "--repeats", "1"]) == 0
+    assert windows == [(0, 2048), (0, 8192), (8192, 10240)]
+
+
 def test_bench_cert_runs(tmp_path):
     out = tmp_path / "cert.json"
     assert _load("bench_cert").main(["--repeats", "1", "--out", str(out)]) == 0
