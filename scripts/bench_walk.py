@@ -11,21 +11,22 @@ three layers:
 
 - ``draw``: ``sample_step_increments`` for one chunk, through
   ``nclil.lil._iid_draw``, the iid draw that ``lil-run`` and
-  ``baseline-scalar`` make: the bytes of raw 64-bit words looked up as
-  eight ±1 each, into the narrowest integer type that holds a chunk's
-  sums, for rademacher, one double per path-step for uniform;
+  ``baseline-scalar`` make, of integer atoms into the narrowest integer
+  type that holds a chunk's sums: the bytes of raw 64-bit words looked up
+  as eight ±1 each for rademacher, the 16-bit lanes of raw words mapped
+  to odd atoms in [-65535, 65535] for uniform;
 - ``walk``: what ``_walk`` adds around the draw (the row adds that turn
-  a chunk's steps into partial sums, integer for rademacher, and the
-  carried sum);
+  a chunk's atoms into integer partial sums, and the carried sum);
 - ``consume``: the column max of |S_n| from the partials'
   column max and min (``nclil.lil._abs_top``) and the running max of
   |S_n| / sqrt(n L(n)) per path through ``nclil.lil._max_normalized``,
   the consumer both streaming engines call, which gathers and divides
   only the paths whose running max can move, in batches through one work
   buffer allocated per walk as the engines do (``nclil.lil._work_buffer``).
-  The normalizers are the baseline's (``nclil.lil._baseline_den``), computed
-  one window at a time through the engines' ``nclil.lil._windowed``, so
-  their cost falls in this layer as it does in the engines.  As in
+  The normalizers are the baseline's (``nclil.lil._baseline_den``) divided
+  by the law's unit, computed one window at a time through the engines'
+  ``nclil.lil._windowed``, so their cost falls in this layer as it does in
+  the engines.  As in
   ``lil-run`` at its defaults (unit variance, eta 1.5), the running max
   restarts at -inf at each eta-adic boundary of the bracket, the stopping
   times of the engine's closed-form profile
@@ -77,9 +78,9 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
     """Seconds per layer for one walk over chunks x chunk steps, the mean
     share of paths the consumer divided per call, and the partials' dtype."""
     total = chunks * chunk
-    iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, _step_bound(law, 1.0),
-                    paths)
-    den = _windowed(_baseline_den, total)
+    iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, paths)
+    unit = _step_bound(law, 1.0)[1]
+    den = _windowed(lambda a, b: _baseline_den(a, b) / unit, total)
     ends = section_ends(total)
     runmax = np.full(paths, -np.inf)
     work = _work_buffer(paths)

@@ -10,7 +10,7 @@ coercer, wherever it came from, so that a bad value is a ConfigError naming
 the key (exit 1, as is a run too large for memory); echo the values to
 resolved-config.json; call the runner on them; write summary.json, the
 runner's CSVs and, when a check failed, reproducer.json naming the
-offending trials (exit 2).
+offending trials (exit 2); a runner that raises leaves its error in summary.json.
 
 Each default is stated once, next to the code that uses it: in the config
 dataclasses of lil-run, baseline-scalar and demo-semicircular, in the
@@ -302,12 +302,25 @@ def _resolve(keys: dict, args) -> dict:
     return cfg
 
 
+def _error_line(exc: Exception) -> str:
+    """The stderr line of an error that exits 1; a size the machine cannot hold
+    is bad input too."""
+    if isinstance(exc, MemoryError):
+        return f"config error: out of memory, shrink the run: {exc}"
+    return f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}"
+
+
 def _emit(name: str, cmd: Command, cfg: dict, args) -> int:
     out = Path(args.out) if args.out else Path(f"{name}-out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved-config.json", {"command": name, **cfg})
     started = time.perf_counter()
-    res = cmd.run(cfg)
+    try:
+        res = cmd.run(cfg)
+    except (NclilError, MemoryError) as exc:
+        _write_json(out / "summary.json", {"status": "error", "message": _error_line(exc),
+                                           "runtime_seconds": time.perf_counter() - started})
+        raise
     _write_json(out / "summary.json",
                 {**res.summary, "runtime_seconds": time.perf_counter() - started})
     for fname, rows in res.csvs.items():
@@ -327,14 +340,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cmd = COMMANDS[args.command]
         return _emit(args.command, cmd, _resolve(cmd.keys, args), args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:      # a size the machine cannot hold is bad input too
-        print("config error: out of memory, shrink the run:", exc, file=sys.stderr)
-        return 1
-    except NclilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NclilError, MemoryError) as exc:
+        print(_error_line(exc), file=sys.stderr)
         return 1
 
 

@@ -18,12 +18,12 @@ the normalized statistic drifting down toward the free-probability edge.
 
 The streaming engine and the scalar baseline draw iid steps and sum them
 with one chunked walker, ``_walk``, whose buffer is one cache-sized tile
-of ``_STREAM_TILE`` entries.  A unit rademacher walk sums its chunks as
-exact small integers; both consumers form floats only for the paths whose
-running max can move, gathered in batches into one work buffer per walk.
-Neither holds an array as long as the horizon: the bracket is a closed
-form read where it is needed, and the normalizers come one window of
-``_NORM_WINDOW`` steps at a time.
+of ``_STREAM_TILE`` entries.  A walk sums its law's integer atoms exactly;
+both consumers compare |S| with the normalizer over the law's unit, and form
+floats only for the paths whose running max can move, gathered in batches
+into one work buffer per walk.  Neither holds an array as long as the
+horizon: the bracket is a closed form read where it is needed, and the
+normalizers come one window of ``_NORM_WINDOW`` steps at a time.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (_STREAM_TILE, BracketProfile, LinearBracket, StoppingRule,
-                          _step_bound, gen_model_martingale, gen_tensor_martingale,
+from .martingales import (_STEP_LAWS, _STREAM_TILE, BracketProfile, LinearBracket,
+                          StoppingRule, _step_bound, gen_model_martingale, gen_tensor_martingale,
                           gue_matrix, iterlog, iterlog_seq, sample_step_increments,
                           stopping_indices)
 from .operators import Projection
@@ -251,9 +251,7 @@ class LILRunConfig:
         if self.model is None:
             if self.paths < 1:
                 raise ConfigError("paths must be >= 1")
-            if self.variance <= 0:
-                raise ConfigError("variance must be positive")
-            _step_bound(self.law, self.variance)      # rejects a law outside the table
+            _step_bound(self.law, self.variance)      # rejects the law or the variance
         if self.generator not in ("tensor", "model"):
             raise ConfigError(f"unknown dense generator {self.generator!r}")
         if self.checkpoints < 2:
@@ -277,22 +275,21 @@ def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     return report
 
 
-def _iid_draw(rng: np.random.Generator, law: str, scale: float, paths: int) -> Callable:
-    """The walk's draw for iid increments of one law, |d| <= scale.
+def _iid_draw(rng: np.random.Generator, law: str, paths: int) -> Callable:
+    """The walk's draw of the integer atoms of one law, |k| <= atom_max.
 
-    Asked for a fresh block (``out`` None), a rademacher draw at unit scale
-    makes it of the narrowest signed integer type that holds both +take and
-    -take (int8 up to 127 steps, int16 up to 32767, else int32), so the walk
-    sums the ±1 exactly with no float cast; any other draw makes float64.
+    Asked for a fresh block (``out`` None), it makes it of the narrowest
+    signed integer type that holds both ±take * atom_max, so the walk sums
+    the atoms exactly: for rademacher int8 up to 127 steps, int16 up to
+    32767, else int32; for uniform int32 up to 32768 steps, else int64.
     """
-    integer = law == "rademacher" and scale == 1.0
+    atom_max = _STEP_LAWS[law][1]
 
     def draw(pos: int, take: int, out: np.ndarray | None) -> np.ndarray:
         if out is None:
-            # -take - 1 fits exactly when both +take and -take do
-            dtype = np.min_scalar_type(-take - 1) if integer else np.float64
-            out = np.empty((take, paths), dtype)
-        return sample_step_increments(rng, law, scale, paths, steps=take, out=out)
+            # -take * atom_max - 1 fits exactly when both ±take * atom_max do
+            out = np.empty((take, paths), np.min_scalar_type(-take * atom_max - 1))
+        return sample_step_increments(rng, law, paths, steps=take, out=out)
     return draw
 
 
@@ -311,10 +308,10 @@ def _walk(draw: Callable[[int, int, np.ndarray | None], np.ndarray], paths: int,
     chunks and P[j] the sum of steps pos+1 .. pos+j+1 in the draw's dtype,
     so S_{pos+j+1} of path p is S[p] + P[j, p].  P is summed in place, one
     step at a time along axis 0, and the carry is added to it only where a
-    consumer needs the value; that order fixes the rounding, so the sums
-    depend on the chunk only through it, and integer partials are exact.
-    S and P are views the walk reuses: valid until it resumes, and not to
-    be written by the consumer.
+    consumer needs the value.  The engines' draws are integer atoms in a
+    type that holds a chunk's sums, so their partials are exact and do not
+    depend on the chunk.  S and P are views the walk reuses: valid until it
+    resumes, and not to be written by the consumer.
     """
     chunk = max(1, min(total, _STREAM_TILE // paths))
     buf = draw(0, chunk, None)
@@ -585,22 +582,21 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     """Exceptional sets realized per path: e keeps the paths that never exceed.
 
     The bracket is the closed form s^2_n = v n (``LinearBracket``), read at
-    block ends and checkpoints, with the normalizers of the walk computed
-    one window of _NORM_WINDOW steps at a time; no array as long as the
-    horizon exists.  Besides the walk's tile, that window and the
-    consumer's work buffer, the realization holds only what its outputs
-    read: the (sections x paths) float64 block maxima, the (blocks x paths)
-    booleans of the theory event (the prefix max of |S| at each block end
-    against its threshold, known before the walk) and the (paths x
-    checkpoints) table of |S_m|, in np.min_scalar_type(total) for an
-    integer walk (uint16 from 256 to 65535 steps, uint32 beyond) and in
-    float64 otherwise.
+    block ends and checkpoints.  The walk sums integer atoms, so every
+    normalizer it meets is divided by the unit (exactly, at unit 1.0), one
+    window of _NORM_WINDOW steps at a time.  Besides the walk's tile, that
+    window and the consumer's work buffer, the realization holds only what
+    its outputs read: the (sections x paths) float64 block maxima, the
+    (blocks x paths) booleans of the theory event (the prefix max of |S| at
+    each block end against its threshold, known before the walk) and the
+    (paths x checkpoints) table of the integers |S_m|, in
+    np.min_scalar_type(atom_max * total).
     """
     pars = cfg.params
     N, P = cfg.horizon, cfg.paths
-    scale = _step_bound(cfg.law, cfg.variance)      # per-step difference bound
-    profile = LinearBracket(cfg.variance, N, scale)
-    draw = _iid_draw(stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}"), cfg.law, scale, P)
+    bound, unit = _step_bound(cfg.law, cfg.variance)
+    profile = LinearBracket(cfg.variance, N, bound)
+    draw = _iid_draw(stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}"), cfg.law, P)
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
         ks, B = rule.ks, rule.blocks
@@ -608,17 +604,14 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         prefix = np.zeros(P)
         n_sections = len(ks) - 1                   # sections 0..B, section i = (ks[i], ks[i+1]]
         blockmax = np.full((n_sections, P), -np.inf)
-        theory_thr = pars.beta * (1.0 + pars.delta) * profile.norm(ks[2:])
-        norms = _windowed(profile.norm_range, total)
+        theory_thr = pars.beta * (1.0 + pars.delta) * profile.norm(ks[2:]) / unit
+        norms = _windowed(lambda a, b: profile.norm_range(a, b) / unit, total)
         exceed_theory = np.empty((B, P), dtype=bool)   # row n-1: prefix max of |S| at ks[n+1]
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
-        cp_abs, absS = None, np.empty(P)
-        sec, work = 0, _work_buffer(P)
+        cp_abs = np.empty((P, len(cp_steps)), np.min_scalar_type(_STEP_LAWS[cfg.law][1] * total))
+        absS, sec, work = np.empty(P), 0, _work_buffer(P)
         walk = _walk(draw, P, total)
         for pos, S, part in _with_progress(walk, total, "lil-run") if cfg.progress else walk:
-            if cp_abs is None:                     # |S_m| of an integer walk is an integer <= total
-                cp_abs = np.empty((P, len(cp_steps)), np.min_scalar_type(total)
-                                  if part.dtype.kind == "i" else np.float64)
             take = len(part)
             lo_cp = np.searchsorted(cp_steps, pos, side="right")
             hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
@@ -650,7 +643,8 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
             e=Projection(kept.astype(np.float64), diagonal=True), deficit=float(bad.mean()),
             levels=profile.s2(ks[used_ix + 1]),
             kept_sup=blockmax[used_ix][:, kept].max(axis=1, initial=-np.inf),
-            cp_steps=cp_steps, cp_stats=_checkpoint_stats(cp_abs, profile.norm(cp_steps), kept))
+            cp_steps=cp_steps,
+            cp_stats=_checkpoint_stats(cp_abs, profile.norm(cp_steps) / unit, kept))
 
     return _block_report("streaming-ensemble", cfg, profile, realize, law=cfg.law,
                          carrier=f"paths={P}", knob="the variance")
@@ -777,17 +771,17 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     |S_n|/sqrt(n L(n)) for each of P unit-variance paths.  At desk
     horizons the median sits well below the asymptotic constant sqrt(2)
     and the mass above 2 is small; horizons under 1e5 are flagged as
-    pre-asymptotic rather than rejected.  The normalizers are computed one
-    window of _NORM_WINDOW steps at a time, so besides the walk's tile and
-    the consumer's work buffer the run holds O(paths) floats whatever the
-    horizon.
+    pre-asymptotic rather than rejected.  The normalizers, over the law's
+    unit, are computed one window of _NORM_WINDOW steps at a time, so besides
+    the walk's tile and the consumer's work buffer the run holds O(paths)
+    floats whatever the horizon.
     """
     start = time.perf_counter()
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
-    draw = _iid_draw(stream_rng(cfg.seed, label=f"baseline-{cfg.law}"), cfg.law,
-                     _step_bound(cfg.law, 1.0), P)
-    den = _windowed(_baseline_den, N)
+    unit = _step_bound(cfg.law, 1.0)[1]
+    draw = _iid_draw(stream_rng(cfg.seed, label=f"baseline-{cfg.law}"), cfg.law, P)
+    den = _windowed(lambda a, b: _baseline_den(a, b) / unit, N)
     runmax, work = np.zeros(P), _work_buffer(P)
     walk = _walk(draw, P, N)
     for pos, S, part in _with_progress(walk, N, "baseline-scalar") if cfg.progress else walk:

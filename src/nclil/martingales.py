@@ -11,16 +11,15 @@ only the final values; their brackets and difference bounds are exact by
 the choice of increment law.
 
 One iid draw, ``sample_step_increments``, serves every ensemble, and
-every ensemble loop holds one buffer of ``_STREAM_TILE`` entries.  The
-streaming engines in ``lil`` sum the draws with their walker, so every
-path is marginally a random walk of its law.  ``gen_diagonal_martingale``
-draws half its paths and mirrors them, so that each step's pair (d, -d)
-sums to exactly 0 and the realized trace of every difference vanishes
-(hypothesis (i), which the exponential-moment sweep checks on its paths).
-
-The centered step laws live in one table, which fixes each law's ratio
-Var(d) / bound^2 and so the per-step bound sqrt(variance / ratio) that
-every ensemble engine draws at.
+every ensemble loop holds one buffer of ``_STREAM_TILE`` entries.  It
+draws the integer atoms k of a law from one table, ``_STEP_LAWS``; an
+increment is unit * k, the unit (``_step_bound``) applied outside the
+exact integer sums.  The streaming engines in ``lil`` sum the atoms with
+their walker, so every path is marginally a random walk of its law.
+``gen_diagonal_martingale`` draws half its paths and mirrors them, so that
+each step's pair (d, -d) sums to exactly 0 and the realized trace of every
+difference vanishes (hypothesis (i), which the exponential-moment sweep
+checks on its paths).
 """
 
 from __future__ import annotations
@@ -46,19 +45,26 @@ _SIGNS = (2 * (np.arange(256)[:, None] >> np.arange(8) & 1) - 1).astype(np.int8)
 
 # Entries in every ensemble loop's buffer: 1 MiB of floats, 32 steps at 4096
 # paths, so the draw, the partial sums and the consumer's passes over a chunk
-# stay in a core's L2 cache.  An iid draw does not depend on the chunk; the
-# tile fixes only the rounding of sums that are not integers.
+# stay in a core's L2 cache.  Neither an iid draw nor its integer sums depend
+# on the chunk.
 _STREAM_TILE = 1 << 17
 
-# Centered step laws: Var(d) / bound^2 of an increment bounded by |d| <= bound.
-_STEP_LAWS = {"rademacher": 1.0, "uniform": 1.0 / 3.0}
+# Centered laws of integer atoms: (Var(k) / atom_max^2 rounded, atom_max).  Uniform
+# atoms are the 2^16 odd integers in [-65535, 65535], of variance (2^32 - 1) / 3.
+_STEP_LAWS = {"rademacher": (1.0, 1), "uniform": ((2**16 + 1) / (3 * (2**16 - 1)), 2**16 - 1)}
 
 
-def _step_bound(law: str, variance):
-    """Per-step bound sqrt(variance / ratio) of a law with the given variance."""
+def _step_bound(law: str, variance) -> tuple[float, float]:
+    """(bound, unit) of a law at a step variance: unit = sqrt(variance / ratio) /
+    atom_max scales its atoms, bound = unit * atom_max.  Every ensemble engine
+    validates its law and variance here."""
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
-    return np.sqrt(variance / _STEP_LAWS[law])
+    ratio, atom_max = _STEP_LAWS[law]
+    unit = math.sqrt(variance / ratio) / atom_max if 0 < variance < math.inf else math.nan
+    if not unit * atom_max < math.inf:
+        raise ConfigError(f"variance must be finite and > 0 (and its bound finite), got {variance}")
+    return unit * atom_max, unit
 
 
 def iterlog(x: float) -> float:
@@ -399,43 +405,38 @@ def _centered_level_element(model: AlgebraModel, k: int, bound: float,
     raise NclilError(f"level {k} produced no nonzero centered element")
 
 
-def sample_step_increments(rng: np.random.Generator, law: str, scale: float,
-                           paths: int, steps: int = 1,
+def sample_step_increments(rng: np.random.Generator, law: str, paths: int, steps: int = 1,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """(steps, paths) block of iid centered bounded increments, |d| <= scale.
+    """(steps, paths) block of the integer atoms of iid centered increments.
 
-    The streaming engines' draw.  A rademacher step takes its signs from
-    the bits of ceil(paths / 64) whole raw words of the bit generator (a
-    full-range ``rng.integers``' words), one table lookup of eight ±1 per
-    byte, then scaled; a uniform one takes one double per path.  So the
-    draws of step k never depend on how the steps are split into blocks.
-    The block is written into ``out`` (a C-contiguous (steps, paths) array,
-    returned) when given, else into a fresh float64 array; the draws are
-    the same either way.  ``out`` is float64 or, for a rademacher draw at
-    unit scale only, a signed integer type, which takes the ±1 with no
-    float cast so the walk can sum them as exact small integers.  An
-    ``out`` of any other dtype is a ShapeError.
+    Each step takes whole raw words of the bit generator (a full-range
+    ``rng.integers``' words), so its draws never depend on how the steps are
+    split into blocks: a rademacher step ceil(paths / 64) words, one table
+    lookup of eight ±1 per byte; a uniform one ceil(paths / 4) words, whose
+    16-bit lanes u, lowest first, give k = 2u - 65535.  The block is written
+    into ``out`` (C-contiguous, of a signed integer type that holds
+    ±atom_max, else a ShapeError) when given, else into a fresh array of the
+    narrowest such type, and returned.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
+    atom_max = _STEP_LAWS[law][1]
     if out is None:
-        out = np.empty((steps, paths))
+        out = np.empty((steps, paths), np.min_scalar_type(-atom_max))
     elif out.shape != (steps, paths):
         raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
-    if out.dtype != np.float64 and (law, scale, out.dtype.kind) != ("rademacher", 1.0, "i"):
-        raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw at scale {scale}")
+    if out.dtype.kind != "i" or np.iinfo(out.dtype).max < atom_max:
+        raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw")
     if law == "rademacher":
         raw = rng.bit_generator.random_raw((steps, -(-paths // 64))).view(np.uint8)
         if out.dtype == np.int8 and paths % 64 == 0:    # lookup into out; "clip" avoids a copy
             _SIGNS.take(raw, out=out.view(np.uint64), mode="clip")
         else:
             out[:] = _SIGNS.take(raw).view(np.int8)[:, :paths]
-        if scale != 1.0:                       # ±1 are already exact at unit scale
-            out *= scale
     else:
-        rng.random(out=out)
-        out *= 2.0 * scale
-        out -= scale
+        lanes = rng.bit_generator.random_raw((steps, -(-paths // 4))).view(np.uint16)
+        np.multiply(lanes[:, :paths], 2, out=out, dtype=out.dtype)
+        out -= atom_max
     return out
 
 
@@ -444,35 +445,31 @@ def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademac
     """Scalar martingale carried by an ensemble of P sample paths, mirrored in pairs.
 
     The first P/2 paths are iid walks of the law at step variance
-    ``variance``, drawn by ``sample_step_increments`` in chunks of
-    _STREAM_TILE // (P/2) steps into one buffer and summed into their final
-    values h; the other P/2 are their mirror images, so the path keeps
-    S_horizon = [h, -h] and nothing else.  Each step's pair (d, -d) sums to
-    exactly 0 in floating point, so hypothesis (i) holds by construction
-    and ``md_residual`` is 0.0.  The bracket and the difference bounds are
-    exact by the law, not estimated from the sample; the sample only
-    carries the distributional statistics.  The draws do not depend on the
-    chunk, which fixes only the rounding of sums that are not integers.
+    ``variance``: their atoms, drawn by ``sample_step_increments`` in chunks
+    of _STREAM_TILE // (P/2) steps into one buffer, are summed as int64 and
+    scaled once by the unit into the final values h; the other P/2 are their
+    mirror images, so the path keeps S_horizon = [h, -h] and nothing else.
+    Each step's pair (d, -d) sums to exactly 0, so hypothesis (i) holds by
+    construction and ``md_residual`` is 0.0.  The bracket and the difference
+    bounds are exact by the law, not estimated from the sample.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     if paths < 2 or paths % 2:
         raise ConfigError("need an even number of paths >= 2")
-    if not variance > 0:
-        raise ConfigError(f"variance must be positive, got {variance}")
-    scale = _step_bound(law, float(variance))     # ess-sup of each increment
+    bound, unit = _step_bound(law, variance)
     rng = stream_rng(seed, label=f"diag-mart-{law}")
     half = paths // 2
-    buf = np.empty((max(1, min(horizon, _STREAM_TILE // half)), half))
-    head = np.zeros(half)
-    for pos in range(0, horizon, len(buf)):
-        take = min(len(buf), horizon - pos)
-        head += sample_step_increments(rng, law, scale, half, steps=take,
-                                       out=buf[:take]).sum(axis=0)
+    buf = sample_step_increments(rng, law, half, steps=max(1, min(horizon, _STREAM_TILE // half)))
+    head = buf.sum(axis=0, dtype=np.int64)
+    for pos in range(len(buf), horizon, len(buf)):
+        part = buf[:horizon - pos]
+        head += sample_step_increments(rng, law, half, steps=len(part), out=part).sum(0, np.int64)
+    head = head * unit
     s2 = np.cumsum(np.full(horizon, float(variance)))
     return MartingalePath(
         final=Operator(np.concatenate([head, -head]), hermitian=True, diagonal=True),
-        s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=np.full(horizon, scale),
+        s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=np.full(horizon, bound),
         md_residual=0.0, meta={"law": law, "seed": seed})
 
 

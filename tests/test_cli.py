@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nclil
 from nclil import lil, verify
 from nclil.cli import COMMANDS, build_parser, main
 
@@ -27,6 +30,20 @@ def read_json(path):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def assert_error_summary(out, err):
+    """An error that exits 1 after the output directory was made (the runner
+    raised) leaves summary.json with status "error", the stderr line and the
+    runtime; one raised before that leaves no directory at all."""
+    if not (out / "resolved-config.json").exists():
+        assert not out.exists()
+        return
+    summary = read_json(out / "summary.json")
+    assert set(summary) == {"status", "message", "runtime_seconds"}
+    assert summary["status"] == "error"
+    assert summary["message"] == err.strip().splitlines()[-1]
+    assert summary["runtime_seconds"] >= 0.0
 
 
 class TestProtocol:
@@ -124,8 +141,10 @@ class TestVerifyCommands:
     def test_empty_sweep_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert (out / "resolved-config.json").exists()      # the sweep itself rejects it
+        assert_error_summary(out, err)
 
     def test_bad_numeric_list(self, tmp_path, capsys):
         rc = main(["verify-expineq", "--eps", "0.1,zebra",
@@ -335,8 +354,9 @@ class TestConfigErrors:
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert_error_summary(out, err)
 
     @pytest.mark.parametrize("command, key", [
         ("lil-run", "chunk"), ("baseline-scalar", "chunk"), ("demo-semicircular", "steps")])
@@ -385,7 +405,25 @@ class TestConfigErrors:
         assert main([command, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory") and "7.28 TiB" in err
-        assert not (out / "summary.json").exists()
+        assert (out / "resolved-config.json").exists()
+        assert_error_summary(out, err)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["lil-run", "--horizon", "20", "--paths", "4"], "error: no block at or beyond n0"),
+        (["lil-run", "--horizon", "2", "--paths", "4"], "error: horizon 2 holds no complete"),
+        (["lil-run", "--eta", "3"], "config error: eta must lie in (1, 2)")],
+        ids=["strict-gate", "no-block", "eta"])
+    def test_runner_error_writes_summary(self, tmp_path, capsys, argv, line):
+        """lil-run exits 1 on a strict-gate failure, on a horizon with no
+        complete block and on a bad eta, all raised by the runner, and records
+        the error in summary.json beside resolved-config.json; no other
+        output is written."""
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(line)
+        assert sorted(f.name for f in out.iterdir()) == ["resolved-config.json", "summary.json"]
+        assert_error_summary(out, err)
 
     def test_lists_from_text_or_array_resolve_alike(self, tmp_path):
         flags, cfg = tmp_path / "flags", tmp_path / "cfg"
@@ -485,11 +523,31 @@ def test_config_file_values_of_wrong_type_are_rejected(command, key, data):
         assert not out.exists()
 
 
-@pytest.mark.skipif(shutil.which("nclil") is None, reason="entry point not installed")
+def _console(*argv):
+    """The command as a process: the installed ``nclil`` entry point, or
+    ``python -m nclil.cli`` on the source tree when it is not installed."""
+    if shutil.which("nclil"):
+        return subprocess.run(["nclil", *argv], capture_output=True, text=True, timeout=300)
+    src = str(Path(nclil.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "nclil.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 def test_console_script(tmp_path):
     out = tmp_path / "o"
-    proc = subprocess.run(["nclil", "verify-scalarineq", "--count", "3",
-                           "--out", str(out)], capture_output=True, text=True)
-    assert proc.returncode == 0
+    proc = _console("verify-scalarineq", "--count", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
     assert "ok" in proc.stdout
     assert (out / "summary.json").exists()
+
+
+def test_console_script_bad_input(tmp_path):
+    """Bad input as a process: exit 1, one config error line, no traceback."""
+    out = tmp_path / "o"
+    proc = _console("lil-run", "--eta", "3", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: eta must lie in (1, 2)")
+    assert "Traceback" not in proc.stderr
+    assert_error_summary(out, proc.stderr)

@@ -21,6 +21,7 @@ from nclil.cli import main
 from nclil.martingales import BracketProfile, LinearBracket, iterlog_seq, stopping_indices
 from nclil.operators import _openblas
 from nclil.rng import stream_rng
+from step_atoms import ATOM_MAX, reference_atoms, reference_unit
 
 
 class TestParameters:
@@ -119,8 +120,12 @@ class TestStreamingEngine:
             LILRunConfig(paths=0)
         with pytest.raises(ConfigError):
             LILRunConfig(checkpoints=1)
-        with pytest.raises(ConfigError):
-            LILRunConfig(variance=0.0)
+        # a NaN variance used to pass and fail later with "no complete block",
+        # an infinite one with a bare OverflowError
+        for law in ("rademacher", "uniform"):
+            for variance in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ConfigError, match="variance must be finite and > 0"):
+                    LILRunConfig(law=law, variance=variance)
 
     def test_variance_scales_blocks(self):
         a = run_lil_experiment(LILRunConfig(horizon=20000, paths=64, seed=1))
@@ -308,51 +313,50 @@ class TestBlockCore:
         assert [b.shape for b in buffers] == [(rows, paths)]
         assert buffers[0].size <= max(cap, paths)
 
-    @pytest.mark.parametrize("chunk, dtype", [
-        (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)])
+    @pytest.mark.parametrize("law, chunk, dtype", [
+        ("rademacher", 127, np.int8), ("rademacher", 128, np.int16),
+        ("rademacher", 32767, np.int16), ("rademacher", 32768, np.int32),
+        ("uniform", 32768, np.int32),
+        ("uniform", 32769, np.int64)])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_walk_partials_fit_the_narrowest_integer(self, monkeypatch, chunk, dtype, sign):
-        """An all-+1 or all--1 rademacher walk at unit scale reaches ±chunk within
-        a chunk; its partials take the narrowest type that holds that, and
-        wrap nowhere."""
+    def test_walk_partials_fit_the_narrowest_integer(self, monkeypatch, law, chunk, dtype,
+                                                     sign):
+        """A walk of the largest atom, all +atom_max or all -atom_max, reaches
+        ±chunk * atom_max within a chunk; its partials take the narrowest type
+        that holds that, and wrap nowhere."""
         paths, total = 2, chunk + 3                  # the second chunk starts from the carry
+        atom = sign * ATOM_MAX[law]
         monkeypatch.setattr(lil, "_STREAM_TILE", chunk * paths)
-        iid = lil._iid_draw(stream_rng(0), "rademacher", 1.0, paths)
+        iid = lil._iid_draw(stream_rng(0), law, paths)
 
         def draw(pos, take, out):
             out = iid(pos, take, out)                # the engines' draw picks the dtype
-            out[:] = sign
+            out[:] = atom
             return out
 
         chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(draw, paths, total)]
         assert [P.dtype for _, _, P in chunks] == [dtype, dtype]
-        narrower = {np.int16: np.int8, np.int32: np.int16}.get(dtype)
-        assert narrower is None or chunk > np.iinfo(narrower).max
-        steps = np.full((total, paths), sign, dtype=np.int64)
+        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}.get(dtype)
+        assert narrower is None or chunk * ATOM_MAX[law] > np.iinfo(narrower).max
+        steps = np.full((total, paths), atom, dtype=np.int64)
         for pos, S, P in chunks:
             np.testing.assert_array_equal(P, np.cumsum(steps[pos:pos + len(P)], axis=0))
-            np.testing.assert_array_equal(S, np.full(paths, float(sign * pos)))
-        assert chunks[0][2][-1, 0] == sign * chunk
+            np.testing.assert_array_equal(S, np.full(paths, float(atom * pos)))
+        assert chunks[0][2][-1, 0] == atom * chunk
         walked = np.concatenate([S + P for _, S, P in chunks], axis=0)
         np.testing.assert_array_equal(walked, np.cumsum(steps, axis=0))
 
 
-def _paths_major_walk(rng, law, scale, paths, total, chunk):
+def _paths_major_walk(rng, law, paths, total, chunk):
     """The paths-major walk the steps-major one replaced, kept as a reference:
-    fresh chunked iid draws, transpose, cumsum along the steps, then the carry.
-    A rademacher step takes its signs from the low bits of ceil(paths / 64)
-    whole 64-bit words, a uniform one maps one double per path onto [-b, b)."""
-    S = np.zeros(paths)
+    fresh chunked draws of the reference atoms, transpose, an int64 cumsum
+    along the steps, then the carry.  Yields the integer sums of the atoms;
+    the martingale is unit times them."""
+    S = np.zeros(paths, dtype=np.int64)
     pos = 0
     while pos < total:
         take = min(chunk, total - pos)
-        if law == "rademacher":
-            words = rng.integers(0, np.iinfo(np.uint64).max, size=(take, -(-paths // 64)),
-                                 dtype=np.uint64, endpoint=True)
-            bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
-            block = np.where(bits == 1, scale, -scale)
-        else:
-            block = rng.random((take, paths)) * (2.0 * scale) - scale
+        block = reference_atoms(rng, law, take, paths)
         C = np.ascontiguousarray(block.T)
         np.cumsum(C, axis=1, out=C)
         C += S[:, None]
@@ -362,9 +366,10 @@ def _paths_major_walk(rng, law, scale, paths, total, chunk):
 
 
 def _reference_stream_report(cfg, chunk):
-    """The streaming engine's report, realized from the reference walk."""
+    """The streaming engine's report, realized from the reference walk: the
+    integer sums of the atoms against the normalizers divided by the unit."""
     pars, N, P = cfg.params, cfg.horizon, cfg.paths
-    scale = math.sqrt(cfg.variance / (1.0 if cfg.law == "rademacher" else 1.0 / 3.0))
+    bound, unit = reference_unit(cfg.law, cfg.variance)
     s2 = cfg.variance * np.arange(1, N + 1, dtype=np.float64)
     u = np.sqrt(iterlog_seq(s2))
     norm = np.sqrt(s2) * u
@@ -374,17 +379,17 @@ def _reference_stream_report(cfg, chunk):
         total = int(ks[-1])
         rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
         absS = np.abs(np.concatenate(
-            list(_paths_major_walk(rng, cfg.law, scale, P, total, chunk)), axis=1))
-        R = absS / norm[None, :total]
+            list(_paths_major_walk(rng, cfg.law, P, total, chunk)), axis=1))
+        R = absS / (norm / unit)[None, :total]
         sections = range(len(ks) - 1)
         blockmax = np.array([R[:, ks[i]:ks[i + 1]].max(axis=1, initial=-np.inf)
                              for i in sections])
-        snapshots = np.array([absS[:, :ks[i + 1]].max(axis=1, initial=0.0) for i in sections])
+        snapshots = np.array([absS[:, :ks[i + 1]].max(axis=1, initial=0) for i in sections])
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_rows = R[:, cp_steps - 1].T
         exceed = blockmax[1:B + 1] > pars.threshold
         exceed_theory = snapshots[1:B + 1] > (pars.beta * (1.0 + pars.delta)
-                                              * norm[ks[2:] - 1])[:, None]
+                                              * norm[ks[2:] - 1] / unit)[:, None]
         used_ix = np.asarray(used)
         kept = ~exceed[used_ix - 1].any(axis=0)
         kept_rows = cp_rows[:, kept]
@@ -402,7 +407,7 @@ def _reference_stream_report(cfg, chunk):
                                          "r_max_kept": max_kept.tolist(),
                                          "r_mean_kept": mean_kept.tolist()})
 
-    profile = BracketProfile(s2, u, np.broadcast_to(scale, (N,)))   # whole-horizon arrays
+    profile = BracketProfile(s2, u, np.broadcast_to(bound, (N,)))   # whole-horizon arrays
     report = _block_report("streaming-ensemble", cfg, profile, realize, law=cfg.law,
                            carrier=f"paths={P}", knob="the variance")
     report.blas_threads = 1 if _openblas() else None      # the runner's stamp
@@ -449,9 +454,9 @@ def _assert_chunks(draws, rows):
 class TestMaxNormalized:
     """The consumers' screened divide against a full divide-then-max of
     |S + partials|, bit for bit; every case runs on the walk's integer
-    partials (int8, int16) and on float64 ones."""
+    partials of both laws (rademacher int8 and int16, uniform int32)."""
 
-    DTYPES = (np.int8, np.int16, np.float64)
+    DTYPES = (np.int8, np.int16, np.int32)
 
     @staticmethod
     def run(S, part, den, best, columns=None):
@@ -469,19 +474,17 @@ class TestMaxNormalized:
 
     @staticmethod
     def block(seed, dtype, steps=7, paths=64):
-        """Carried sums S and the partials of a short rademacher stretch after
-        them (unit steps as integers, steps of sqrt(0.37) as float64), with
-        their sqrt(n L(n)) normalizers."""
+        """Carried sums S and the partials of a short stretch of atoms after
+        them (rademacher ±1, or uniform odd atoms for int32), with their
+        sqrt(n L(n)) normalizers divided by the law's unit."""
         rng = np.random.default_rng(seed)
-        signs = rng.choice([-1, 1], size=(steps, paths))
-        S = rng.integers(-40, 41, size=paths).astype(np.float64)
-        if dtype == np.float64:
-            S *= math.sqrt(0.37)
-            part = np.cumsum(signs * math.sqrt(0.37), axis=0)
-        else:
-            part = np.cumsum(signs, axis=0).astype(dtype)
+        law = "uniform" if dtype == np.int32 else "rademacher"
+        atom_max = ATOM_MAX[law]
+        atoms = 2 * rng.integers(0, atom_max + 1, size=(steps, paths)) - atom_max
+        S = (atom_max * rng.integers(-40, 41, size=paths)).astype(np.float64)
+        part = np.cumsum(atoms, axis=0).astype(dtype)
         ns = np.arange(300, 300 + steps, dtype=np.float64)
-        return S, part, np.sqrt(ns * iterlog_seq(ns))
+        return S, part, np.sqrt(ns * iterlog_seq(ns)) / reference_unit(law, 1.0)[1]
 
     def test_abs_top_is_the_column_max_of_abs(self):
         for dtype in self.DTYPES:
@@ -571,8 +574,8 @@ class TestMaxNormalized:
 class TestWalkRegression:
     """Bit-identity of the steps-major walk and its consumers with the
     paths-major reference: at an odd chunk size, for both laws at a non-unit
-    variance and for rademacher at unit variance (integer partials), and in
-    the engines' own 32-step tile at 4096 paths.  63 paths is odd and takes
+    variance and for rademacher at unit variance, all on integer partials,
+    and in the engines' own 32-step tile at 4096 paths.  63 paths is odd and takes
     part of a raw word a step.  The checkpoint table is also checked at its
     edges: a walk past 65535 steps, one checkpoint, and no path kept."""
 
@@ -600,12 +603,13 @@ class TestWalkRegression:
         draws = _patch_tile(monkeypatch, rows * paths)
         cfg = BaselineConfig(paths=paths, horizon=horizon, law=law, seed=6)
         rng = stream_rng(cfg.seed, label=f"baseline-{law}")
-        scale = 1.0 if law == "rademacher" else math.sqrt(3.0)
-        S = np.concatenate(list(_paths_major_walk(rng, law, scale, cfg.paths, cfg.horizon,
-                                                  rows)), axis=1)
+        unit = reference_unit(law, 1.0)[1]
+        S = np.concatenate(list(_paths_major_walk(rng, law, cfg.paths, cfg.horizon, rows)),
+                           axis=1)
         lo = cfg.horizon // 10
         ns = np.arange(lo + 1, cfg.horizon + 1, dtype=np.float64)
-        expected = (np.abs(S[:, lo:]) / np.sqrt(ns * iterlog_seq(ns))).max(axis=1, initial=0.0)
+        den = np.sqrt(ns * iterlog_seq(ns)) / unit
+        expected = (np.abs(S[:, lo:]) / den).max(axis=1, initial=0.0)
         np.testing.assert_array_equal(scalar_kolmogorov_baseline(cfg).per_path, expected)
         assert _assert_chunks(draws, rows) == [-(-cfg.horizon // rows)]
         return {dtype for _, _, dtype in draws}
@@ -613,8 +617,9 @@ class TestWalkRegression:
     @pytest.mark.parametrize("paths", [63, 64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
+        dtype = np.int16 if law == "rademacher" else np.int32
         assert self.check_report(monkeypatch, law, 0.37, paths, _ODD_CHUNK, 6000) == \
-            {np.dtype(np.float64)}
+            {np.dtype(dtype)}
 
     @pytest.mark.parametrize("paths", [63, 64, 512])
     def test_unit_rademacher_report_matches_reference(self, monkeypatch, paths):
@@ -624,7 +629,7 @@ class TestWalkRegression:
     @pytest.mark.parametrize("paths", [63, 64, 512])
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_baseline_per_path_matches_reference(self, monkeypatch, law, paths):
-        dtype = np.int16 if law == "rademacher" else np.float64
+        dtype = np.int16 if law == "rademacher" else np.int32
         assert self.check_baseline(monkeypatch, law, paths, _ODD_CHUNK, 5000) == {np.dtype(dtype)}
 
     def test_engines_own_tile_matches_reference(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
                    sample_step_increments, stopping_indices, stream_rng,
                    validate_differences)
 from nclil import martingales
+from step_atoms import ATOM_MAX, RATIO, reference_atoms, reference_unit
 
 E_E = math.exp(math.e)
 
@@ -51,9 +53,9 @@ class TestSampling:
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_exact_balance(self, law):
         """gen_diagonal_martingale mirrors its paths: each step's pair (d, -d)
-        cancels exactly, so every mirrored row of steps, summed as numpy sums
-        512 entries (pairwise, halves first), and the realized trace of the
-        final values are exactly 0."""
+        cancels exactly, so every mirrored row of steps and the realized trace
+        of the final values are exactly 0, and the final values are the exact
+        sums of the atoms, scaled once by the unit."""
         paths, half, horizon, variance = 512, 256, 600, 0.37
         path = gen_diagonal_martingale(horizon, paths=paths, law=law, variance=variance,
                                        seed=9)
@@ -63,72 +65,71 @@ class TestSampling:
         assert normalized_trace(path.final) == 0.0
         assert path.md_residual == 0.0
         # the same steps, drawn in one block: the draws do not depend on the chunk
-        scale = martingales._step_bound(law, variance)
-        head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law, scale,
-                                      half, steps=horizon)
+        bound, unit = martingales._step_bound(law, variance)
+        head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law, half,
+                                      steps=horizon)
         rows = np.concatenate([head, -head], axis=1)
-        assert np.max(np.abs(rows)) <= scale
-        assert np.all(rows.sum(axis=1) == 0.0)
-        np.testing.assert_allclose(rows.sum(axis=0), final, rtol=0.0,
-                                   atol=1e-12 * horizon * scale)
-        assert np.max(np.abs(final)) <= horizon * scale
+        assert np.max(np.abs(rows)) <= ATOM_MAX[law]
+        assert np.all(rows.sum(axis=1) == 0)
+        np.testing.assert_array_equal(rows.sum(axis=0, dtype=np.int64) * unit, final)
+        assert np.max(np.abs(final)) <= horizon * bound
 
     def test_out_shape_checked(self):
         for law in ("rademacher", "uniform"):
             with pytest.raises(ShapeError):
-                sample_step_increments(stream_rng(0), law, 1.0, paths=8, steps=3,
-                                       out=np.empty((4, 8)))
+                sample_step_increments(stream_rng(0), law, paths=8, steps=3,
+                                       out=np.empty((4, 8), dtype=np.int32))
 
     def test_out_dtype_checked(self):
-        """Only a rademacher draw at unit scale fits a signed integer block;
-        any other dtype that cannot hold the draw is a ShapeError."""
-        for law, scale, dtype in (("rademacher", 0.7, np.int8), ("uniform", 1.0, np.int16),
-                                  ("rademacher", 1.0, np.uint8),
-                                  ("rademacher", 1.0, np.float32)):
+        """Only a signed integer block that holds ±atom_max takes a draw."""
+        for law, dtype in (("rademacher", np.uint8), ("rademacher", np.float64),
+                           ("rademacher", np.float32), ("uniform", np.int16),
+                           ("uniform", np.uint32), ("uniform", np.float64)):
             with pytest.raises(ShapeError):
-                sample_step_increments(stream_rng(0), law, scale, paths=8, steps=3,
+                sample_step_increments(stream_rng(0), law, paths=8, steps=3,
                                        out=np.empty((3, 8), dtype=dtype))
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
-    def test_integer_out_matches_float_draw(self, dtype):
-        rng_int, rng_float = stream_rng(6), stream_rng(6)
-        got = sample_step_increments(rng_int, "rademacher", 1.0, paths=70, steps=40,
+    @pytest.mark.parametrize("law, dtype", [
+        ("rademacher", np.int8), ("rademacher", np.int16), ("rademacher", np.int32),
+        ("uniform", np.int32), ("uniform", np.int64)])
+    def test_integer_out_matches_fresh_draw(self, law, dtype):
+        rng_out, rng_fresh = stream_rng(6), stream_rng(6)
+        got = sample_step_increments(rng_out, law, paths=70, steps=40,
                                      out=np.empty((40, 70), dtype=dtype))
+        fresh = sample_step_increments(rng_fresh, law, paths=70, steps=40)
         assert got.dtype == dtype
-        np.testing.assert_array_equal(
-            got, sample_step_increments(rng_float, "rademacher", 1.0, paths=70, steps=40))
-        assert rng_int.random() == rng_float.random()
+        assert fresh.dtype == {"rademacher": np.int8, "uniform": np.int32}[law]
+        np.testing.assert_array_equal(got, fresh)
+        assert rng_out.random() == rng_fresh.random()
 
     def test_rademacher_values(self):
-        rng = stream_rng(3)
-        block = sample_step_increments(rng, "rademacher", 2.0, paths=8, steps=5)
-        assert set(np.unique(block)) == {-2.0, 2.0}
+        block = sample_step_increments(stream_rng(3), "rademacher", paths=8, steps=5)
+        assert set(np.unique(block)) == {-1, 1}
 
     def test_odd_paths_rejected(self):
         """Only the mirrored ensemble splits the paths half and half."""
         for paths in (7, 0):
             with pytest.raises(ConfigError):
                 gen_diagonal_martingale(10, paths=paths)
-        assert sample_step_increments(stream_rng(0), "rademacher", 1.0, paths=7).shape == (1, 7)
+        assert sample_step_increments(stream_rng(0), "rademacher", paths=7).shape == (1, 7)
 
     @pytest.mark.parametrize("paths", [6, 70])
     def test_iid_rademacher_values(self, paths):
-        block = sample_step_increments(stream_rng(3), "rademacher", 0.7, paths=paths,
-                                       steps=400)
+        block = sample_step_increments(stream_rng(3), "rademacher", paths=paths, steps=400)
         assert block.shape == (400, paths)
-        assert set(np.unique(block)) == {-0.7, 0.7}
-        assert np.any(block.sum(axis=1) != 0.0)       # steps are not balanced
+        assert set(np.unique(block)) == {-1, 1}
+        assert np.any(block.sum(axis=1) != 0)         # steps are not balanced
 
-    @pytest.mark.parametrize("scale", [1.0, math.sqrt(0.37), math.sqrt(3.0)])
-    def test_iid_rademacher_exact_scale(self, scale):
-        """Each value is +scale for a set bit and -scale for a clear one, exactly."""
+    @pytest.mark.parametrize("variance", [1.0, 0.37, 3.0])
+    def test_iid_rademacher_exact_scale(self, variance):
+        """Each atom is +1 for a set bit and -1 for a clear one; the unit that
+        scales them is sqrt(variance), exactly the step bound."""
         paths, steps = 70, 300
-        block = sample_step_increments(stream_rng(4), "rademacher", scale, paths=paths,
-                                       steps=steps)
-        words = stream_rng(4).integers(0, np.iinfo(np.uint64).max, size=(steps, 2),
-                                       dtype=np.uint64, endpoint=True)
-        bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
-        np.testing.assert_array_equal(block, np.where(bits == 1, scale, -scale))
+        block = sample_step_increments(stream_rng(4), "rademacher", paths=paths, steps=steps)
+        np.testing.assert_array_equal(block, reference_atoms(stream_rng(4), "rademacher",
+                                                             steps, paths))
+        assert martingales._step_bound("rademacher", variance) == \
+            (math.sqrt(variance), math.sqrt(variance))
 
     @pytest.mark.parametrize("paths", [1, 2, 63, 64, 65, 4094])
     @pytest.mark.parametrize("steps", [1, 5])
@@ -136,49 +137,84 @@ class TestSampling:
         """The byte-table signs equal the unpacked bits of full-range words,
         and each draw consumes the same number of raw words; at 64 paths an
         int8 ``out`` is filled by the lookup itself."""
-        cases = [(dtype, 1.0) for dtype in (np.int8, np.int16, np.float64)]
-        cases.append((np.float64, math.sqrt(0.37)))
-        for seed, (dtype, scale) in enumerate(cases):
+        for seed, dtype in enumerate((np.int8, np.int16, np.int32)):
             rng, ref = stream_rng(seed, label="signs"), stream_rng(seed, label="signs")
-            got = sample_step_increments(rng, "rademacher", scale, paths=paths, steps=steps,
+            got = sample_step_increments(rng, "rademacher", paths=paths, steps=steps,
                                          out=np.empty((steps, paths), dtype=dtype))
-            words = ref.integers(0, np.iinfo(np.uint64).max, size=(steps, -(-paths // 64)),
-                                 dtype=np.uint64, endpoint=True)
-            bits = np.unpackbits(words.view(np.uint8), axis=1, count=paths, bitorder="little")
             assert got.dtype == dtype
-            np.testing.assert_array_equal(got, np.where(bits == 1, scale, -scale))
+            np.testing.assert_array_equal(got, reference_atoms(ref, "rademacher", steps, paths))
             np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
                                           ref.bit_generator.random_raw(3))
 
-    def test_iid_uniform_bounded(self):
-        block = sample_step_increments(stream_rng(3), "uniform", 0.7, paths=70, steps=400)
-        assert np.max(np.abs(block)) <= 0.7
-        assert block.min() < -0.69 and block.max() > 0.69
+    @pytest.mark.parametrize("paths", [1, 3, 4, 5, 70, 4097])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_uniform_lanes_match_shifts(self, paths, steps):
+        """Uniform atoms are 2u - 65535 of the 16-bit lanes u of full-range
+        words, lowest lane first, split here by shifts; each step takes
+        ceil(paths / 4) whole words."""
+        for seed, dtype in enumerate((np.int32, np.int64)):
+            rng, ref = stream_rng(seed, label="lanes"), stream_rng(seed, label="lanes")
+            got = sample_step_increments(rng, "uniform", paths=paths, steps=steps,
+                                         out=np.empty((steps, paths), dtype=dtype))
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, reference_atoms(ref, "uniform", steps, paths))
+            np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
+                                          ref.bit_generator.random_raw(3))
+
+    def test_iid_uniform_atoms(self):
+        block = sample_step_increments(stream_rng(3), "uniform", paths=70, steps=400)
+        assert block.dtype == np.int32
+        assert np.max(np.abs(block)) <= 65535 and np.all(block % 2 == 1)
+        assert block.min() < -65000 and block.max() > 65000
 
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
     def test_iid_out_buffer_matches_fresh_draw(self, law):
-        buf = np.full((50, 70), np.nan)
+        buf = np.full((50, 70), 7, dtype=np.int32)
         rng_out, rng_fresh, rng_whole = stream_rng(5), stream_rng(5), stream_rng(5)
         fresh = []
         for steps in (37, 11):
-            got = sample_step_increments(rng_out, law, 0.7, paths=70, steps=steps,
-                                         out=buf[:steps])
-            fresh.append(sample_step_increments(rng_fresh, law, 0.7, paths=70, steps=steps))
+            got = sample_step_increments(rng_out, law, paths=70, steps=steps, out=buf[:steps])
+            fresh.append(sample_step_increments(rng_fresh, law, paths=70, steps=steps))
             assert np.shares_memory(got, buf)
             np.testing.assert_array_equal(got, fresh[-1])
         # step k's draws do not depend on how the steps are split into blocks
-        whole = sample_step_increments(rng_whole, law, 0.7, paths=70, steps=48)
+        whole = sample_step_increments(rng_whole, law, paths=70, steps=48)
         np.testing.assert_array_equal(np.concatenate(fresh), whole)
         assert rng_out.random() == rng_fresh.random() == rng_whole.random()
 
-    def test_variance_factor(self):
-        assert martingales._STEP_LAWS == {"rademacher": 1.0, "uniform": 1.0 / 3.0}
-        assert martingales._step_bound("uniform", 1.0) == math.sqrt(3.0)
+    def test_step_laws(self):
+        """Each law's ratio is Var(k) / atom_max^2 of its enumerated atoms,
+        correctly rounded, and its unit scales the largest atom to the bound."""
+        laws = {"rademacher": range(-1, 2, 2), "uniform": range(-65535, 65536, 2)}
+        assert set(martingales._STEP_LAWS) == set(laws) and len(laws["uniform"]) == 2 ** 16
+        for law, atoms in laws.items():
+            var = sum(Fraction(k * k) for k in atoms) / len(atoms)
+            assert sum(atoms) == 0
+            assert martingales._STEP_LAWS[law] == (float(var / atoms[-1] ** 2), atoms[-1])
+            assert martingales._STEP_LAWS[law] == (RATIO[law], ATOM_MAX[law])
+        assert RATIO["uniform"] == float(Fraction(2 ** 16 + 1, 3 * (2 ** 16 - 1)))
         for law in ("gaussian", "alternating"):
             with pytest.raises(ConfigError):
                 martingales._step_bound(law, 1.0)
             with pytest.raises(ConfigError):
                 gen_diagonal_martingale(horizon=10, paths=8, law=law)
+
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    @pytest.mark.parametrize("variance", [1.0, 0.37, 2.0, 3.0, 0.81, 1e-6, 7.5e4])
+    def test_bound_covers_the_largest_increment(self, law, variance):
+        """The reported dnorm is at least unit * atom_max in floating point, and
+        bound and unit are those of the reference formula."""
+        bound, unit = martingales._step_bound(law, variance)
+        assert (bound, unit) == reference_unit(law, variance)
+        path = gen_diagonal_martingale(horizon=5, paths=8, law=law, variance=variance)
+        assert np.all(path.dnorm >= unit * ATOM_MAX[law])
+
+    def test_overflowing_bound_rejected(self):
+        """1e308 / (1/3) is no float: the uniform bound overflows, the
+        rademacher one does not."""
+        assert martingales._step_bound("rademacher", 1e308)[0] == math.sqrt(1e308)
+        with pytest.raises(ConfigError, match="its bound finite"):
+            martingales._step_bound("uniform", 1e308)
 
 
 class TestStoppingRule:
@@ -310,9 +346,13 @@ class TestGenerators:
         assert path.md_residual < 1e-12
 
     def test_diagonal_martingale_rejects_nonpositive_variance(self):
-        for variance in (0.0, -1.0, math.nan):
-            with pytest.raises(ConfigError):
-                gen_diagonal_martingale(horizon=5, paths=8, variance=variance)
+        """An infinite variance used to pass the generator's own check."""
+        for law in ("rademacher", "uniform"):
+            for variance in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ConfigError, match="variance must be finite and > 0"):
+                    martingales._step_bound(law, variance)
+                with pytest.raises(ConfigError, match="variance must be finite and > 0"):
+                    gen_diagonal_martingale(horizon=5, paths=8, law=law, variance=variance)
 
     def test_gue_bits_of_the_complex_expression(self):
         ref, r = stream_rng(17), stream_rng(17)
@@ -349,23 +389,20 @@ class TestDenseMemory:
 
 
 def _hand_loop_diagonal(horizon, paths, law, variance, seed, tile):
-    """gen_diagonal_martingale as a reference loop: fresh iid draws on the first
+    """gen_diagonal_martingale as a reference loop: reference atoms on the first
     half of the paths in chunks of tile // half steps, each chunk's rows added
-    one by one into the head, and the tail the head's mirror image.  Returns
-    (final values, step bound)."""
+    one by one into an integer head, the head scaled by the unit, and the
+    tail its mirror image.  Returns (final values, step bound)."""
     half = paths // 2
-    scale = math.sqrt(variance / (1.0 if law == "rademacher" else 1.0 / 3.0))
+    bound, unit = reference_unit(law, variance)
     rng = stream_rng(seed, label=f"diag-mart-{law}")
     chunk = max(1, min(horizon, tile // half))
-    head = np.zeros(half)
+    head = np.zeros(half, dtype=np.int64)
     for pos in range(0, horizon, chunk):
-        block = sample_step_increments(rng, law, scale, half, steps=min(chunk, horizon - pos))
-        assert np.max(np.abs(block)) <= scale
-        total = block[0].copy()
-        for row in block[1:]:
-            total += row
-        head += total
-    return np.concatenate([head, -head]), scale
+        for row in reference_atoms(rng, law, min(chunk, horizon - pos), half):
+            head += row
+    head = head * unit
+    return np.concatenate([head, -head]), bound
 
 
 def _record_draws(monkeypatch):
@@ -402,8 +439,8 @@ class TestDiagonalRegression:
     @pytest.mark.parametrize("law, variance", [("rademacher", 1.0), ("rademacher", 0.37),
                                                ("uniform", 1.0), ("uniform", 0.81)])
     def test_tile_invariant(self, monkeypatch, law, variance):
-        """The draws do not depend on the tile; only the rounding of sums that
-        are not integers does, so unit rademacher sums are bit-identical."""
+        """Neither the draws nor the integer sums depend on the tile, so the
+        final values are bit-identical at every law and variance."""
         def run():
             return gen_diagonal_martingale(3000, paths=512, law=law, variance=variance,
                                            seed=4).final.data
@@ -415,8 +452,4 @@ class TestDiagonalRegression:
         steps.clear()
         tiled = run()
         assert steps == [7] * 428 + [4]
-        if law == "rademacher" and variance == 1.0:
-            np.testing.assert_array_equal(tiled, whole)
-        else:
-            scale = martingales._step_bound(law, variance)
-            np.testing.assert_allclose(tiled, whole, rtol=0.0, atol=1e-12 * 3000 * scale)
+        np.testing.assert_array_equal(tiled, whole)

@@ -30,12 +30,12 @@ def _load(name):
 
 
 def test_bench_walk_times_the_engines_tile(tmp_path):
-    """Both laws, so both kinds of partials: integer (rademacher, 2048 steps
-    a chunk at 64 paths) and float64 (uniform), with the engines' work
+    """Both laws, each on its integer partials at 2048 steps a chunk (64
+    paths): int16 for rademacher, int32 for uniform, with the engines' work
     buffer of a quarter tile, and the running max restarted at the 9
     eta-adic boundaries lil-run's default bracket crosses in 2048 steps."""
     bench_walk = _load("bench_walk")
-    for law, dtype in (("rademacher", "int16"), ("uniform", "float64")):
+    for law, dtype in (("rademacher", "int16"), ("uniform", "int32")):
         out = tmp_path / f"walk-{law}.json"
         argv = ["--law", law, "--paths", "64", "--chunks", "1", "--repeats", "1",
                 "--out", str(out)]
