@@ -2,19 +2,19 @@
 """Time the layers of the streaming ensemble walk on their own.
 
 One pass streams ``--chunks`` chunks x ``--paths`` paths through
-``nclil.lil._walk`` with the engines' increment draw, in the streaming
-engines' own tile of ``nclil.martingales._STREAM_TILE`` entries
-(``_STREAM_TILE // paths`` steps per chunk; both are recorded in the
-JSON ``config``, with the dtype of the partial sums the walk yields and
-the size of the consumer's work buffer), and splits the wall time into
-three layers:
+``nclil.lil._walk`` over the engines' chunker,
+``nclil.martingales._atom_chunks``, in its tile of
+``nclil.martingales._STREAM_TILE`` entries (``_STREAM_TILE // paths``
+steps per chunk; both are recorded in the JSON ``config``, with the dtype
+of the partial sums the walk yields and the size of the consumer's work
+buffer), and splits the wall time into three layers:
 
-- ``draw``: ``sample_step_increments`` for one chunk, through
-  ``nclil.lil._iid_draw``, the iid draw that ``lil-run`` and
-  ``baseline-scalar`` make, of integer atoms into the narrowest integer
-  type that holds a chunk's sums: the bytes of raw 64-bit words looked up
-  as eight ±1 each for rademacher, the 16-bit lanes of raw words mapped
-  to odd atoms in [-65535, 65535] for uniform;
+- ``draw``: the chunker's ``next``, the iid draw that ``lil-run`` and
+  ``baseline-scalar`` make (``sample_step_increments`` into the chunker's
+  one buffer, of the narrowest integer type that holds a chunk's sums):
+  the bytes of raw 64-bit words looked up as eight ±1 each for
+  rademacher, the 16-bit lanes of raw words mapped to odd atoms in
+  [-65535, 65535] for uniform;
 - ``walk``: what ``_walk`` adds around the draw (the row adds that turn
   a chunk's atoms into integer partial sums, and the carried sum);
 - ``consume``: the column max of |S_n| from the partials'
@@ -58,9 +58,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
 from nclil.lil import (LILParameters, _abs_top, _baseline_den,  # noqa: E402
-                       _iid_draw, _max_normalized, _walk, _windowed, _work_buffer)
+                       _max_normalized, _walk, _windowed, _work_buffer)
 from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, LinearBracket,  # noqa: E402
-                               _step_bound, stopping_indices)
+                               _atom_chunks, _step_bound, stopping_indices)
 from nclil.rng import stream_rng  # noqa: E402
 
 LAYERS = ("draw", "walk", "consume")
@@ -78,7 +78,7 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
     """Seconds per layer for one walk over chunks x chunk steps, the mean
     share of paths the consumer divided per call, and the partials' dtype."""
     total = chunks * chunk
-    iid = _iid_draw(stream_rng(seed, label=f"baseline-{law}"), law, paths)
+    chunker = _atom_chunks(stream_rng(seed, label=f"baseline-{law}"), law, paths, total)
     unit = _step_bound(law, 1.0)[1]
     den = _windowed(lambda a, b: _baseline_den(a, b) / unit, total)
     ends = section_ends(total)
@@ -87,13 +87,18 @@ def one_pass(law: str, paths: int, chunk: int, chunks: int,
     spent = dict.fromkeys(LAYERS, 0.0)
     flagged = calls = sec = 0
 
-    def draw(pos, take, out):
-        t0 = time.perf_counter()
-        block = iid(pos, take, out)
-        spent["draw"] += time.perf_counter() - t0
-        return block
+    def drawn():
+        """The chunker's blocks, with the time of each ``next`` in the draw layer."""
+        while True:
+            t0 = time.perf_counter()
+            try:
+                item = next(chunker)
+            except StopIteration:
+                return
+            spent["draw"] += time.perf_counter() - t0
+            yield item
 
-    walk = _walk(draw, paths, total)
+    walk = _walk(drawn(), paths)
     walked = 0.0
     while True:
         t0 = time.perf_counter()

@@ -147,7 +147,6 @@ class ColumnNormBounds:
     certificate: Operator
     p: float
     iterations: int
-    candidate: str
 
     @property
     def gap_ratio(self) -> float:
@@ -249,11 +248,11 @@ class _Descent:
         like = cons[0]
         self.wrap = functools.partial(Operator, hermitian=True, diagonal=like.diagonal,
                                       mult=like.mult, layout=like.layout)
-        self.starts = [("sum", self.wrap(functools.reduce(np.add, self.cons)))]
+        self.starts = [self.wrap(functools.reduce(np.add, self.cons))]
         last, converged = _feasibilize(self.cons[-1], self.cons)
         if converged or _is_feasible(last, self.cons, scale):
-            self.starts.append(("last-column", self.wrap(last)))
-        self.chains = [[a] for _, a in self.starts]
+            self.starts.append(self.wrap(last))
+        self.chains = [[a] for a in self.starts]
 
     def iterate(self, start: int, j: int) -> Operator | None:
         """a_j of the given start, or None past its first infeasible trial."""
@@ -314,9 +313,9 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
     def objective(a: Operator) -> float:
         return op.lp_norm(a, p / 2.0) ** 0.5
 
-    objs = [objective(a) for _, a in descent.starts]
+    objs = [objective(a) for a in descent.starts]
     start = objs.index(min(objs))
-    (name, best), best_obj = descent.starts[start], objs[start]
+    best, best_obj = descent.starts[start], objs[start]
     iters = 0
     for iters in range(1, _SEARCH_ITERS + 1):
         trial = descent.iterate(start, iters)
@@ -330,7 +329,7 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
     lower = max(op.lp_norm(x, p) for x in xs)
     _require_enclosure(lower, best_obj)
     return ColumnNormBounds(lower=lower, upper=best_obj, certificate=cert, p=p,
-                            iterations=iters, candidate=name)
+                            iterations=iters)
 
 
 @dataclass(frozen=True)
@@ -421,7 +420,6 @@ class ProbcResult:
     s: float
     e: op.Projection
     threshold: float
-    max_compressed: float
 
 
 def probc_upper(xs: Sequence[Operator], t: float, dominator: Operator) -> ProbcResult:
@@ -449,7 +447,7 @@ def probc_upper(xs: Sequence[Operator], t: float, dominator: Operator) -> ProbcR
         worst = max(worst, op.lp_norm(compressed, np.inf))
     if worst > t + FEAS_TOL * (1.0 + t):
         raise NclilError(f"compression failed: ||x e|| = {worst} > t = {t}")
-    return ProbcResult(s=float(s), e=e, threshold=float(t), max_compressed=float(worst))
+    return ProbcResult(s=float(s), e=e, threshold=float(t))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ whose last-decade running maximum calibrates where the desk scale sits
 relative to the asymptotic constant, and a semicircular sum demo showing
 the normalized statistic drifting down toward the free-probability edge.
 
-The streaming engine and the scalar baseline draw iid steps and sum them
-with one chunked walker, ``_walk``, whose buffer is one cache-sized tile
-of ``_STREAM_TILE`` entries.  A walk sums its law's integer atoms exactly;
+The streaming engine and the scalar baseline sum the chunks of iid atoms
+that ``martingales._atom_chunks`` draws into one cache-sized tile of
+``_STREAM_TILE`` entries with one walker, ``_walk``.  A walk sums its law's
+integer atoms exactly;
 both consumers compare |S| with the normalizer over the law's unit, and form
 floats only for the paths whose running max can move, gathered in batches
 into one work buffer per walk.  Neither holds an array as long as the
@@ -36,15 +37,17 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import martingales
 from . import operators as op
 from .errors import ConfigError, InsufficientHorizonError
 from .filtration import AlgebraModel
 from .inequalities import (BlockBound, block_tail_bound,
                            column_maximal_norm_bounds, probc_upper)
-from .martingales import (_STEP_LAWS, _STREAM_TILE, BracketProfile, LinearBracket,
-                          StoppingRule, _step_bound, gen_model_martingale, gen_tensor_martingale,
-                          gue_matrix, iterlog, iterlog_seq, sample_step_increments,
+from .martingales import (_STEP_LAWS, BracketProfile, LinearBracket, StoppingRule,
+                          _atom_chunks, _step_bound, gen_model_martingale,
+                          gen_tensor_martingale, gue_matrix, iterlog, iterlog_seq,
                           stopping_indices)
+from .martingales import sample_step_increments  # noqa: F401  (name read by perfbench's tracer test)
 from .operators import Projection
 from .rng import stream_rng
 
@@ -275,50 +278,19 @@ def run_lil_experiment(cfg: LILRunConfig) -> TailReport:
     return report
 
 
-def _iid_draw(rng: np.random.Generator, law: str, paths: int) -> Callable:
-    """The walk's draw of the integer atoms of one law, |k| <= atom_max.
+def _walk(chunks: Iterator[tuple], paths: int) -> Iterator[tuple]:
+    """Partial sums of an ensemble walk, steps-major, chunk by chunk.
 
-    Asked for a fresh block (``out`` None), it makes it of the narrowest
-    signed integer type that holds both ±take * atom_max, so the walk sums
-    the atoms exactly: for rademacher int8 up to 127 steps, int16 up to
-    32767, else int32; for uniform int32 up to 32768 steps, else int64.
+    ``chunks`` yields (pos, block), block[j] the increments of step pos+j+1
+    (``_atom_chunks``).  Yields (pos, S, P): S the float64 sums S_pos carried
+    from earlier chunks, P the block itself summed in place along axis 0, so
+    S_{pos+j+1} = S + P[j]; the carry is added only where a consumer needs a
+    value.  The chunker's dtype holds a chunk's sums, so the partials are
+    exact and do not depend on the chunk.  S and P are views the walk
+    reuses: valid until it resumes, and not to be written by the consumer.
     """
-    atom_max = _STEP_LAWS[law][1]
-
-    def draw(pos: int, take: int, out: np.ndarray | None) -> np.ndarray:
-        if out is None:
-            # -take * atom_max - 1 fits exactly when both ±take * atom_max do
-            out = np.empty((take, paths), np.min_scalar_type(-take * atom_max - 1))
-        return sample_step_increments(rng, law, paths, steps=take, out=out)
-    return draw
-
-
-def _walk(draw: Callable[[int, int, np.ndarray | None], np.ndarray], paths: int,
-          total: int) -> Iterator[tuple]:
-    """Chunked partial sums of an ensemble walk, steps-major, in the tile.
-
-    A chunk is _STREAM_TILE // paths steps (at least one, at most
-    ``total``).  ``draw(pos, take, out)`` writes the increments of steps
-    pos+1 .. pos+take into ``out`` and returns it; the first call, for a
-    whole chunk, passes None and the fresh block it returns, in the draw's
-    own dtype, is the walk's one buffer.  Later draws fill its first
-    ``take`` rows.
-
-    Yields (pos, S, P) with S the float64 sums S_pos carried from earlier
-    chunks and P[j] the sum of steps pos+1 .. pos+j+1 in the draw's dtype,
-    so S_{pos+j+1} of path p is S[p] + P[j, p].  P is summed in place, one
-    step at a time along axis 0, and the carry is added to it only where a
-    consumer needs the value.  The engines' draws are integer atoms in a
-    type that holds a chunk's sums, so their partials are exact and do not
-    depend on the chunk.  S and P are views the walk reuses: valid until it
-    resumes, and not to be written by the consumer.
-    """
-    chunk = max(1, min(total, _STREAM_TILE // paths))
-    buf = draw(0, chunk, None)
     S = np.zeros(paths)
-    for pos in range(0, total, chunk):
-        take = min(chunk, total - pos)
-        P = buf if pos == 0 else draw(pos, take, buf[:take])
+    for pos, P in chunks:
         # Row by row: np.cumsum along axis 0 strides across rows and is about
         # 15x slower at 4096 paths; both add in the same order.
         for prev, row in zip(P, P[1:]):
@@ -391,7 +363,8 @@ def _abs_top(S: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def _work_buffer(paths: int) -> np.ndarray:
     """_max_normalized's work buffer: a quarter tile, at least a chunk column, its S and best."""
-    return np.empty(max(_STREAM_TILE // 4, _STREAM_TILE // paths + 2))
+    tile = martingales._STREAM_TILE                 # the chunker's tile, read as it draws
+    return np.empty(max(tile // 4, tile // paths + 2))
 
 
 def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarray,
@@ -422,39 +395,30 @@ def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarr
 
 
 def _checkpoint_steps(total: int, count: int) -> np.ndarray:
+    """Up to ``count`` log-spaced steps in 1..total.  A count above ``total`` is
+    cut to ``total``, so the grid is never formed longer than the walk."""
+    count = min(count, total)
     grid = np.unique(np.round(np.logspace(0.0, math.log10(total), count)).astype(np.int64))
     return grid[(grid >= 1) & (grid <= total)]
-
-
-_CP_BLOCK = 128        # paths per block of the checkpoint statistics
 
 
 def _checkpoint_stats(cp_abs: np.ndarray, den: np.ndarray, kept: np.ndarray) -> dict:
     """r_max_all, r_max_kept and r_mean_kept of r = |S_m| / den[m] per checkpoint m.
 
-    cp_abs is the (paths x checkpoints) table of |S_m|; it is divided in
-    blocks of _CP_BLOCK paths, so no float table of all paths is formed.
-    The mean adds the kept paths in path order, the running sum stacked on
-    each block's kept rows: that is the order of numpy's mean over the kept
-    paths of a (checkpoints x paths) float64 table, an F-ordered gather.
-    With one checkpoint that gather is one contiguous row, which numpy sums
-    pairwise, so all paths then form one block.  With no path kept the two
-    kept statistics are NaN.
+    cp_abs is the (paths x checkpoints) table of the integers |S_m|, reduced
+    as integers: each column has one divisor and correctly rounded division
+    is monotone, so a column max divided once is the max of the quotients,
+    bit for bit; the mean is the exact int64 sum over the kept paths divided
+    by their count and by den.  No float table is formed.  With no path kept
+    the two kept statistics are NaN.
     """
-    n = cp_abs.shape[1]
-    step = _CP_BLOCK if n > 1 else len(cp_abs)
-    max_all, max_kept, total = np.full(n, -np.inf), np.full(n, -np.inf), None
-    for a in range(0, len(cp_abs), step):
-        r = cp_abs[a:a + step] / den
-        np.maximum(max_all, r.max(axis=0), out=max_all)
-        rk = r[kept[a:a + step]]
-        if len(rk):
-            np.maximum(max_kept, rk.max(axis=0), out=max_kept)
-            total = (rk if total is None else np.concatenate((total[None], rk))).sum(axis=0)
-    if total is None:
-        max_kept = mean_kept = np.full(n, np.nan)
+    count = np.count_nonzero(kept)
+    max_all = cp_abs.max(axis=0) / den
+    if count:
+        max_kept = cp_abs.max(axis=0, where=kept[:, None], initial=0) / den
+        mean_kept = cp_abs.sum(axis=0, dtype=np.int64, where=kept[:, None]) / count / den
     else:
-        mean_kept = total / np.count_nonzero(kept)
+        max_kept = mean_kept = np.full(len(den), np.nan)
     return {"r_max_all": max_all.tolist(), "r_max_kept": max_kept.tolist(),
             "r_mean_kept": mean_kept.tolist()}
 
@@ -596,7 +560,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     N, P = cfg.horizon, cfg.paths
     bound, unit = _step_bound(cfg.law, cfg.variance)
     profile = LinearBracket(cfg.variance, N, bound)
-    draw = _iid_draw(stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}"), cfg.law, P)
+    rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
         ks, B = rule.ks, rule.blocks
@@ -610,7 +574,7 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
         cp_abs = np.empty((P, len(cp_steps)), np.min_scalar_type(_STEP_LAWS[cfg.law][1] * total))
         absS, sec, work = np.empty(P), 0, _work_buffer(P)
-        walk = _walk(draw, P, total)
+        walk = _walk(_atom_chunks(rng, cfg.law, P, total), P)
         for pos, S, part in _with_progress(walk, total, "lil-run") if cfg.progress else walk:
             take = len(part)
             lo_cp = np.searchsorted(cp_steps, pos, side="right")
@@ -693,7 +657,7 @@ def _run_dense(cfg: LILRunConfig) -> TailReport:
 
         e = _intersect_projections([block_projs[n] for n in used if n in block_projs], model)
         used_steps = [m for n in used for m in rule.block_steps(n)]
-        cp_steps = _checkpoint_steps(len(rs), min(cfg.checkpoints, len(rs)))
+        cp_steps = _checkpoint_steps(len(rs), cfg.checkpoints)
         cp_rs = [rs[int(m) - 1] for m in cp_steps]
         return _Realization(
             semantics="certificate", q_block=q_block, q_theory=q_theory, e=e,
@@ -780,10 +744,10 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     N, P = cfg.horizon, cfg.paths
     lo = N // 10
     unit = _step_bound(cfg.law, 1.0)[1]
-    draw = _iid_draw(stream_rng(cfg.seed, label=f"baseline-{cfg.law}"), cfg.law, P)
+    rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
     den = _windowed(lambda a, b: _baseline_den(a, b) / unit, N)
     runmax, work = np.zeros(P), _work_buffer(P)
-    walk = _walk(draw, P, N)
+    walk = _walk(_atom_chunks(rng, cfg.law, P, N), P)
     for pos, S, part in _with_progress(walk, N, "baseline-scalar") if cfg.progress else walk:
         end = pos + len(part)                      # the chunk's last step
         if end > lo:

@@ -11,11 +11,12 @@ only the final values; their brackets and difference bounds are exact by
 the choice of increment law.
 
 One iid draw, ``sample_step_increments``, serves every ensemble, and
-every ensemble loop holds one buffer of ``_STREAM_TILE`` entries.  It
-draws the integer atoms k of a law from one table, ``_STEP_LAWS``; an
-increment is unit * k, the unit (``_step_bound``) applied outside the
-exact integer sums.  The streaming engines in ``lil`` sum the atoms with
-their walker, so every path is marginally a random walk of its law.
+every ensemble loop reads it through one chunker, ``_atom_chunks``, which
+owns the loop's one buffer of ``_STREAM_TILE`` entries.  The draw writes
+the integer atoms k of a law from one table, ``_STEP_LAWS``; an increment
+is unit * k, the unit (``_step_bound``) applied outside the exact integer
+sums.  The streaming engines in ``lil`` sum the chunks with their walker,
+so every path is marginally a random walk of its law.
 ``gen_diagonal_martingale`` draws half its paths and mirrors them, so that
 each step's pair (d, -d) sums to exactly 0 and the realized trace of every
 difference vanishes (hypothesis (i), which the exponential-moment sweep
@@ -43,10 +44,10 @@ MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
 # Row b: the eight ±1 int8 signs of the bits of byte b, lowest first, as one uint64.
 _SIGNS = (2 * (np.arange(256)[:, None] >> np.arange(8) & 1) - 1).astype(np.int8).view(np.uint64)
 
-# Entries in every ensemble loop's buffer: 1 MiB of floats, 32 steps at 4096
-# paths, so the draw, the partial sums and the consumer's passes over a chunk
-# stay in a core's L2 cache.  Neither an iid draw nor its integer sums depend
-# on the chunk.
+# Entries in every ensemble loop's buffer, owned by ``_atom_chunks``: 1 MiB of
+# floats, 32 steps at 4096 paths, so the draw, the partial sums and the
+# consumer's passes over a chunk stay in a core's L2 cache.  Defined here only;
+# ``lil._work_buffer`` reads it here too, so a patched tile reaches both.
 _STREAM_TILE = 1 << 17
 
 # Centered laws of integer atoms: (Var(k) / atom_max^2 rounded, atom_max).  Uniform
@@ -405,28 +406,23 @@ def _centered_level_element(model: AlgebraModel, k: int, bound: float,
     raise NclilError(f"level {k} produced no nonzero centered element")
 
 
-def sample_step_increments(rng: np.random.Generator, law: str, paths: int, steps: int = 1,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """(steps, paths) block of the integer atoms of iid centered increments.
+def sample_step_increments(rng: np.random.Generator, law: str, out: np.ndarray) -> np.ndarray:
+    """Write the integer atoms of iid centered increments into ``out``, (steps, paths).
 
-    Each step takes whole raw words of the bit generator (a full-range
-    ``rng.integers``' words), so its draws never depend on how the steps are
-    split into blocks: a rademacher step ceil(paths / 64) words, one table
-    lookup of eight ±1 per byte; a uniform one ceil(paths / 4) words, whose
-    16-bit lanes u, lowest first, give k = 2u - 65535.  The block is written
-    into ``out`` (C-contiguous, of a signed integer type that holds
-    ±atom_max, else a ShapeError) when given, else into a fresh array of the
-    narrowest such type, and returned.
+    ``out`` is C-contiguous, of a signed integer type that holds ±atom_max
+    (else a ShapeError), and is returned.  Each step takes whole raw words of
+    the bit generator (a full-range ``rng.integers``' words), so its draws
+    never depend on how the steps are split into blocks: a rademacher step
+    ceil(paths / 64) words, one table lookup of eight ±1 per byte; a uniform
+    one ceil(paths / 4) words, whose 16-bit lanes u, lowest first, give
+    k = 2u - 65535.
     """
     if law not in _STEP_LAWS:
         raise ConfigError(f"unknown increment law {law!r}, expected one of {tuple(_STEP_LAWS)}")
     atom_max = _STEP_LAWS[law][1]
-    if out is None:
-        out = np.empty((steps, paths), np.min_scalar_type(-atom_max))
-    elif out.shape != (steps, paths):
-        raise ShapeError(f"out has shape {out.shape}, expected {(steps, paths)}")
     if out.dtype.kind != "i" or np.iinfo(out.dtype).max < atom_max:
         raise ShapeError(f"out of dtype {out.dtype} cannot hold a {law} draw")
+    steps, paths = out.shape
     if law == "rademacher":
         raw = rng.bit_generator.random_raw((steps, -(-paths // 64))).view(np.uint8)
         if out.dtype == np.int8 and paths % 64 == 0:    # lookup into out; "clip" avoids a copy
@@ -440,31 +436,48 @@ def sample_step_increments(rng: np.random.Generator, law: str, paths: int, steps
     return out
 
 
+def _atom_chunks(rng: np.random.Generator, law: str, paths: int, total: int):
+    """Yield (pos, block): the atoms of steps pos+1 .. pos+len(block) of an
+    ensemble of ``paths`` iid walks, ``total`` steps in all.
+
+    Every block is a view of one buffer of ``chunk`` = _STREAM_TILE // paths
+    steps (at least one, at most ``total``), valid until the next one is
+    drawn; the last may be shorter.  The buffer's dtype is the narrowest
+    signed integer type that holds ±chunk * atom_max, so a walk can sum a
+    chunk's atoms in place exactly: for rademacher int8 up to 127 steps,
+    int16 up to 32767, else int32; for uniform int32 up to 32768 steps,
+    else int64.  A step's draws never depend on the chunk.
+    """
+    atom_max = _STEP_LAWS[law][1]
+    chunk = max(1, min(total, _STREAM_TILE // paths))
+    # -chunk * atom_max - 1 fits exactly when both ±chunk * atom_max do
+    buf = np.empty((chunk, paths), np.min_scalar_type(-chunk * atom_max - 1))
+    for pos in range(0, total, chunk):
+        yield pos, sample_step_increments(rng, law, buf[:total - pos])
+
+
 def gen_diagonal_martingale(horizon: int, paths: int = 4096, law: str = "rademacher",
                             variance: float = 1.0, seed: int = 0) -> MartingalePath:
     """Scalar martingale carried by an ensemble of P sample paths, mirrored in pairs.
 
     The first P/2 paths are iid walks of the law at step variance
-    ``variance``: their atoms, drawn by ``sample_step_increments`` in chunks
-    of _STREAM_TILE // (P/2) steps into one buffer, are summed as int64 and
-    scaled once by the unit into the final values h; the other P/2 are their
-    mirror images, so the path keeps S_horizon = [h, -h] and nothing else.
-    Each step's pair (d, -d) sums to exactly 0, so hypothesis (i) holds by
-    construction and ``md_residual`` is 0.0.  The bracket and the difference
-    bounds are exact by the law, not estimated from the sample.
+    ``variance``: the int64 column sums of their atoms' chunks
+    (``_atom_chunks``) are scaled once by the unit into the final values h;
+    the other P/2 are their mirror images, so the path keeps
+    S_horizon = [h, -h] and nothing else.  Each step's pair (d, -d) sums to
+    exactly 0, so hypothesis (i) holds by construction and ``md_residual``
+    is 0.0.  The bracket and the difference bounds are exact by the law, not
+    estimated from the sample.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     if paths < 2 or paths % 2:
         raise ConfigError("need an even number of paths >= 2")
     bound, unit = _step_bound(law, variance)
-    rng = stream_rng(seed, label=f"diag-mart-{law}")
     half = paths // 2
-    buf = sample_step_increments(rng, law, half, steps=max(1, min(horizon, _STREAM_TILE // half)))
-    head = buf.sum(axis=0, dtype=np.int64)
-    for pos in range(len(buf), horizon, len(buf)):
-        part = buf[:horizon - pos]
-        head += sample_step_increments(rng, law, half, steps=len(part), out=part).sum(0, np.int64)
+    head = np.zeros(half, dtype=np.int64)
+    for _, block in _atom_chunks(stream_rng(seed, label=f"diag-mart-{law}"), law, half, horizon):
+        head += block.sum(axis=0, dtype=np.int64)
     head = head * unit
     s2 = np.cumsum(np.full(horizon, float(variance)))
     return MartingalePath(

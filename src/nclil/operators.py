@@ -384,10 +384,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 _DECOMP_DIM_CAP = 2048  # materializing eigenvectors of a larger block is a bug
 

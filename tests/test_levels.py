@@ -107,7 +107,8 @@ class TestLevelForm:
             assert_close(np.repeat(eigenvalues(y), y.mult), np.linalg.eigvalsh(Y.data))
             assert_close(np.repeat(singular_values(y), y.mult), singular_values(Y))
             sd = spectral_decomposition(y)
-            assert_close(embed(model.kind, sd.reconstruct(), y.mult), Y.data)
+            u = sd.eigenvectors
+            assert_close(embed(model.kind, (u * sd.eigenvalues) @ u.conj().T, y.mult), Y.data)
             for p in (1.0, 2.0, 4.0, np.inf):
                 assert abs(lp_norm(y, p) - lp_norm(Y, p)) <= 1e-12 * (1.0 + lp_norm(Y, p))
             for t in np.linspace(0.01, 0.99, 41):

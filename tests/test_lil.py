@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
                        _abs_top, _checkpoint_steps, _max_normalized, _Realization,
                        _walk)
-from nclil import lil
+from nclil import lil, martingales
 from nclil.cli import main
-from nclil.martingales import BracketProfile, LinearBracket, iterlog_seq, stopping_indices
+from nclil.martingales import (BracketProfile, LinearBracket, _atom_chunks, iterlog_seq,
+                               stopping_indices)
 from nclil.operators import _openblas
 from nclil.rng import stream_rng
 from step_atoms import ATOM_MAX, reference_atoms, reference_unit
@@ -242,7 +244,7 @@ class TestBlockCore:
         assert not past["limsup_below_threshold_ok"] and not past["ok"]
         assert bc(limsup=math.nan)["ok"]
 
-    def test_walk_carries_partial_sums_across_chunks(self, monkeypatch):
+    def test_walk_carries_partial_sums_across_chunks(self):
         incs = np.random.default_rng(0).standard_normal((23, 4))
         # Exact in the documented order: cumsum within the chunk, the carry apart.
         expected, carry = [], np.zeros(4)
@@ -251,15 +253,9 @@ class TestBlockCore:
             expected.append((carry, part))
             carry = carry + part[-1]
 
-        def draw(pos, take, out):
-            if out is None:
-                out = np.empty((take, 4))
-            out[:] = incs[pos:pos + take]
-            return out
-
         # The walk reuses its arrays, so each chunk is copied as it comes.
-        monkeypatch.setattr(lil, "_STREAM_TILE", 5 * 4)                  # 5 steps
-        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(draw, 4, 23)]
+        blocks = [(pos, incs[pos:pos + 5].copy()) for pos in range(0, 23, 5)]
+        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(blocks, 4)]
         assert [pos for pos, _, _ in chunks] == [0, 5, 10, 15, 20]
         assert [len(P) for _, _, P in chunks] == [5, 5, 5, 5, 3]
         for (_, S, P), (carry, part) in zip(chunks, expected):
@@ -268,50 +264,23 @@ class TestBlockCore:
         walked = np.concatenate([S + P for _, S, P in chunks], axis=0)
         np.testing.assert_allclose(walked, np.cumsum(incs, axis=0), rtol=1e-12)
 
-    def test_walk_sums_the_block_the_draw_returns(self, monkeypatch):
-        # A draw that ignores ``out`` and returns a fresh block is still summed.
-        def draw(pos, take, out):
-            return np.full((take, 3), 2, dtype=np.int16)
+    def test_walk_sums_each_block_in_place(self):
+        """P is the chunk's own block, summed in its own dtype; S is float64."""
+        blocks = [(pos, np.full((min(4, 10 - pos), 2), 1, dtype=np.int8))
+                  for pos in range(0, 10, 4)]
+        walked = [(S.dtype, P, S[0] + P[-1, 0]) for _, S, P in _walk(blocks, 2)]
+        assert [(dtype, total) for dtype, _, total in walked] == \
+            [(np.float64, 4.0), (np.float64, 8.0), (np.float64, 10.0)]
+        for (_, block), (_, P, _) in zip(blocks, walked):
+            assert P is block and P.dtype == np.int8
+            np.testing.assert_array_equal(P[:, 0], np.arange(1, len(P) + 1))
 
-        monkeypatch.setattr(lil, "_STREAM_TILE", 4 * 3)                  # chunks of 4 steps
-        walked = np.concatenate([S + P for _, S, P in _walk(draw, 3, 10)], axis=0)
-        np.testing.assert_array_equal(walked[:, 0], 2.0 * np.arange(1, 11))
-
-    def test_walk_hands_out_one_buffer(self, monkeypatch):
-        seen = []
-
-        def draw(pos, take, out):
-            if out is None:
-                out = np.empty((take, 2), dtype=np.int8)
-            seen.append(out)
-            out[:] = 1
-            return out
-
-        monkeypatch.setattr(lil, "_STREAM_TILE", 4 * 2)                  # chunks of 4 steps
-        walked = [(S.dtype, P.dtype, S[0] + P[-1, 0]) for _, S, P in _walk(draw, 2, 10)]
-        assert walked == [(np.float64, np.int8, 4.0), (np.float64, np.int8, 8.0),
-                          (np.float64, np.int8, 10.0)]
-        assert all(np.shares_memory(seen[0], o) for o in seen[1:])
-
-    @pytest.mark.parametrize("paths, total, rows", [
-        (6, 100, 16), (6, 10, 10), (100, 50, 1), (150, 50, 1)])
-    def test_walk_buffer_stays_within_the_cap(self, monkeypatch, paths, total, rows):
-        cap = 100
-        monkeypatch.setattr(lil, "_STREAM_TILE", cap)
-        buffers = []
-
-        def draw(pos, take, out):
-            if out is None:                  # the first draw makes the walk's buffer
-                out = np.empty((take, paths))
-                buffers.append(out)
-            assert np.shares_memory(out, buffers[0])
-            out[:] = 1.0
-            return out
-
-        for _ in _walk(draw, paths, total):
-            pass
-        assert [b.shape for b in buffers] == [(rows, paths)]
-        assert buffers[0].size <= max(cap, paths)
+    def test_walk_hands_out_the_chunkers_buffer(self, monkeypatch):
+        """Every partial-sum block of a walk over the chunker is a view of its one buffer."""
+        monkeypatch.setattr(martingales, "_STREAM_TILE", 4 * 2)          # chunks of 4 steps
+        seen = [P for _, _, P in _walk(_atom_chunks(stream_rng(0), "rademacher", 2, 10), 2)]
+        assert [len(P) for P in seen] == [4, 4, 2]
+        assert all(np.shares_memory(seen[0], P) for P in seen[1:])
 
     @pytest.mark.parametrize("law, chunk, dtype", [
         ("rademacher", 127, np.int8), ("rademacher", 128, np.int16),
@@ -326,15 +295,14 @@ class TestBlockCore:
         that holds that, and wrap nowhere."""
         paths, total = 2, chunk + 3                  # the second chunk starts from the carry
         atom = sign * ATOM_MAX[law]
-        monkeypatch.setattr(lil, "_STREAM_TILE", chunk * paths)
-        iid = lil._iid_draw(stream_rng(0), law, paths)
+        monkeypatch.setattr(martingales, "_STREAM_TILE", chunk * paths)
 
-        def draw(pos, take, out):
-            out = iid(pos, take, out)                # the engines' draw picks the dtype
-            out[:] = atom
-            return out
+        def largest_atoms():                         # the chunker picks the dtype
+            for pos, block in _atom_chunks(stream_rng(0), law, paths, total):
+                block[:] = atom
+                yield pos, block
 
-        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(draw, paths, total)]
+        chunks = [(pos, S.copy(), P.copy()) for pos, S, P in _walk(largest_atoms(), paths)]
         assert [P.dtype for _, _, P in chunks] == [dtype, dtype]
         narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}.get(dtype)
         assert narrower is None or chunk * ATOM_MAX[law] > np.iinfo(narrower).max
@@ -392,9 +360,11 @@ def _reference_stream_report(cfg, chunk):
                                               * norm[ks[2:] - 1] / unit)[:, None]
         used_ix = np.asarray(used)
         kept = ~exceed[used_ix - 1].any(axis=0)
-        kept_rows = cp_rows[:, kept]
         if kept.any():
-            max_kept, mean_kept = kept_rows.max(axis=1), kept_rows.mean(axis=1)
+            # the mean is the exact integer sum of the kept |S_m|, then two divisions
+            kept_sums = absS[kept][:, cp_steps - 1].sum(axis=0)
+            max_kept = cp_rows[:, kept].max(axis=1)
+            mean_kept = kept_sums / np.count_nonzero(kept) / (norm / unit)[cp_steps - 1]
         else:                                   # the engine's NaN over no kept path
             max_kept = mean_kept = np.full(len(cp_steps), np.nan)
         return _Realization(
@@ -418,23 +388,19 @@ _ODD_CHUNK = 333       # rows per walk chunk under a patched streaming tile
 
 
 def _patch_tile(monkeypatch, tile):
-    """Set the streaming engines' walk tile to ``tile`` entries and return the
-    list that collects the (pos, take, dtype) of every draw they make from
-    then on."""
-    monkeypatch.setattr(lil, "_STREAM_TILE", tile)
+    """Set the one ensemble tile, ``martingales._STREAM_TILE``, to ``tile``
+    entries and return the list that collects the (pos, steps, dtype) of
+    every block the streaming engines' chunker draws from then on."""
+    monkeypatch.setattr(martingales, "_STREAM_TILE", tile)
     draws = []
-    iid_draw = lil._iid_draw
+    chunker = lil._atom_chunks
 
     def recording(*args):
-        draw = iid_draw(*args)
+        for pos, block in chunker(*args):
+            draws.append((pos, len(block), block.dtype))
+            yield pos, block
 
-        def counted(pos, take, out):
-            block = draw(pos, take, out)
-            draws.append((pos, take, block.dtype))
-            return block
-        return counted
-
-    monkeypatch.setattr(lil, "_iid_draw", recording)
+    monkeypatch.setattr(lil, "_atom_chunks", recording)
     return draws
 
 
@@ -565,10 +531,10 @@ class TestMaxNormalized:
     def test_work_buffer_holds_a_chunk_column(self, paths):
         """A quarter tile, or one whole chunk column when the chunk is taller
         (65536 rows at 2 paths, 32768 at 4), with its S and best entries."""
-        rows = lil._STREAM_TILE // paths
+        rows = martingales._STREAM_TILE // paths
         work = lil._work_buffer(paths)
         assert len(work) // (rows + 2) >= 1
-        assert len(work) == max(lil._STREAM_TILE // 4, rows + 2)
+        assert len(work) == max(martingales._STREAM_TILE // 4, rows + 2)
 
 
 class TestWalkRegression:
@@ -635,7 +601,7 @@ class TestWalkRegression:
     def test_engines_own_tile_matches_reference(self, monkeypatch):
         """Both engines at 4096 paths, in the default tile: 32-step chunks of
         int8 partials."""
-        rows = lil._STREAM_TILE // 4096
+        rows = martingales._STREAM_TILE // 4096
         assert rows == 32
         for dtypes in (self.check_report(monkeypatch, "rademacher", 1.0, 4096, rows, 1000),
                        self.check_baseline(monkeypatch, "rademacher", 4096, rows, 1000)):
@@ -661,6 +627,26 @@ class TestWalkRegression:
         assert json.dumps(got.to_json(), sort_keys=True) == \
                json.dumps(ref.to_json(), sort_keys=True)
         assert got.checkpoints == ref.checkpoints
+
+    @pytest.mark.parametrize("law, variance", [("rademacher", 1.0), ("uniform", 0.37)])
+    def test_mean_kept_within_two_ulp_of_exact(self, law, variance):
+        """r_mean_kept against the exact rational mean of |S_m| / den[m] over the
+        kept paths, from the reference walk's integer sums and the engine's
+        float normalizers: two correctly rounded divisions stay within 2 ulp."""
+        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=6000, paths=512,
+                           law=law, variance=variance, seed=4, strict=False)
+        got = run_lil_experiment(cfg)
+        kept = got.e.data.astype(bool)
+        assert 0 < kept.sum() < cfg.paths
+        rng = stream_rng(cfg.seed, label=f"lil-stream-{law}")
+        absS = np.abs(np.concatenate(list(_paths_major_walk(
+            rng, law, cfg.paths, got.blocks[-1].k_end, _ODD_CHUNK)), axis=1))
+        cps = got.checkpoints
+        s2 = variance * np.asarray(cps["m"], dtype=np.float64)
+        den = np.sqrt(s2) * np.sqrt(iterlog_seq(s2)) / reference_unit(law, variance)[1]
+        for m, d, mean in zip(cps["m"], den, cps["r_mean_kept"]):
+            exact = Fraction(int(absS[kept, m - 1].sum())) / (int(kept.sum()) * Fraction(d))
+            assert abs(Fraction(mean) - exact) <= 2 * Fraction(math.ulp(float(exact))), m
 
     def test_one_checkpoint_matches_reference(self):
         """At variance 3 the last block ends at step 1, so the checkpoint table
@@ -712,7 +698,7 @@ class TestTallChunks:
     @pytest.mark.parametrize("paths, rows", [(2, 65536), (4, 32768)])
     def test_streaming_report(self, monkeypatch, paths, rows):
         heights = self.tallest_call(monkeypatch)
-        draws = _patch_tile(monkeypatch, lil._STREAM_TILE)
+        draws = _patch_tile(monkeypatch, martingales._STREAM_TILE)
         cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=10 * rows,
                            paths=paths, seed=4, strict=False)
         got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, rows)
@@ -724,7 +710,7 @@ class TestTallChunks:
     @pytest.mark.parametrize("paths, rows", [(2, 65536), (4, 32768)])
     def test_baseline_per_path(self, monkeypatch, paths, rows):
         heights = self.tallest_call(monkeypatch)
-        assert paths * rows == lil._STREAM_TILE
+        assert paths * rows == martingales._STREAM_TILE
         assert TestWalkRegression.check_baseline(monkeypatch, "rademacher", paths, rows,
                                                  3 * rows) == {np.dtype(np.int32)}
         assert max(heights) == rows
@@ -744,12 +730,12 @@ class TestChunkInvariance:
                                                                  seed=2)).per_path
             return json.dumps(run, sort_keys=True), per_path
 
-        draws = _patch_tile(monkeypatch, lil._STREAM_TILE)
+        draws = _patch_tile(monkeypatch, martingales._STREAM_TILE)
         default = outputs()
         # 6 paths walk in one chunk, 64 in 2048-step and 4096 in 32-step ones.
-        assert len(_assert_chunks(draws, lil._STREAM_TILE // paths)) == 2
+        assert len(_assert_chunks(draws, martingales._STREAM_TILE // paths)) == 2
         draws.clear()
-        monkeypatch.setattr(lil, "_STREAM_TILE", _ODD_CHUNK * paths)
+        monkeypatch.setattr(martingales, "_STREAM_TILE", _ODD_CHUNK * paths)
         odd = outputs()
         assert len(_assert_chunks(draws, _ODD_CHUNK)) == 2
         assert default[0] == odd[0]
@@ -818,7 +804,7 @@ class TestNormWindows:
         """At 2 paths a chunk is 65536 steps, eight default windows: each window
         holds one whole chunk (the baseline's first one starts at step 10^5 / 10)."""
         windows = self.record_windows(monkeypatch)
-        rows = lil._STREAM_TILE // 2
+        rows = martingales._STREAM_TILE // 2
         assert rows > lil._NORM_WINDOW
         TestWalkRegression.check_baseline(monkeypatch, "rademacher", 2, rows, 100_000)
         assert windows == [(10_000, rows), (rows, 100_000)]
@@ -847,6 +833,25 @@ class TestStreamingMemory:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 8 * lil._NORM_WINDOW, peaks
+
+    def test_huge_checkpoint_count_stays_linear_in_the_walk(self):
+        """A checkpoint count above the walk's length is cut to that length, so
+        20 million checkpoints of a 2000-step walk form a grid of at most 2000
+        floats (about 64 bytes a step here, not 8 per requested checkpoint),
+        and the engine's table has at most one column a step."""
+        tracemalloc.start()
+        try:
+            grid = _checkpoint_steps(2000, 20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2000, peak
+        np.testing.assert_array_equal(grid, _checkpoint_steps(2000, 2000))
+        report = run_lil_experiment(LILRunConfig(
+            params=LILParameters(eps_prime=0.02), horizon=2000, paths=64,
+            checkpoints=20_000_000, seed=0, strict=False))
+        m = report.checkpoints["m"]
+        assert m == _checkpoint_steps(m[-1], m[-1]).tolist() and len(m) <= m[-1]
 
     def test_traced_peak_below_one_float_checkpoint_table(self):
         """The streaming engine holds no float64 (checkpoints x paths) table.

@@ -66,19 +66,13 @@ class TestSampling:
         assert path.md_residual == 0.0
         # the same steps, drawn in one block: the draws do not depend on the chunk
         bound, unit = martingales._step_bound(law, variance)
-        head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law, half,
-                                      steps=horizon)
+        head = sample_step_increments(stream_rng(9, label=f"diag-mart-{law}"), law,
+                                      np.empty((horizon, half), dtype=np.int32))
         rows = np.concatenate([head, -head], axis=1)
         assert np.max(np.abs(rows)) <= ATOM_MAX[law]
         assert np.all(rows.sum(axis=1) == 0)
         np.testing.assert_array_equal(rows.sum(axis=0, dtype=np.int64) * unit, final)
         assert np.max(np.abs(final)) <= horizon * bound
-
-    def test_out_shape_checked(self):
-        for law in ("rademacher", "uniform"):
-            with pytest.raises(ShapeError):
-                sample_step_increments(stream_rng(0), law, paths=8, steps=3,
-                                       out=np.empty((4, 8), dtype=np.int32))
 
     def test_out_dtype_checked(self):
         """Only a signed integer block that holds ±atom_max takes a draw."""
@@ -86,24 +80,22 @@ class TestSampling:
                            ("rademacher", np.float32), ("uniform", np.int16),
                            ("uniform", np.uint32), ("uniform", np.float64)):
             with pytest.raises(ShapeError):
-                sample_step_increments(stream_rng(0), law, paths=8, steps=3,
-                                       out=np.empty((3, 8), dtype=dtype))
+                sample_step_increments(stream_rng(0), law, np.empty((3, 8), dtype=dtype))
 
     @pytest.mark.parametrize("law, dtype", [
         ("rademacher", np.int8), ("rademacher", np.int16), ("rademacher", np.int32),
         ("uniform", np.int32), ("uniform", np.int64)])
-    def test_integer_out_matches_fresh_draw(self, law, dtype):
-        rng_out, rng_fresh = stream_rng(6), stream_rng(6)
-        got = sample_step_increments(rng_out, law, paths=70, steps=40,
-                                     out=np.empty((40, 70), dtype=dtype))
-        fresh = sample_step_increments(rng_fresh, law, paths=70, steps=40)
-        assert got.dtype == dtype
-        assert fresh.dtype == {"rademacher": np.int8, "uniform": np.int32}[law]
-        np.testing.assert_array_equal(got, fresh)
-        assert rng_out.random() == rng_fresh.random()
+    def test_draw_writes_out_in_any_dtype(self, law, dtype):
+        """The draw fills ``out`` in place and returns it; the atoms and the
+        raw words taken do not depend on its dtype."""
+        rng, ref = stream_rng(6), stream_rng(6)
+        out = np.empty((40, 70), dtype=dtype)
+        assert sample_step_increments(rng, law, out) is out
+        np.testing.assert_array_equal(out, reference_atoms(ref, law, 40, 70))
+        assert rng.random() == ref.random()
 
     def test_rademacher_values(self):
-        block = sample_step_increments(stream_rng(3), "rademacher", paths=8, steps=5)
+        block = sample_step_increments(stream_rng(3), "rademacher", np.empty((5, 8), np.int8))
         assert set(np.unique(block)) == {-1, 1}
 
     def test_odd_paths_rejected(self):
@@ -111,12 +103,13 @@ class TestSampling:
         for paths in (7, 0):
             with pytest.raises(ConfigError):
                 gen_diagonal_martingale(10, paths=paths)
-        assert sample_step_increments(stream_rng(0), "rademacher", paths=7).shape == (1, 7)
+        assert sample_step_increments(stream_rng(0), "rademacher",
+                                      np.empty((1, 7), np.int8)).shape == (1, 7)
 
     @pytest.mark.parametrize("paths", [6, 70])
     def test_iid_rademacher_values(self, paths):
-        block = sample_step_increments(stream_rng(3), "rademacher", paths=paths, steps=400)
-        assert block.shape == (400, paths)
+        block = sample_step_increments(stream_rng(3), "rademacher",
+                                       np.empty((400, paths), np.int8))
         assert set(np.unique(block)) == {-1, 1}
         assert np.any(block.sum(axis=1) != 0)         # steps are not balanced
 
@@ -125,7 +118,8 @@ class TestSampling:
         """Each atom is +1 for a set bit and -1 for a clear one; the unit that
         scales them is sqrt(variance), exactly the step bound."""
         paths, steps = 70, 300
-        block = sample_step_increments(stream_rng(4), "rademacher", paths=paths, steps=steps)
+        block = sample_step_increments(stream_rng(4), "rademacher",
+                                       np.empty((steps, paths), np.int8))
         np.testing.assert_array_equal(block, reference_atoms(stream_rng(4), "rademacher",
                                                              steps, paths))
         assert martingales._step_bound("rademacher", variance) == \
@@ -139,8 +133,7 @@ class TestSampling:
         int8 ``out`` is filled by the lookup itself."""
         for seed, dtype in enumerate((np.int8, np.int16, np.int32)):
             rng, ref = stream_rng(seed, label="signs"), stream_rng(seed, label="signs")
-            got = sample_step_increments(rng, "rademacher", paths=paths, steps=steps,
-                                         out=np.empty((steps, paths), dtype=dtype))
+            got = sample_step_increments(rng, "rademacher", np.empty((steps, paths), dtype=dtype))
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, reference_atoms(ref, "rademacher", steps, paths))
             np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
@@ -154,33 +147,57 @@ class TestSampling:
         ceil(paths / 4) whole words."""
         for seed, dtype in enumerate((np.int32, np.int64)):
             rng, ref = stream_rng(seed, label="lanes"), stream_rng(seed, label="lanes")
-            got = sample_step_increments(rng, "uniform", paths=paths, steps=steps,
-                                         out=np.empty((steps, paths), dtype=dtype))
+            got = sample_step_increments(rng, "uniform", np.empty((steps, paths), dtype=dtype))
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, reference_atoms(ref, "uniform", steps, paths))
             np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
                                           ref.bit_generator.random_raw(3))
 
     def test_iid_uniform_atoms(self):
-        block = sample_step_increments(stream_rng(3), "uniform", paths=70, steps=400)
-        assert block.dtype == np.int32
+        block = sample_step_increments(stream_rng(3), "uniform", np.empty((400, 70), np.int32))
         assert np.max(np.abs(block)) <= 65535 and np.all(block % 2 == 1)
         assert block.min() < -65000 and block.max() > 65000
 
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_iid_out_buffer_matches_fresh_draw(self, law):
+    def test_iid_out_buffer_matches_whole_draw(self, law):
+        """Step k's draws do not depend on how the steps are split into blocks
+        of one buffer."""
         buf = np.full((50, 70), 7, dtype=np.int32)
-        rng_out, rng_fresh, rng_whole = stream_rng(5), stream_rng(5), stream_rng(5)
-        fresh = []
+        rng_out, rng_whole = stream_rng(5), stream_rng(5)
+        split = []
         for steps in (37, 11):
-            got = sample_step_increments(rng_out, law, paths=70, steps=steps, out=buf[:steps])
-            fresh.append(sample_step_increments(rng_fresh, law, paths=70, steps=steps))
+            got = sample_step_increments(rng_out, law, buf[:steps])
             assert np.shares_memory(got, buf)
-            np.testing.assert_array_equal(got, fresh[-1])
-        # step k's draws do not depend on how the steps are split into blocks
-        whole = sample_step_increments(rng_whole, law, paths=70, steps=48)
-        np.testing.assert_array_equal(np.concatenate(fresh), whole)
-        assert rng_out.random() == rng_fresh.random() == rng_whole.random()
+            split.append(got.copy())
+        whole = sample_step_increments(rng_whole, law, np.empty((48, 70), np.int32))
+        np.testing.assert_array_equal(np.concatenate(split), whole)
+        assert rng_out.random() == rng_whole.random()
+
+    @pytest.mark.parametrize("law, paths, total, tile, rows, dtype", [
+        ("rademacher", 4096, 100, 1 << 17, 32, np.int8),
+        ("rademacher", 6, 100, 100, 16, np.int8),
+        ("rademacher", 6, 10, 100, 10, np.int8),
+        ("rademacher", 100, 50, 100, 1, np.int8),
+        ("rademacher", 150, 50, 100, 1, np.int8),
+        ("rademacher", 2, 300, 2 * 128, 128, np.int16),
+        ("uniform", 5, 40, 5 * 7, 7, np.int32)])
+    def test_atom_chunks_own_one_buffer(self, monkeypatch, law, paths, total, tile, rows,
+                                        dtype):
+        """The chunker's blocks are views of one buffer of tile // paths steps
+        (at least one, at most the walk), of the narrowest type that holds a
+        chunk's sums; together they are the draw of the whole walk at once."""
+        monkeypatch.setattr(martingales, "_STREAM_TILE", tile)
+        chunks, steps = [], []
+        for pos, block in martingales._atom_chunks(stream_rng(2), law, paths, total):
+            chunks.append((pos, block))
+            steps.append(block.copy())
+        assert [pos for pos, _ in chunks] == list(range(0, total, rows))
+        assert all(np.shares_memory(b, chunks[0][1]) for _, b in chunks)
+        assert {b.dtype for _, b in chunks} == {np.dtype(dtype)}
+        assert chunks[0][1].base.shape == (rows, paths)
+        assert chunks[0][1].base.size <= max(tile, paths)
+        np.testing.assert_array_equal(np.concatenate(steps),
+                                      reference_atoms(stream_rng(2), law, total, paths))
 
     def test_step_laws(self):
         """Each law's ratio is Var(k) / atom_max^2 of its enumerated atoms,
@@ -406,13 +423,13 @@ def _hand_loop_diagonal(horizon, paths, law, variance, seed, tile):
 
 
 def _record_draws(monkeypatch):
-    """Steps of every draw gen_diagonal_martingale makes, in order."""
+    """Steps of every draw gen_diagonal_martingale's chunker makes, in order."""
     steps = []
     draw = martingales.sample_step_increments
 
-    def recording(*args, **kwargs):
-        steps.append(kwargs["steps"])
-        return draw(*args, **kwargs)
+    def recording(rng, law, out):
+        steps.append(len(out))
+        return draw(rng, law, out)
     monkeypatch.setattr(martingales, "sample_step_increments", recording)
     return steps
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,28 @@ def test_bench_walk_reads_the_engines_windows(monkeypatch):
                         lambda a, b: windows.append((a, b)) or den(a, b))
     assert bench_walk.main(["--paths", "64", "--chunks", "5", "--repeats", "1"]) == 0
     assert windows == [(0, 2048), (0, 8192), (8192, 10240)]
+
+
+def test_bench_walk_draw_layer_is_the_chunkers_next(monkeypatch, tmp_path):
+    """The draw layer is the time spent in the chunker's ``next`` (here
+    stretched by 50 ms a block) and the walk layer what the walk adds
+    around it, so the stretch lands in the draw layer alone."""
+    bench_walk = _load("bench_walk")
+    chunker, blocks = bench_walk._atom_chunks, []
+
+    def slow(*args):
+        for pos, block in chunker(*args):
+            time.sleep(0.05)
+            blocks.append(pos)
+            yield pos, block
+
+    monkeypatch.setattr(bench_walk, "_atom_chunks", slow)
+    out = tmp_path / "walk.json"
+    assert bench_walk.main(["--paths", "64", "--chunks", "3", "--repeats", "1",
+                            "--out", str(out)]) == 0
+    layers = json.loads(out.read_text())["layers"]
+    assert blocks == [0, 0, 2048, 4096]                # the warm-up pass, then 3 chunks
+    assert layers["draw"]["median"] >= 0.05 > layers["walk"]["median"]
 
 
 def test_bench_cert_runs(tmp_path):
