@@ -6,8 +6,16 @@ One pass streams ``--chunks`` chunks x ``--paths`` paths through
 ``nclil.martingales._atom_chunks``, in its tile of
 ``nclil.martingales._STREAM_TILE`` entries (``_STREAM_TILE // paths``
 steps per chunk; both are recorded in the JSON ``config``, with the dtype
-of the partial sums the walk yields and the size of the consumer's work
-buffer), and splits the wall time into three layers:
+of the partial sums the walk yields and the size of the kernel's work
+buffer), and consumes it with the streaming kernel, ``nclil.lil._consume``,
+called with ``lil-run``'s own arguments at its defaults (unit variance,
+eta 1.5, 200 checkpoints): the sections end at the eta-adic boundaries
+of its closed-form bracket (``nclil.martingales.LinearBracket``), then at
+the last step, and the ``boundaries`` crossed are recorded in ``config``;
+the normalizers are the bracket's sqrt(s^2) u over the law's unit, one
+window at a time (``nclil.lil._windowed``); the checkpoints are its
+log-spaced grid (``nclil.lil._checkpoint_steps``).  The wall time of the
+kernel's pass splits into three layers:
 
 - ``draw``: the chunker's ``next``, the iid draw that ``lil-run`` and
   ``baseline-scalar`` make (``sample_step_increments`` into the chunker's
@@ -15,29 +23,21 @@ buffer), and splits the wall time into three layers:
   the bytes of raw 64-bit words looked up as eight ±1 each for
   rademacher, the 16-bit lanes of raw words mapped to odd atoms in
   [-65535, 65535] for uniform;
-- ``walk``: what ``_walk`` adds around the draw (the row adds that turn
-  a chunk's atoms into integer partial sums, and the carried sum);
-- ``consume``: the column max of |S_n| from the partials'
-  column max and min (``nclil.lil._abs_top``) and the running max of
-  |S_n| / sqrt(n L(n)) per path through ``nclil.lil._max_normalized``,
-  the consumer both streaming engines call, which gathers and divides
-  only the paths whose running max can move, in batches through one work
-  buffer allocated per walk as the engines do (``nclil.lil._work_buffer``).
-  The normalizers are the baseline's (``nclil.lil._baseline_den``) divided
-  by the law's unit, computed one window at a time through the engines'
-  ``nclil.lil._windowed``, so their cost falls in this layer as it does in
-  the engines.  As in
-  ``lil-run`` at its defaults (unit variance, eta 1.5), the running max
-  restarts at -inf at each eta-adic boundary of the bracket, the stopping
-  times of the engine's closed-form profile
-  (``nclil.martingales.LinearBracket``), and a chunk that straddles one is
-  consumed in two calls; the ``boundaries`` crossed are recorded in
-  ``config``.
+- ``walk``: what ``_walk``'s ``next`` adds around the draw (the row adds
+  that turn a chunk's atoms into integer partial sums, and the carried
+  sum);
+- ``consume``: the rest of the kernel's pass, the same work as in
+  ``lil-run``: per section of a chunk the column max of |S_n|
+  (``nclil.lil._abs_top``), the running max of |S_n| and the section max
+  of |S_n| over its normalizer (``nclil.lil._max_normalized``, which
+  divides only the paths whose max can move), the |S_m| at the
+  checkpoints, and the normalizer windows.
 
 Each layer is reported in seconds per chunk as the median and min/max over
 ``--repeats`` passes, with the environment stamp of ``perfbench/envstamp.py``.
-``flagged_fraction`` is the mean over the consumer calls of all passes of
-the share of paths divided.
+``flagged_fraction`` is the share of paths the kernel divided per
+``_max_normalized`` call (one per section piece of a chunk), as the mean
+over the passes.
 
     PYTHONPATH=src python scripts/bench_walk.py --repeats 5 --out walk.json
 """
@@ -57,8 +57,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import envstamp  # noqa: E402
 import nclil  # noqa: E402
-from nclil.lil import (LILParameters, _abs_top, _baseline_den,  # noqa: E402
-                       _max_normalized, _walk, _windowed, _work_buffer)
+from nclil.lil import (LILParameters, LILRunConfig, _checkpoint_steps,  # noqa: E402
+                       _consume, _walk, _windowed, _work_buffer)
 from nclil.martingales import (_STEP_LAWS, _STREAM_TILE, LinearBracket,  # noqa: E402
                                _atom_chunks, _step_bound, stopping_indices)
 from nclil.rng import stream_rng  # noqa: E402
@@ -66,61 +66,47 @@ from nclil.rng import stream_rng  # noqa: E402
 LAYERS = ("draw", "walk", "consume")
 
 
-def section_ends(total: int) -> list:
-    """Ends of lil-run's sections within steps 1..total at its default unit
-    variance: the eta-adic boundaries of the bracket s^2_n = n, then total."""
-    profile = LinearBracket(1.0, total, 1.0)
-    return [*stopping_indices(profile, LILParameters().eta).ks[1:].tolist(), total]
+def lil_run_args(law: str, total: int) -> tuple:
+    """The kernel's arguments after the walk and its width, as lil-run passes
+    them at its defaults, for a walk of steps 1..total: the section ends
+    (0, the eta-adic boundaries of the bracket s^2_n = n, then total), the
+    windowed normalizers, the checkpoint steps and the integer dtype."""
+    bound, unit = _step_bound(law, 1.0)
+    profile = LinearBracket(1.0, total, bound)
+    ends = [*stopping_indices(profile, LILParameters().eta).ks.tolist(), total]
+    norms = _windowed(lambda a, b: profile.norm_range(a, b) / unit, total)
+    return (ends, norms, _checkpoint_steps(total, LILRunConfig().checkpoints),
+            np.min_scalar_type(_STEP_LAWS[law][1] * total))
 
 
 def one_pass(law: str, paths: int, chunk: int, chunks: int,
              seed: int) -> tuple[dict, float, str]:
     """Seconds per layer for one walk over chunks x chunk steps, the mean
-    share of paths the consumer divided per call, and the partials' dtype."""
+    share of paths the kernel divided per call, and the partials' dtype."""
     total = chunks * chunk
-    chunker = _atom_chunks(stream_rng(seed, label=f"baseline-{law}"), law, paths, total)
-    unit = _step_bound(law, 1.0)[1]
-    den = _windowed(lambda a, b: _baseline_den(a, b) / unit, total)
-    ends = section_ends(total)
-    runmax = np.full(paths, -np.inf)
-    work = _work_buffer(paths)
-    spent = dict.fromkeys(LAYERS, 0.0)
-    flagged = calls = sec = 0
+    spent, last = dict.fromkeys(LAYERS, 0.0), {}
 
-    def drawn():
-        """The chunker's blocks, with the time of each ``next`` in the draw layer."""
+    def timed(items, layer):
+        """``items``, with the time of each ``next`` added to ``layer``."""
         while True:
             t0 = time.perf_counter()
             try:
-                item = next(chunker)
+                last[layer] = next(items)
             except StopIteration:
                 return
-            spent["draw"] += time.perf_counter() - t0
-            yield item
+            spent[layer] += time.perf_counter() - t0
+            yield last[layer]
 
-    walk = _walk(drawn(), paths)
-    walked = 0.0
-    while True:
-        t0 = time.perf_counter()
-        try:
-            pos, S, part = next(walk)
-        except StopIteration:
-            break
-        t1 = time.perf_counter()
-        walked += t1 - t0
-        lo, end = pos, pos + len(part)
-        while lo < end:                            # the chunk's pieces, one per section
-            hi = min(ends[sec], end)
-            rows = part[lo - pos:hi - pos]
-            flagged += _max_normalized(S, rows, _abs_top(S, rows), den(lo, hi), runmax, work)
-            calls += 1
-            if hi == ends[sec]:                    # the section ends: its max restarts
-                runmax.fill(-np.inf)
-                sec += 1
-            lo = hi
-        spent["consume"] += time.perf_counter() - t1
-    spent["walk"] = walked - spent["draw"]
-    return {k: v / chunks for k, v in spent.items()}, flagged / (calls * paths), str(part.dtype)
+    chunker = _atom_chunks(stream_rng(seed, label=f"lil-stream-{law}"), law, paths, total)
+    ends, norms, cp_steps, dtype = lil_run_args(law, total)
+    t0 = time.perf_counter()
+    divided = _consume(timed(_walk(timed(chunker, "draw"), paths), "walk"), paths, ends,
+                       norms, cp_steps, dtype)[3]
+    spent["consume"] = time.perf_counter() - t0 - spent["walk"]
+    spent["walk"] -= spent["draw"]
+    calls = len(set(range(0, total, chunk)).union(ends)) - 1   # nonempty section pieces
+    return ({k: v / chunks for k, v in spent.items()}, divided / (calls * paths),
+            str(last["draw"][1].dtype))
 
 
 def main(argv=None) -> int:
@@ -148,7 +134,7 @@ def main(argv=None) -> int:
         "unit": "s per chunk",
         "config": {"tile_floats": _STREAM_TILE, "chunk": chunk, "partial_dtype": dtypes[0],
                    "work_floats": len(_work_buffer(args.paths)),
-                   "boundaries": len(section_ends(chunk * args.chunks)) - 1,
+                   "boundaries": len(lil_run_args(args.law, chunk * args.chunks)[0]) - 2,
                    **{k: getattr(args, k) for k in ("law", "paths", "chunks", "repeats", "seed")}},
         "layers": layers,
         "flagged_fraction": statistics.fmean(fractions),

@@ -18,12 +18,12 @@ the normalized statistic drifting down toward the free-probability edge.
 
 The streaming engine and the scalar baseline sum the chunks of iid atoms
 that ``martingales._atom_chunks`` draws into one cache-sized tile of
-``_STREAM_TILE`` entries with one walker, ``_walk``.  A walk sums its law's
-integer atoms exactly;
-both consumers compare |S| with the normalizer over the law's unit, and form
+``_STREAM_TILE`` entries with one walker, ``_walk``, and consume it with
+one kernel, ``_consume``.  A walk sums its law's integer atoms exactly; the
+kernel compares |S| with the normalizer over the law's unit, and forms
 floats only for the paths whose running max can move, gathered in batches
-into one work buffer per walk.  Neither holds an array as long as the
-horizon: the bracket is a closed form read where it is needed, and the
+into one work buffer per walk.  Neither engine holds an array as long as
+the horizon: the bracket is a closed form read where it is needed, and the
 normalizers come one window of ``_NORM_WINDOW`` steps at a time.
 """
 
@@ -362,7 +362,7 @@ def _abs_top(S: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _work_buffer(paths: int) -> np.ndarray:
-    """_max_normalized's work buffer: a quarter tile, at least a chunk column, its S and best."""
+    """_consume's work buffer: a quarter tile, at least a chunk column, its S and best."""
     tile = martingales._STREAM_TILE                 # the chunker's tile, read as it draws
     return np.empty(max(tile // 4, tile // paths + 2))
 
@@ -392,6 +392,45 @@ def _max_normalized(S: np.ndarray, P: np.ndarray, top: np.ndarray, den: np.ndarr
         q /= den[:, None]
         best[ix] = np.maximum(q.max(axis=0, out=s), b, out=s)
     return len(hit)
+
+
+def _consume(walk: Iterator[tuple], paths: int, ends: Sequence, norms: Callable,
+             cp_steps: np.ndarray, dtype) -> tuple:
+    """The per-path tables of one pass over a walk: (normmax, absmax, cp_abs, divided).
+
+    Section i is steps ends[i]+1 .. ends[i+1], possibly none; steps up to
+    ends[0] are walked, not consumed.  normmax[i] is the max of |S_k| over
+    its normalizer in section i (-inf if empty), absmax[i] the running max
+    of |S_k| up to ends[i+1], cp_abs[:, j] |S_m| at m = cp_steps[j]; the
+    last two are integers of ``dtype``, which must hold atom_max * ends[-1].
+    ``divided`` counts the columns _max_normalized divided.  Each entry
+    depends on its own path only, so a column range of the walk gives those
+    columns of the tables, bit for bit.
+    """
+    ends, cps = np.asarray(ends).tolist(), np.asarray(cp_steps).tolist()
+    normmax = np.full((len(ends) - 1, paths), -np.inf)
+    absmax = np.empty((len(ends) - 1, paths), dtype)
+    cp_abs = np.empty((paths, len(cps)), dtype)
+    prefix, absS, work = np.zeros(paths), np.empty(paths), _work_buffer(paths)
+    sec = cp = divided = 0
+    for pos, S, part in walk:
+        end = pos + len(part)
+        while cp < len(cps) and cps[cp] <= end:
+            np.add(S, part[cps[cp] - pos - 1], out=absS)
+            cp_abs[:, cp] = np.abs(absS, out=absS)
+            cp += 1
+        while sec < len(normmax):
+            a, b = max(ends[sec], pos), min(ends[sec + 1], end)
+            if b > a:
+                rows = part[a - pos:b - pos]
+                top = _abs_top(S, rows)
+                np.maximum(prefix, top, out=prefix)
+                divided += _max_normalized(S, rows, top, norms(a, b), normmax[sec], work)
+            if ends[sec + 1] > end:
+                break
+            absmax[sec] = prefix
+            sec += 1
+    return normmax, absmax, cp_abs, divided
 
 
 def _checkpoint_steps(total: int, count: int) -> np.ndarray:
@@ -548,13 +587,9 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     The bracket is the closed form s^2_n = v n (``LinearBracket``), read at
     block ends and checkpoints.  The walk sums integer atoms, so every
     normalizer it meets is divided by the unit (exactly, at unit 1.0), one
-    window of _NORM_WINDOW steps at a time.  Besides the walk's tile, that
-    window and the consumer's work buffer, the realization holds only what
-    its outputs read: the (sections x paths) float64 block maxima, the
-    (blocks x paths) booleans of the theory event (the prefix max of |S| at
-    each block end against its threshold, known before the walk) and the
-    (paths x checkpoints) table of the integers |S_m|, in
-    np.min_scalar_type(atom_max * total).
+    window of _NORM_WINDOW steps at a time.  One ``_consume`` pass with the
+    blocks as its sections gives the per-path tables; the realization only
+    reduces them across paths.
     """
     pars = cfg.params
     N, P = cfg.horizon, cfg.paths
@@ -563,41 +598,18 @@ def _run_streaming(cfg: LILRunConfig) -> TailReport:
     rng = stream_rng(cfg.seed, label=f"lil-stream-{cfg.law}")
 
     def realize(rule: StoppingRule, used: list) -> _Realization:
-        ks, B = rule.ks, rule.blocks
+        ks = rule.ks
         total = int(ks[-1])                        # stream only through the last boundary
-        prefix = np.zeros(P)
-        n_sections = len(ks) - 1                   # sections 0..B, section i = (ks[i], ks[i+1]]
-        blockmax = np.full((n_sections, P), -np.inf)
-        theory_thr = pars.beta * (1.0 + pars.delta) * profile.norm(ks[2:]) / unit
         norms = _windowed(lambda a, b: profile.norm_range(a, b) / unit, total)
-        exceed_theory = np.empty((B, P), dtype=bool)   # row n-1: prefix max of |S| at ks[n+1]
         cp_steps = _checkpoint_steps(total, cfg.checkpoints)
-        cp_abs = np.empty((P, len(cp_steps)), np.min_scalar_type(_STEP_LAWS[cfg.law][1] * total))
-        absS, sec, work = np.empty(P), 0, _work_buffer(P)
         walk = _walk(_atom_chunks(rng, cfg.law, P, total), P)
-        for pos, S, part in _with_progress(walk, total, "lil-run") if cfg.progress else walk:
-            take = len(part)
-            lo_cp = np.searchsorted(cp_steps, pos, side="right")
-            hi_cp = np.searchsorted(cp_steps, pos + take, side="right")
-            for j in range(lo_cp, hi_cp):
-                np.add(S, part[int(cp_steps[j]) - pos - 1], out=absS)
-                cp_abs[:, j] = np.abs(absS, out=absS)
-            while sec < n_sections:                # sections tile steps 1..total
-                a = max(int(ks[sec]), pos)
-                b = min(int(ks[sec + 1]), pos + take)
-                if b > a:
-                    rows = part[a - pos:b - pos]
-                    top = _abs_top(S, rows)
-                    np.maximum(prefix, top, out=prefix)
-                    _max_normalized(S, rows, top, norms(a, b), blockmax[sec], work)
-                if int(ks[sec + 1]) <= pos + take:
-                    if sec:
-                        np.greater(prefix, theory_thr[sec - 1], out=exceed_theory[sec - 1])
-                    sec += 1
-                else:
-                    break
-
-        exceed = blockmax[1:B + 1] > pars.threshold        # rows: block n = 1..B
+        # section n = block n; its theory event is its absmax against a threshold
+        blockmax, absmax, cp_abs, _ = _consume(
+            _with_progress(walk, total, "lil-run") if cfg.progress else walk, P, ks, norms,
+            cp_steps, np.min_scalar_type(_STEP_LAWS[cfg.law][1] * total))
+        theory_thr = pars.beta * (1.0 + pars.delta) * profile.norm(ks[2:]) / unit
+        exceed_theory = absmax[1:] > theory_thr[:, None]
+        exceed = blockmax[1:] > pars.threshold            # rows: block n = 1..B
         used_ix = np.asarray(used)
         bad = exceed[used_ix - 1].any(axis=0)
         kept = ~bad
@@ -736,9 +748,10 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     horizons the median sits well below the asymptotic constant sqrt(2)
     and the mass above 2 is small; horizons under 1e5 are flagged as
     pre-asymptotic rather than rejected.  The normalizers, over the law's
-    unit, are computed one window of _NORM_WINDOW steps at a time, so besides
-    the walk's tile and the consumer's work buffer the run holds O(paths)
-    floats whatever the horizon.
+    unit, are computed one window of _NORM_WINDOW steps at a time.  The walk
+    is one ``_consume`` pass whose one section is that decade, so besides
+    the walk's tile and the kernel's work buffer the run holds O(paths)
+    numbers whatever the horizon.
     """
     start = time.perf_counter()
     N, P = cfg.horizon, cfg.paths
@@ -746,13 +759,9 @@ def scalar_kolmogorov_baseline(cfg: BaselineConfig) -> BaselineReport:
     unit = _step_bound(cfg.law, 1.0)[1]
     rng = stream_rng(cfg.seed, label=f"baseline-{cfg.law}")
     den = _windowed(lambda a, b: _baseline_den(a, b) / unit, N)
-    runmax, work = np.zeros(P), _work_buffer(P)
     walk = _walk(_atom_chunks(rng, cfg.law, P, N), P)
-    for pos, S, part in _with_progress(walk, N, "baseline-scalar") if cfg.progress else walk:
-        end = pos + len(part)                      # the chunk's last step
-        if end > lo:
-            rows = part[max(lo - pos, 0):]
-            _max_normalized(S, rows, _abs_top(S, rows), den(end - len(rows), end), runmax, work)
+    runmax = _consume(_with_progress(walk, N, "baseline-scalar") if cfg.progress else walk,
+                      P, (lo, N), den, (), np.min_scalar_type(_STEP_LAWS[cfg.law][1] * N))[0][0]
     q10, med, q90, q99 = np.quantile(runmax, [0.10, 0.50, 0.90, 0.99])
     return BaselineReport(
         config=cfg, median=float(med), q10=float(q10), q90=float(q90), q99=float(q99),

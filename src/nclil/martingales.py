@@ -45,9 +45,9 @@ MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
 _SIGNS = (2 * (np.arange(256)[:, None] >> np.arange(8) & 1) - 1).astype(np.int8).view(np.uint64)
 
 # Entries in every ensemble loop's buffer, owned by ``_atom_chunks``: 1 MiB of
-# floats, 32 steps at 4096 paths, so the draw, the partial sums and the
-# consumer's passes over a chunk stay in a core's L2 cache.  Defined here only;
-# ``lil._work_buffer`` reads it here too, so a patched tile reaches both.
+# floats, 32 steps at 4096 paths, so the draw, the partial sums and the passes
+# of the streaming kernel (``lil._consume``) stay in a core's L2 cache.  Defined
+# here only; its work buffer, ``lil._work_buffer``, reads it here too.
 _STREAM_TILE = 1 << 17
 
 # Centered laws of integer atoms: (Var(k) / atom_max^2 rounded, atom_max).  Uniform

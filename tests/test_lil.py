@@ -15,8 +15,8 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
 from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
-                       _abs_top, _checkpoint_steps, _max_normalized, _Realization,
-                       _walk)
+                       _abs_top, _checkpoint_steps, _consume, _max_normalized, _Realization,
+                       _walk, _windowed)
 from nclil import lil, martingales
 from nclil.cli import main
 from nclil.martingales import (BracketProfile, LinearBracket, _atom_chunks, iterlog_seq,
@@ -418,7 +418,7 @@ def _assert_chunks(draws, rows):
 
 
 class TestMaxNormalized:
-    """The consumers' screened divide against a full divide-then-max of
+    """The streaming kernel's screened divide against a full divide-then-max of
     |S + partials|, bit for bit; every case runs on the walk's integer
     partials of both laws (rademacher int8 and int16, uniform int32)."""
 
@@ -537,8 +537,44 @@ class TestMaxNormalized:
         assert len(work) == max(martingales._STREAM_TILE // 4, rows + 2)
 
 
+class TestConsumeColumns:
+    """Every entry of the streaming kernel's tables depends on its own path
+    only: run on column ranges of one chunker's blocks, the tables
+    concatenate to the columns of the full-width run bit for bit."""
+
+    @pytest.mark.parametrize("splits", [(37,), (37, 133)])       # 133 = 64 * 2 + 5
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    def test_column_ranges_concatenate(self, monkeypatch, law, splits):
+        paths, rows, total, variance = 200, _ODD_CHUNK, 3000, 0.37
+        monkeypatch.setattr(martingales, "_STREAM_TILE", rows * paths)
+        blocks = [(pos, block.copy())
+                  for pos, block in _atom_chunks(stream_rng(5), law, paths, total)]
+        bound, unit = reference_unit(law, variance)
+        profile = LinearBracket(variance, total, bound)
+        ends = stopping_indices(profile, 1.2).ks
+        cp_steps = _checkpoint_steps(total, 40)
+        assert len(blocks) > 2 and len(ends) > 10 and len(cp_steps) > 10
+
+        def tables(a, b):
+            walk = _walk(((pos, block[:, a:b].copy()) for pos, block in blocks), b - a)
+            norms = _windowed(lambda i, j: profile.norm_range(i, j) / unit, total)
+            return _consume(walk, b - a, ends, norms, cp_steps,
+                            np.min_scalar_type(ATOM_MAX[law] * total))
+
+        normmax, absmax, cp_abs, divided = tables(0, paths)
+        cuts = (0, *splits, paths)
+        parts = [tables(a, b) for a, b in zip(cuts, cuts[1:])]
+        for whole, part in ((normmax, [p[0] for p in parts]), (absmax, [p[1] for p in parts])):
+            got = np.concatenate(part, axis=1)
+            assert got.dtype == whole.dtype
+            np.testing.assert_array_equal(got, whole)
+        np.testing.assert_array_equal(np.concatenate([p[2] for p in parts], axis=0), cp_abs)
+        assert sum(p[3] for p in parts) == divided > 0
+        assert np.isfinite(normmax).all() and absmax.dtype.kind == "u"
+
+
 class TestWalkRegression:
-    """Bit-identity of the steps-major walk and its consumers with the
+    """Bit-identity of the steps-major walk and the streaming kernel with the
     paths-major reference: at an odd chunk size, for both laws at a non-unit
     variance and for rademacher at unit variance, all on integer partials,
     and in the engines' own 32-step tile at 4096 paths.  63 paths is odd and takes
@@ -546,12 +582,12 @@ class TestWalkRegression:
     edges: a walk past 65535 steps, one checkpoint, and no path kept."""
 
     @staticmethod
-    def check_report(monkeypatch, law, variance, paths, rows, horizon):
+    def check_report(monkeypatch, law, variance, paths, rows, horizon, eta=1.5):
         """lil-run against the reference walk, in chunks of ``rows`` steps;
         returns the dtypes of the draws' blocks."""
         draws = _patch_tile(monkeypatch, rows * paths)
-        cfg = LILRunConfig(params=LILParameters(eps_prime=0.02), horizon=horizon, paths=paths,
-                           law=law, variance=variance, seed=4, strict=False)
+        cfg = LILRunConfig(params=LILParameters(eta=eta, eps_prime=0.02), horizon=horizon,
+                           paths=paths, law=law, variance=variance, seed=4, strict=False)
         got, ref = run_lil_experiment(cfg), _reference_stream_report(cfg, rows)
         (count,) = _assert_chunks(draws, rows)             # one walk, several chunks
         assert count > 2
@@ -581,10 +617,17 @@ class TestWalkRegression:
         return {dtype for _, _, dtype in draws}
 
     @pytest.mark.parametrize("paths", [63, 64, 512])
-    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    def test_streaming_report_matches_reference(self, monkeypatch, law, paths):
+    @pytest.mark.parametrize("law, variance, eta", [
+        ("rademacher", 0.37, 1.5), ("uniform", 0.37, 1.5), ("rademacher", 1.0, 1.05)],
+        ids=["rademacher", "uniform", "unit-eta-1.05"])
+    def test_streaming_report_matches_reference(self, monkeypatch, law, variance, eta, paths):
+        """At eta 1.05 and unit variance blocks 1-6, 8-10, 12, 13, 15, 17 and 20
+        are empty, and the first chunk closes all of them and a few more."""
+        ks = stopping_indices(LinearBracket(variance, 6000, 1.0), eta).ks
+        empty = [n for n in range(1, len(ks) - 1) if ks[n] == ks[n + 1]]
+        assert empty == ([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 17, 20] if eta == 1.05 else [])
         dtype = np.int16 if law == "rademacher" else np.int32
-        assert self.check_report(monkeypatch, law, 0.37, paths, _ODD_CHUNK, 6000) == \
+        assert self.check_report(monkeypatch, law, variance, paths, _ODD_CHUNK, 6000, eta) == \
             {np.dtype(dtype)}
 
     @pytest.mark.parametrize("paths", [63, 64, 512])
@@ -679,12 +722,12 @@ class TestWalkRegression:
 class TestTallChunks:
     """At 2 and 4 paths the engines' own tile walks in chunks of 65536 and
     32768 rows, at least as many as a quarter tile's work buffer holds; the
-    consumers still take a whole chunk column in one call, and match the
-    reference walk."""
+    kernel still takes a whole chunk column in one ``_max_normalized`` call,
+    and both engines match the reference walk."""
 
     @staticmethod
     def tallest_call(monkeypatch):
-        """A list that collects the row count of every consumer call."""
+        """A list that collects the row count of every ``_max_normalized`` call."""
         heights = []
         screened = lil._max_normalized
 
@@ -757,7 +800,7 @@ class TestNormWindows:
     @pytest.mark.parametrize("v", [1.0, 0.37, 3.0])
     @pytest.mark.parametrize("window", [1, 7, 1000, lil._NORM_WINDOW])
     def test_pieces_of_a_walk(self, monkeypatch, v, window):
-        """The ranges a consumer asks for: 333-step chunks cut at lil-run's
+        """The ranges the kernel asks for: 333-step chunks cut at lil-run's
         section ends, then one 20000-step chunk (taller than every window)."""
         monkeypatch.setattr(lil, "_NORM_WINDOW", window)
         total = 30_000

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 import nclil
-from nclil import LILParameters, stopping_indices
-from nclil.martingales import _STREAM_TILE
+from nclil import LILParameters, lil, stopping_indices
+from nclil.martingales import _STREAM_TILE, LinearBracket
 from nclil.operators import _openblas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -57,15 +57,44 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
 
 
 def test_bench_walk_reads_the_engines_windows(monkeypatch):
-    """The consumer's normalizers come through the engines' window helper, as
-    in baseline-scalar: after a one-chunk warm-up, 5 chunks of 2048 steps (64
-    paths) take one window of _NORM_WINDOW = 8192 steps and one of the rest."""
+    """The kernel's normalizers are lil-run's, the closed-form bracket's
+    ``norm_range``, served through the engines' window helper: after a
+    one-chunk warm-up, 5 chunks of 2048 steps (64 paths) take one window of
+    _NORM_WINDOW = 8192 steps and one of the rest."""
     bench_walk = _load("bench_walk")
-    windows, den = [], bench_walk._baseline_den
-    monkeypatch.setattr(bench_walk, "_baseline_den",
-                        lambda a, b: windows.append((a, b)) or den(a, b))
+    windows, norm_range = [], LinearBracket.norm_range
+    monkeypatch.setattr(LinearBracket, "norm_range",
+                        lambda self, a, b: windows.append((a, b)) or norm_range(self, a, b))
     assert bench_walk.main(["--paths", "64", "--chunks", "5", "--repeats", "1"]) == 0
     assert windows == [(0, 2048), (0, 8192), (8192, 10240)]
+
+
+def test_bench_walk_consumes_with_lil_runs_kernel(monkeypatch):
+    """The consume layer is the engines' own kernel, called with lil-run's
+    section ends (then the walk's last step), its default checkpoint grid
+    and its integer dtype; the fraction flagged comes from the count of
+    divided columns the kernel returns."""
+    bench_walk = _load("bench_walk")
+    kernel, calls = lil._consume, []
+    assert bench_walk._consume is kernel
+
+    def recording(walk, paths, ends, norms, cp_steps, dtype):
+        result = kernel(walk, paths, ends, norms, cp_steps, dtype)
+        calls.append((paths, list(ends), cp_steps, dtype, result[3]))
+        return result
+
+    monkeypatch.setattr(bench_walk, "_consume", recording)
+    monkeypatch.setattr(lil, "_consume", recording)
+    total = 5 * 2048
+    lil.run_lil_experiment(lil.LILRunConfig(horizon=total, paths=64, strict=False))
+    (_, engine_ends, _, _, _), = calls
+    calls.clear()
+    assert bench_walk.main(["--paths", "64", "--chunks", "5", "--repeats", "1"]) == 0
+    paths, ends, cp_steps, dtype, divided = calls[-1]              # after the warm-up
+    assert paths == 64 and ends == [*engine_ends, total] and dtype == np.uint16
+    np.testing.assert_array_equal(
+        cp_steps, lil._checkpoint_steps(total, lil.LILRunConfig().checkpoints))
+    assert 0 < divided <= 64 * (len(set(range(0, total, 2048)) | set(ends)) - 1)
 
 
 def test_bench_walk_draw_layer_is_the_chunkers_next(monkeypatch, tmp_path):
