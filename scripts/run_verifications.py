@@ -9,9 +9,9 @@ Pass extra flags through to a single sweep by naming it, e.g.
 import sys
 import time
 
-from nclil.cli import main
+from nclil.cli import COMMANDS, main
 
-SWEEPS = ["ce", "expineq", "doob", "dualdoob", "chebyshev", "scalarineq"]
+SWEEPS = [name.removeprefix("verify-") for name in COMMANDS if name.startswith("verify-")]
 
 
 def run_one(name: str, extra) -> int:

@@ -37,9 +37,9 @@ from .operators import (Operator, Projection, SpectralDecomposition,
                         spectral_decomposition, spectral_projection,
                         symmetrize)
 from .rng import stream_rng
-from .verify import (SweepResult, default_ce_models, sweep_ce,
-                     sweep_chebyshev, sweep_doob, sweep_dual_doob,
-                     sweep_expineq, sweep_scalar_bound, write_rows_csv)
+from .verify import (SweepResult, sweep_ce, sweep_chebyshev, sweep_doob,
+                     sweep_dual_doob, sweep_expineq, sweep_scalar_bound,
+                     write_rows_csv)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,7 @@ __all__ = [
     "StoppingRule", "SweepResult", "TailReport", "TrendReport",
     "apply_function", "block_tail_bound", "bracket_norms",
     "chebyshev_bound", "column_maximal_norm_bounds",
-    "conditional_expectation", "default_ce_models",
+    "conditional_expectation",
     "doob_consequence_check", "dual_doob_check",
     "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
     "gen_model_martingale", "gen_tensor_martingale", "gue_matrix",

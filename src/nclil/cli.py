@@ -172,10 +172,9 @@ def _lil_run(cfg: dict) -> Outcome:
     run["model"] = None if run["model"] is None else AlgebraModel(**run["model"])
     report = lil.run_lil_experiment(lil.LILRunConfig(
         params=lil.LILParameters(**{k: cfg[k] for k in _LIL_PARAMS}), **run))
-    rows, cum = [], 0.0             # partial sums run over used blocks only
-    for b in report.blocks:
-        cum += b.bound.bound_final if b.used else 0.0
-        rows.append({**b.to_json(), "partial_sum": cum if b.used else ""})
+    sums = dict(zip(report.used_blocks, report.series_theory_cumulative))
+    rows = [{**b.to_json(), "partial_sum": float(sums[b.n]) if b.used else ""}
+            for b in report.blocks]
     cps = report.checkpoints
     cp_rows = [dict(zip(cps.keys(), vals)) for vals in zip(*cps.values())]
     return Outcome(

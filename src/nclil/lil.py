@@ -223,6 +223,15 @@ class TailReport:
         }
 
 
+def _require_int64_walk(law: str, horizon: int) -> None:
+    """Reject a horizon whose partial sums, up to atom_max * horizon in the
+    law's integer atoms, would not fit in int64, the widest integer a walk and
+    its bracket search count in."""
+    limit = -(-2 ** 63 // _STEP_LAWS[law][1])     # least horizon with atom_max * horizon >= 2^63
+    if horizon >= limit:
+        raise ConfigError(f"horizon must be < {limit} for the {law} law, got {horizon}")
+
+
 @dataclass
 class LILRunConfig:
     """One experiment: parameters plus a carrier.
@@ -255,6 +264,7 @@ class LILRunConfig:
             if self.paths < 1:
                 raise ConfigError("paths must be >= 1")
             _step_bound(self.law, self.variance)      # rejects the law or the variance
+            _require_int64_walk(self.law, self.horizon)
         if self.generator not in ("tensor", "model"):
             raise ConfigError(f"unknown dense generator {self.generator!r}")
         if self.checkpoints < 2:
@@ -700,6 +710,7 @@ class BaselineConfig:
         if self.horizon < 10:
             raise ConfigError("horizon must be >= 10")
         _step_bound(self.law, 1.0)      # rejects a law outside the table
+        _require_int64_walk(self.law, self.horizon)
 
     def to_json(self) -> dict:
         return {"paths": self.paths, "horizon": self.horizon, "law": self.law,
@@ -794,7 +805,9 @@ class SemicircleConfig:
         if self.size < 50:
             raise ConfigError("matrix size must be >= 50")
         cps = list(self.checkpoints)
-        if not cps or cps[0] < 1 or cps != sorted(set(cps)):
+        if len(cps) < 2:            # the trend compares the first checkpoint with the last
+            raise ConfigError("need at least two checkpoints")
+        if cps[0] < 1 or cps != sorted(set(cps)):
             raise ConfigError("checkpoints must be increasing positive integers")
 
     def to_json(self) -> dict:

@@ -12,7 +12,6 @@ every trial runs on one BLAS thread, whatever the caller's setting.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ class SweepResult:
 
 def write_rows_csv(rows: Sequence[dict], fileobj) -> None:
     if not rows:
-        fileobj.write("")
         return
     fields = []
     for r in rows:
@@ -113,55 +111,56 @@ def _run_trials(fn: Callable, args_list: Iterable, workers: int = 1) -> tuple[li
             return list(pool.map(fn, args_list, chunksize=chunksize)), threads
 
 
-def default_ce_models() -> list:
-    models = [AlgebraModel("tensor", 2, n) for n in range(2, 7)]
-    models += [AlgebraModel("pinching", 2, n) for n in range(2, 7)]
-    models.append(AlgebraModel("diagonal", 10, 4))
-    return models
+def _collect(name: str, trial: Callable, args: Iterable, workers: int,
+             violated: Callable[[dict], bool],
+             summarize: Callable[[list, list], dict]) -> SweepResult:
+    """One sweep: ``trial`` over ``args`` (``_run_trials``), each trial a list
+    of rows; the rows in trial order, the ``violated`` ones, and the summary
+    ``summarize(rows, violations)`` followed by the trials' BLAS threads."""
+    nested, threads = _run_trials(trial, args, workers)
+    rows = [r for chunk in nested for r in chunk]
+    violations = [r for r in rows if violated(r)]
+    return SweepResult(name=name, rows=rows, violations=violations,
+                       summary={**summarize(rows, violations), "blas_threads": threads})
 
 
-def sweep_ce(models: Sequence[AlgebraModel] | None = None, samples: int = 100,
-             seed: int = 0) -> SweepResult:
-    models = default_ce_models() if models is None else list(models)
-    reports, threads = _run_trials(
-        functools.partial(verify_ce_axioms, samples=samples, seed=seed), models)
-    rows = []
-    violations = []
-    worst = 0.0
-    for model, rep in zip(models, reports):
-        row = rep.to_json()
-        row["model"] = f"{model.kind}:m={model.m}:n={model.n}"
-        rows.append(row)
-        worst = max(worst, rep.worst)
-        if not rep.passed:
-            violations.append(row)
-    return SweepResult(
-        name="ce-axioms", rows=rows, violations=violations,
-        summary={"models": len(models), "samples": samples,
-                 "worst_residual": worst, "tol": CE_AXIOM_TOL, "blas_threads": threads})
+_CE_MODELS = ([AlgebraModel("tensor", 2, n) for n in range(2, 7)]
+              + [AlgebraModel("pinching", 2, n) for n in range(2, 7)]
+              + [AlgebraModel("diagonal", 10, 4)])
+
+
+def _ce_trial(args) -> list:
+    model, samples, seed = args
+    return [{**verify_ce_axioms(model, samples=samples, seed=seed).to_json(),
+             "model": f"{model.kind}:m={model.m}:n={model.n}"}]
+
+
+def sweep_ce(samples: int = 100, seed: int = 0) -> SweepResult:
+    return _collect(
+        "ce-axioms", _ce_trial, [(model, samples, seed) for model in _CE_MODELS], 1,
+        lambda r: not r["passed"],
+        lambda rows, _: {"models": len(rows), "samples": samples,
+                         "worst_residual": max(r["worst"] for r in rows), "tol": CE_AXIOM_TOL})
 
 
 def _draw_martingale(rng: np.random.Generator, kind: str, seed: int):
     """One random martingale of the given carrier kind, O(1) scales."""
     if kind == "tensor":
         depth = int(rng.integers(2, 9))
-        model = AlgebraModel("tensor", 2, depth)
         bounds = np.exp(0.3 * rng.standard_normal(depth))
         coupling = "haar" if rng.random() < 0.7 else "none"
-        return gen_tensor_martingale(model, bound_seq=bounds, coupling=coupling,
-                                     seed=seed), f"tensor:n={depth}"
+        return gen_tensor_martingale(AlgebraModel("tensor", 2, depth), bound_seq=bounds,
+                                     coupling=coupling, seed=seed), f"tensor:n={depth}"
     if kind == "pinching":
         depth = int(rng.integers(2, 7))
-        model = AlgebraModel("pinching", 2, depth)
         bounds = np.exp(0.3 * rng.standard_normal(depth))
-        return gen_model_martingale(model, bound_seq=bounds, seed=seed), f"pinching:n={depth}"
-    if kind == "ensemble":
-        horizon = int(np.round(10.0 ** rng.uniform(1.0, 4.0)))
-        law = "rademacher" if rng.random() < 0.5 else "uniform"
-        variance = float(np.exp(0.4 * rng.standard_normal()))
-        return gen_diagonal_martingale(horizon, paths=512, law=law, variance=variance,
-                                       seed=seed), f"ensemble:{law}:N={horizon}"
-    raise ConfigError(f"unknown martingale kind {kind!r}")
+        return gen_model_martingale(AlgebraModel("pinching", 2, depth), bound_seq=bounds,
+                                    seed=seed), f"pinching:n={depth}"
+    horizon = int(np.round(10.0 ** rng.uniform(1.0, 4.0)))       # ensemble
+    law = "rademacher" if rng.random() < 0.5 else "uniform"
+    variance = float(np.exp(0.4 * rng.standard_normal()))
+    return gen_diagonal_martingale(horizon, paths=512, law=law, variance=variance,
+                                   seed=seed), f"ensemble:{law}:N={horizon}"
 
 
 def _expineq_trial(args) -> list:
@@ -193,43 +192,28 @@ def sweep_expineq(trials: int = 1000, eps_values: Sequence[float] = (0.1, 0.5, 1
     _require_distinct(eps=eps_values)
     if not all(eps > 0.0 for eps in eps_values):
         raise ConfigError(f"eps must be positive, got {list(eps_values)}")
-    args = [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)]
-    nested, threads = _run_trials(_expineq_trial, args, workers)
-    rows = [r for chunk in nested for r in chunk]
-    violations = [r for r in rows if not r["holds"]]
-    return SweepResult(
-        name="exp-moment", rows=rows, violations=violations,
-        summary={"trials": trials, "checks": len(rows),
-                 "violations": len(violations),
-                 "min_margin": min(r["margin"] for r in rows),
-                 # lam = 0 has margin 0 exactly; None when the grid is lam = 0 alone
-                 "min_margin_positive_lambda": min(
-                     (r["margin"] for r in rows if r["lam"] > 0.0), default=None),
-                 "eps_values": list(eps_values), "lambda_points": lambda_points,
-                 "blas_threads": threads})
+    return _collect(
+        "exp-moment", _expineq_trial,
+        [(seed, i, tuple(eps_values), lambda_points) for i in range(trials)], workers,
+        lambda r: not r["holds"],
+        lambda rows, violations: {
+            "trials": trials, "checks": len(rows), "violations": len(violations),
+            "min_margin": min(r["margin"] for r in rows),
+            # lam = 0 has margin 0 exactly; None when the grid is lam = 0 alone
+            "min_margin_positive_lambda": min(
+                (r["margin"] for r in rows if r["lam"] > 0.0), default=None),
+            "eps_values": list(eps_values), "lambda_points": lambda_points})
 
 
 def _doob_trial(args) -> list:
     seed, i, kind, ps = args
     rng = stream_rng(seed, i, f"doob-{kind}")
     sub = int(rng.integers(2 ** 31))
-    if kind == "tensor":
-        depth = int(rng.integers(4, 7))
-        model = AlgebraModel("tensor", 2, depth)
-        path = gen_tensor_martingale(model, bound_seq=np.exp(0.3 * rng.standard_normal(depth)),
-                                     seed=sub)
-    elif kind == "pinching":
-        depth = int(rng.integers(4, 7))
-        model = AlgebraModel("pinching", 2, depth)
-        path = gen_model_martingale(model, bound_seq=np.exp(0.3 * rng.standard_normal(depth)),
-                                    seed=sub)
-    elif kind == "diagonal":
-        depth = int(rng.integers(8, 11))
-        model = AlgebraModel("diagonal", 2, depth)
-        path = gen_model_martingale(model, bound_seq=np.exp(0.3 * rng.standard_normal(depth)),
-                                    seed=sub)
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
+    depth = int(rng.integers(*((8, 11) if kind == "diagonal" else (4, 7))))
+    # looked up per call, so a wrapper installed on the module attribute sees it
+    generate = gen_tensor_martingale if kind == "tensor" else gen_model_martingale
+    path = generate(AlgebraModel(kind, 2, depth),
+                    bound_seq=np.exp(0.3 * rng.standard_normal(depth)), seed=sub)
     rows = []
     for p in ps:
         chk = doob_consequence_check(path, p)
@@ -250,17 +234,16 @@ def sweep_doob(trials_per_kind: int = 100, ps: Sequence[float] = (4.0, 6.0, 8.0)
     _require_distinct(kinds=kinds, ps=ps)
     if min(ps) < 4.0:
         raise ConfigError(f"doob check needs p >= 4, got {list(ps)}")
-    args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
-    nested, threads = _run_trials(_doob_trial, args, workers)
-    rows = [r for chunk in nested for r in chunk]
-    violations = [r for r in rows if r["certified_violation"]]
-    held = sum(1 for r in rows if r["holds"])
-    return SweepResult(
-        name="doob", rows=rows, violations=violations,
-        summary={"checks": len(rows), "held": held,
-                 "hold_rate": held / len(rows),
-                 "inconclusive": sum(1 for r in rows if r["verdict"] == "inconclusive-certificate"),
-                 "certified_violations": len(violations), "blas_threads": threads})
+
+    def summarize(rows, violations):
+        held = sum(1 for r in rows if r["holds"])
+        return {"checks": len(rows), "held": held, "hold_rate": held / len(rows),
+                "inconclusive": sum(1 for r in rows if r["verdict"] == "inconclusive-certificate"),
+                "certified_violations": len(violations)}
+    return _collect(
+        "doob", _doob_trial,
+        [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)],
+        workers, lambda r: r["certified_violation"], summarize)
 
 
 def _dual_doob_trial(args) -> list:
@@ -290,15 +273,13 @@ def sweep_dual_doob(trials_per_kind: int = 50, ps: Sequence[float] = (1.0, 1.5, 
     _require_distinct(kinds=kinds, ps=ps)
     if min(ps) < 1.0 or max(ps) > 2.0:
         raise ConfigError(f"dual doob check needs p in [1, 2], got {list(ps)}")
-    args = [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)]
-    nested, threads = _run_trials(_dual_doob_trial, args, workers)
-    rows = [r for chunk in nested for r in chunk]
-    violations = [r for r in rows if not r["holds"]]
-    return SweepResult(
-        name="dual-doob", rows=rows, violations=violations,
-        summary={"checks": len(rows), "violations": len(violations),
-                 "max_ratio": max(r["lhs"] / r["rhs"] for r in rows if r["rhs"] > 0),
-                 "blas_threads": threads})
+    return _collect(
+        "dual-doob", _dual_doob_trial,
+        [(seed, i, kind, tuple(ps)) for kind in kinds for i in range(trials_per_kind)],
+        workers, lambda r: not r["holds"],
+        lambda rows, violations: {
+            "checks": len(rows), "violations": len(violations),
+            "max_ratio": max(r["lhs"] / r["rhs"] for r in rows if r["rhs"] > 0)})
 
 
 def _chebyshev_trial(args) -> list:
@@ -306,20 +287,16 @@ def _chebyshev_trial(args) -> list:
     rng = stream_rng(seed, i, "chebyshev")
     dim = int(rng.integers(8, 33))
     count = int(rng.integers(2, 6))
-    xs = []
-    for _ in range(count):
-        xs.append(Operator(_gaussian_hermitian(rng, dim, 2.0 * np.sqrt(dim)), hermitian=True))
+    xs = [Operator(_gaussian_hermitian(rng, dim, 2.0 * np.sqrt(dim)), hermitian=True)
+          for _ in range(count)]
     p = float(rng.choice([2.0, 4.0, 6.0]))
-    bounds = column_maximal_norm_bounds(xs, p=max(p, 2.0))
+    bounds = column_maximal_norm_bounds(xs, p=p)
     top = max(bounds.upper, 1e-6)
     ts = np.linspace(0.2 * top, 1.5 * top, t_points)
-    rows = []
-    prev_s = None
-    monotone = True
+    rows, prev_s, monotone = [], math.inf, True
     for t in ts:
         res = chebyshev_bound(xs, float(t), p, bounds)
-        if prev_s is not None and res.probc_s > prev_s + 1e-12:
-            monotone = False
+        monotone = monotone and not res.probc_s > prev_s + 1e-12
         prev_s = res.probc_s
         rows.append({
             "trial": i, "dim": dim, "count": count, "p": p, "t": float(t),
@@ -332,38 +309,32 @@ def _chebyshev_trial(args) -> list:
 def sweep_chebyshev(trials: int = 20, t_points: int = 20, seed: int = 0,
                     workers: int = 1) -> SweepResult:
     _require_at_least(1, trials=trials, t_points=t_points)
-    args = [(seed, i, t_points) for i in range(trials)]
-    nested, threads = _run_trials(_chebyshev_trial, args, workers)
-    rows = [r for chunk in nested for r in chunk]
-    violations = [r for r in rows if not (r["holds"] and r["monotone_so_far"])]
-    return SweepResult(
-        name="chebyshev", rows=rows, violations=violations,
-        summary={"checks": len(rows), "violations": len(violations),
-                 "min_residual": min(r["residual"] for r in rows), "blas_threads": threads})
+    return _collect(
+        "chebyshev", _chebyshev_trial, [(seed, i, t_points) for i in range(trials)], workers,
+        lambda r: not (r["holds"] and r["monotone_so_far"]),
+        lambda rows, violations: {"checks": len(rows), "violations": len(violations),
+                                  "min_residual": min(r["residual"] for r in rows)})
 
 
-def _scalar_trial(args) -> dict:
+def _scalar_trial(args) -> list:
     u, p = args
     res = scalar_power_exp_bound(u, p)
-    return {"u": u, "p": p, "log_lhs": res.log_lhs, "log_rhs": res.log_rhs,
-            "holds": res.holds}
+    return [{"u": u, "p": p, "log_lhs": res.log_lhs, "log_rhs": res.log_rhs,
+             "holds": res.holds}]
 
 
 def sweep_scalar_bound(random_count: int = 400, seed: int = 0) -> SweepResult:
     _require_at_least(0, random_count=random_count)
-    us = [0.0]
-    grid = np.concatenate([np.logspace(-3.0, 5.0, 17)])
-    us += [float(v) for v in grid] + [float(-v) for v in grid]
+    grid = np.logspace(-3.0, 5.0, 17)
+    us = [0.0] + [float(v) for v in grid] + [float(-v) for v in grid]
     ps = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 64.0]
     rng = stream_rng(seed, label="scalar-bound")
     extra_u = rng.standard_normal(random_count) * 10.0 ** rng.integers(-2, 4, random_count)
     extra_p = 1.0 + np.abs(rng.standard_normal(random_count)) * 8.0
     points = [(u, p) for u in us for p in ps]
     points += [(float(u), float(p)) for u, p in zip(extra_u, extra_p)]
-    rows, threads = _run_trials(_scalar_trial, points)
-    violations = [r for r in rows if not r["holds"]]
-    return SweepResult(
-        name="scalar-bound", rows=rows, violations=violations,
-        summary={"checks": len(rows), "violations": len(violations),
-                 "min_log_margin": min(r["log_rhs"] - r["log_lhs"] for r in rows),
-                 "blas_threads": threads})
+    return _collect(
+        "scalar-bound", _scalar_trial, points, 1, lambda r: not r["holds"],
+        lambda rows, violations: {
+            "checks": len(rows), "violations": len(violations),
+            "min_log_margin": min(r["log_rhs"] - r["log_lhs"] for r in rows)})

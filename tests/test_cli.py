@@ -350,6 +350,9 @@ class TestConfigErrors:
         ["lil-run", "--horizon", "20000", "--paths", "64", "--delta-prime", "1e308"],
         ["lil-run", "--window-decades", "1e308"],
         ["lil-run", "--window-decades", "308.5"],
+        ["lil-run", "--horizon", "100000000000000000000"],
+        ["baseline-scalar", "--horizon", "100000000000000000000"],
+        ["demo-semicircular", "--checkpoints", "3"],
     ], ids=":".join)
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"

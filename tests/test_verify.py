@@ -14,11 +14,44 @@ from blas_pin import blas_threads, caller_blas_threads
 import nclil
 from nclil import verify
 from nclil.errors import ConfigError
-from nclil.filtration import CE_AXIOM_TOL, AlgebraModel
+from nclil.filtration import CE_AXIOM_TOL
 from nclil.operators import _openblas
-from nclil.verify import (SweepResult, default_ce_models, sweep_ce,
-                          sweep_chebyshev, sweep_doob, sweep_dual_doob,
-                          sweep_expineq, sweep_scalar_bound, write_rows_csv)
+from nclil.verify import (SweepResult, sweep_ce, sweep_chebyshev, sweep_doob,
+                          sweep_dual_doob, sweep_expineq, sweep_scalar_bound,
+                          write_rows_csv)
+
+
+# Each sweep at a small size, and its summary keys in order before blas_threads.
+_SMALL_SWEEPS = {
+    "ce-axioms": (lambda: sweep_ce(samples=2, seed=0),
+                  ["models", "samples", "worst_residual", "tol"]),
+    "exp-moment": (lambda: sweep_expineq(trials=1, lambda_points=2, seed=0),
+                   ["trials", "checks", "violations", "min_margin", "min_margin_positive_lambda",
+                    "eps_values", "lambda_points"]),
+    "doob": (lambda: sweep_doob(trials_per_kind=1, ps=(4.0,), kinds=("diagonal",), seed=0),
+             ["checks", "held", "hold_rate", "inconclusive", "certified_violations"]),
+    "dual-doob": (lambda: sweep_dual_doob(trials_per_kind=1, ps=(1.0,), kinds=("tensor",)),
+                  ["checks", "violations", "max_ratio"]),
+    "chebyshev": (lambda: sweep_chebyshev(trials=1, t_points=2, seed=0),
+                  ["checks", "violations", "min_residual"]),
+    "scalar-bound": (lambda: sweep_scalar_bound(random_count=1, seed=0),
+                     ["checks", "violations", "min_log_margin"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_SWEEPS))
+def test_summary_layout_and_counts(name):
+    """summary.json keeps each sweep's own keys in order, blas_threads last,
+    and its counts agree with the rows and violations returned."""
+    run, keys = _SMALL_SWEEPS[name]
+    res = run()
+    assert res.name == name
+    assert list(res.summary) == keys + ["blas_threads"]
+    if "checks" in res.summary:
+        assert res.summary["checks"] == len(res.rows)
+    count = res.summary.get("violations", res.summary.get("certified_violations"))
+    if count is not None:
+        assert count == len(res.violations)
 
 
 class TestSweepResult:
@@ -54,7 +87,7 @@ class TestWriteRowsCsv:
 
 class TestCeSweep:
     def test_default_model_list(self):
-        models = default_ce_models()
+        models = verify._CE_MODELS
         kinds = [m.kind for m in models]
         assert kinds.count("tensor") == 5
         assert kinds.count("pinching") == 5
@@ -62,10 +95,9 @@ class TestCeSweep:
         assert models[-1].dim == 10 ** 4
 
     def test_small_sweep_passes(self):
-        models = [AlgebraModel("tensor", 2, 3), AlgebraModel("diagonal", 10, 2)]
-        res = sweep_ce(models, samples=5, seed=1)
+        res = sweep_ce(samples=5, seed=1)
         assert res.ok
-        assert len(res.rows) == 2
+        assert len(res.rows) == len(verify._CE_MODELS)
         assert res.summary["worst_residual"] <= 1e-8
         assert res.summary["tol"] == CE_AXIOM_TOL
         assert all("model" in r for r in res.rows)
@@ -237,11 +269,8 @@ class TestBlasPin:
             assert blas_threads() == callers
 
     def test_every_sweep_stamps_its_thread_setting(self):
-        for res in (sweep_ce([AlgebraModel("tensor", 2, 2)], samples=2, seed=0),
-                    sweep_expineq(trials=1, lambda_points=2, seed=0),
-                    sweep_dual_doob(trials_per_kind=1, ps=(1.0,), kinds=("tensor",)),
-                    sweep_chebyshev(trials=1, t_points=2, seed=0),
-                    sweep_scalar_bound(random_count=1, seed=0)):
+        for run, _ in _SMALL_SWEEPS.values():
+            res = run()
             assert res.summary["blas_threads"] == 1, res.name
 
     def test_expineq_rows_ignore_the_callers_threads_and_workers(self):
