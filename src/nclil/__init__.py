@@ -25,17 +25,14 @@ from .lil import (BaselineConfig, BaselineReport, BlockRow, LILParameters,
                   LILRunConfig, SemicircleConfig, TailReport, TrendReport,
                   ks_distance, run_lil_experiment, scalar_kolmogorov_baseline,
                   semicircle_cdf, semicircular_demo)
-from .martingales import (MartingalePath, StoppingRule, bracket_norms,
-                          gen_diagonal_martingale, gen_model_martingale,
-                          gen_tensor_martingale, gue_matrix, iterlog,
-                          iterlog_seq, sample_step_increments,
-                          stopping_indices, validate_differences)
-from .operators import (Operator, Projection, SpectralDecomposition,
-                        apply_function, eigenvalues, lp_norm,
+from .martingales import (MartingalePath, StoppingRule, gen_diagonal_martingale,
+                          gen_model_martingale, gen_tensor_martingale, gue_matrix,
+                          iterlog, iterlog_seq, sample_step_increments,
+                          stopping_indices)
+from .operators import (Operator, Projection, eigenvalues, lp_norm,
                         min_eigenvalue, normalized_trace, psd_sqrt,
-                        real_statistic, singular_values,
-                        spectral_decomposition, spectral_projection,
-                        symmetrize)
+                        singular_values, spectral_decomposition,
+                        spectral_projection, symmetrize)
 from .rng import stream_rng
 from .verify import (SweepResult, sweep_ce, sweep_chebyshev, sweep_doob,
                      sweep_dual_doob, sweep_expineq, sweep_scalar_bound,
@@ -51,10 +48,9 @@ __all__ = [
     "HypothesisViolation", "InsufficientHorizonError", "LILParameters",
     "LILRunConfig", "MartingalePath", "NclilError", "Operator",
     "ProbcResult", "Projection", "ScalarBoundResult",
-    "SemicircleConfig", "ShapeError", "SpectralDecomposition",
-    "StoppingRule", "SweepResult", "TailReport", "TrendReport",
-    "apply_function", "block_tail_bound", "bracket_norms",
-    "chebyshev_bound", "column_maximal_norm_bounds",
+    "SemicircleConfig", "ShapeError", "StoppingRule", "SweepResult",
+    "TailReport", "TrendReport",
+    "block_tail_bound", "chebyshev_bound", "column_maximal_norm_bounds",
     "conditional_expectation",
     "doob_consequence_check", "dual_doob_check",
     "eigenvalues", "exp_moment_sides", "gen_diagonal_martingale",
@@ -62,10 +58,11 @@ __all__ = [
     "iterlog", "iterlog_seq", "ks_distance",
     "lp_norm", "min_eigenvalue", "normalized_trace",
     "probc_upper", "psd_sqrt", "random_full_element",
-    "random_level_element", "real_statistic", "run_lil_experiment",
+    "random_level_element", "run_lil_experiment",
     "sample_step_increments", "scalar_kolmogorov_baseline",
     "scalar_power_exp_bound", "semicircle_cdf", "semicircular_demo",
     "singular_values", "spectral_decomposition",
-    "spectral_projection", "stopping_indices", "stream_rng", "symmetrize",
-    "validate_differences", "verify_ce_axioms", "write_rows_csv",
+    "spectral_projection", "stopping_indices", "stream_rng", "sweep_ce",
+    "sweep_chebyshev", "sweep_doob", "sweep_dual_doob", "sweep_expineq",
+    "sweep_scalar_bound", "symmetrize", "verify_ce_axioms", "write_rows_csv",
 ]

@@ -226,8 +226,9 @@ class TailReport:
 def _require_int64_walk(law: str, horizon: int) -> None:
     """Reject a horizon whose partial sums, up to atom_max * horizon in the
     law's integer atoms, would not fit in int64, the widest integer a walk and
-    its bracket search count in."""
-    limit = -(-2 ** 63 // _STEP_LAWS[law][1])     # least horizon with atom_max * horizon >= 2^63
+    its bracket search count in, or whose steps float64 does not hold exactly
+    (2^53 and beyond), as the bracket ``LinearBracket`` takes them."""
+    limit = min(2 ** 53, -(-2 ** 63 // _STEP_LAWS[law][1]))    # the least horizon refused
     if horizon >= limit:
         raise ConfigError(f"horizon must be < {limit} for the {law} law, got {horizon}")
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -69,15 +68,8 @@ def _step_bound(law: str, variance) -> tuple[float, float]:
 
 
 def iterlog(x: float) -> float:
-    """L(x) = max(1, ln ln x) for x > e^e, else exactly 1."""
-    x = float(x)
-    if x <= 0.0:
-        raise NclilError(f"iterated logarithm needs x > 0, got {x}")
-    if x <= E_E:
-        return 1.0
-    # np.log, not math.log: the two libms can differ by an ulp, and the
-    # scalar must agree bit for bit with iterlog_seq.
-    return float(np.log(np.log(x)))
+    """L(x) = max(1, ln ln x) for x > e^e, else exactly 1: ``iterlog_seq`` of one value."""
+    return float(iterlog_seq(x))
 
 
 def iterlog_seq(xs) -> np.ndarray:
@@ -139,31 +131,6 @@ class MartingalePath:
         if self.partials is not None:
             return self.partials[n - 1]
         raise NclilError("partial sums were not retained for this path")
-
-
-def bracket_norms(model: AlgebraModel, diffs: Sequence[Operator]):
-    """Cumulative predictable bracket norms of a difference sequence.
-
-    Returns (s2, u) where s2[i] is the operator norm of the bracket
-    sum_{k<=i+1} E_{k-1}(d_k^2) and u[i] = iterlog(s2[i])^(1/2).  Only the
-    running bracket is held, never one operator per step.
-    """
-    s2 = np.empty(len(diffs))
-    acc = None
-    for i, d in enumerate(diffs):
-        inc = conditional_expectation(model, op.abs_square(d), i)  # E_{k-1} with k = i+1
-        acc = inc if acc is None else acc + inc
-        s2[i] = op.lp_norm(acc, np.inf)
-    return s2, np.sqrt(iterlog_seq(s2))
-
-
-def validate_differences(model: AlgebraModel, diffs: Sequence[Operator]) -> float:
-    """Worst-case ||E_{k-1}(d_k)||_inf over the sequence."""
-    worst = 0.0
-    for i, d in enumerate(diffs):
-        ed = conditional_expectation(model, d, i)
-        worst = max(worst, op.lp_norm(ed, np.inf))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -319,24 +286,28 @@ def _dense_bounds(model: AlgebraModel, bound_seq, horizon: int | None):
 
 
 def _assemble_dense_path(model, diffs, meta):
-    """Path of the differences, with its bracket profile from ``bracket_norms``.
+    """Path of the differences, checked and summed in one pass over them.
 
-    The differences are checked and summed here and not kept: the path
-    holds their partial sums.
+    Step k = i + 1 adds E_{k-1}(d_k^2) to the running bracket, whose operator
+    norm is s^2_k, and d_k to the partial sum; ||d_k||_inf is its bound and
+    the worst ||E_{k-1}(d_k)||_inf the martingale residual.  Only the running
+    bracket is held, never one operator per step, and the differences are
+    not kept: the path holds their partial sums.
     """
-    s2, u = bracket_norms(model, diffs)
-    partials = []
-    acc = None
-    for d in diffs:
-        acc = d if acc is None else acc + d
-        partials.append(acc)
-    dnorm = np.array([op.lp_norm(d, np.inf) for d in diffs])
-    resid = validate_differences(model, diffs)
+    s2, dnorm = np.empty(len(diffs)), np.empty(len(diffs))
+    partials, bracket, resid = [], None, 0.0
+    for i, d in enumerate(diffs):
+        inc = conditional_expectation(model, op.abs_square(d), i)
+        bracket = inc if bracket is None else bracket + inc
+        s2[i] = op.lp_norm(bracket, np.inf)
+        partials.append(d if i == 0 else partials[-1] + d)
+        dnorm[i] = op.lp_norm(d, np.inf)
+        resid = max(resid, op.lp_norm(conditional_expectation(model, d, i), np.inf))
     if resid > MD_RESIDUAL_TOL:
         raise NclilError(f"generated differences fail the martingale property ({resid:.3e})")
     return MartingalePath(
-        final=partials[-1], s2=s2, u=u, dnorm=dnorm, model=model, partials=partials,
-        md_residual=resid, meta=meta)
+        final=partials[-1], s2=s2, u=np.sqrt(iterlog_seq(s2)), dnorm=dnorm, model=model,
+        partials=partials, md_residual=resid, meta=meta)
 
 
 def gen_tensor_martingale(model: AlgebraModel, bound_seq=None, coupling: str = "haar",

@@ -26,8 +26,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,14 +37,6 @@ RECON_TOL = 1e-9        # eigendecomposition must reconstruct this well
 PROJ_ATOL = 1e-8        # idempotence residual for projections
 ENDPOINT_FUZZ = 1e-12   # snapping width for spectral interval endpoints
 IMAG_ATOL = 1e-10       # imaginary residual allowed in real statistics
-
-
-def real_statistic(z, context: str = "statistic") -> float:
-    """Collapse a nominally real scalar, asserting the imaginary residual."""
-    z = complex(z)
-    if abs(z.imag) > IMAG_ATOL * (1.0 + abs(z.real)):
-        raise NclilError(f"{context} has imaginary residual {z.imag:.3e}")
-    return float(z.real)
 
 
 _LAYOUTS = ("tensor", "pinching")
@@ -329,9 +320,12 @@ def normalized_trace(x: Operator):
         t = np.mean(x.data)
     else:
         t = np.trace(x.data) / x.data.shape[0]
-    if x.hermitian:
-        return real_statistic(t, "trace of hermitian operator")
-    return complex(t)
+    t = complex(t)
+    if not x.hermitian:
+        return t
+    if abs(t.imag) > IMAG_ATOL * (1.0 + abs(t.real)):
+        raise NclilError(f"trace of hermitian operator has imaginary residual {t.imag:.3e}")
+    return t.real
 
 
 def eigenvalues(x: Operator) -> np.ndarray:
@@ -374,31 +368,17 @@ def lp_norm(x: Operator, p: float) -> float:
     return top * float(np.mean((s / top) ** p) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and a unitary of eigenvectors (columns).
-
-    For a level-embedded operator both belong to the stored block.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 _DECOMP_DIM_CAP = 2048  # materializing eigenvectors of a larger block is a bug
 
 
-def spectral_decomposition(x: Operator) -> SpectralDecomposition:
-    if not x.hermitian:
-        raise NclilError("spectral decomposition requires a hermitian operator")
+def spectral_decomposition(x: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u): ascending eigenvalues and a unitary of eigenvectors (columns) of
+    the stored block of a dense hermitian operator."""
+    if not x.hermitian or x.diagonal:
+        raise NclilError("spectral decomposition requires a dense hermitian operator")
     if x.data.shape[0] > _DECOMP_DIM_CAP:
         raise ShapeError(f"refusing dense eigenvectors at block dim {x.data.shape[0]}")
-    if x.diagonal:
-        vals = x.data.real.astype(np.float64)
-        order = np.argsort(vals, kind="stable")
-        vecs = np.eye(x.dim, dtype=np.complex128)[:, order]
-        return SpectralDecomposition(vals[order], vecs)
-    return SpectralDecomposition(*hermitian_eigh(x.data))
+    return hermitian_eigh(x.data)
 
 
 def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,29 +409,15 @@ def hermitian_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def apply_function(x: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Spectral functional calculus f(x) for hermitian x; f maps the array of
-    eigenvalues to finite real values elementwise (``np.sqrt``, not ``math.sqrt``)."""
+def _spectral_map(x: Operator, f) -> np.ndarray:
+    """Stored data of f(x) for hermitian x: f of the diagonal, or
+    u diag(f(w)) u^H of the block; f maps the eigenvalue array w elementwise."""
     if not x.hermitian:
-        raise NclilError("functional calculus requires a hermitian operator")
+        raise NclilError("spectral calculus requires a hermitian operator")
     if x.diagonal:
-        vals = x.data.real.astype(np.float64)
-        out = _eval_on_spectrum(f, vals)
-        return Operator(out, hermitian=True, diagonal=True)
-    sd = spectral_decomposition(x)
-    out = _eval_on_spectrum(f, sd.eigenvalues)
-    u = sd.eigenvectors
-    return x._like((u * out) @ u.conj().T, True)
-
-
-def _eval_on_spectrum(f, vals: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(vals), dtype=np.float64)
-    if out.shape != vals.shape:
-        raise NclilError(f"function must act elementwise on the spectrum, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        bad = vals[~np.isfinite(out)][0]
-        raise NclilError(f"function is undefined at eigenvalue {bad!r}")
-    return out
+        return f(x.data.real)
+    w, u = spectral_decomposition(x)
+    return (u * f(w)) @ u.conj().T
 
 
 def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
@@ -460,28 +426,25 @@ def spectral_projection(x: Operator, lo: float, hi: float) -> Projection:
     Eigenvalues within ENDPOINT_FUZZ of an endpoint are snapped to it, so
     the half-open convention is stable under rounding.
     """
-    if not x.hermitian:
-        raise NclilError("spectral projection requires a hermitian operator")
     if not lo < hi:
         raise NclilError(f"empty interval ({lo}, {hi}]")
+    p = _spectral_map(x, lambda w: ((w > lo + ENDPOINT_FUZZ)
+                                    & (w <= hi + ENDPOINT_FUZZ)).astype(np.float64))
     if x.diagonal:
-        vals = x.data.real.astype(np.float64)
-        ind = (vals > lo + ENDPOINT_FUZZ) & (vals <= hi + ENDPOINT_FUZZ)
-        return Projection(ind.astype(np.float64), diagonal=True)
-    sd = spectral_decomposition(x)
-    ind = (sd.eigenvalues > lo + ENDPOINT_FUZZ) & (sd.eigenvalues <= hi + ENDPOINT_FUZZ)
-    u = sd.eigenvectors
-    p = (u * ind.astype(np.float64)) @ u.conj().T
+        return Projection(p, diagonal=True)
     return Projection(_hermitian_part(p), mult=x.mult, layout=x.layout)
 
 
 def psd_sqrt(x: Operator) -> Operator:
     """Square root of a nominally psd operator; negative float dust is clipped."""
-    ev = eigenvalues(x)
-    floor = -PROJ_ATOL * (1.0 + float(max(abs(ev[0]), abs(ev[-1]))))
-    if ev[0] < floor:
-        raise NclilError("operator is not positive semidefinite")
-    return apply_function(x, lambda t: np.sqrt(np.clip(t, 0.0, None)))
+    def root(w):
+        if w.min() < -PROJ_ATOL * (1.0 + float(np.max(np.abs(w)))):
+            raise NclilError("operator is not positive semidefinite")
+        return np.sqrt(np.clip(w, 0.0, None))
+    r = _spectral_map(x, root)
+    if x.diagonal:
+        return Operator(r, hermitian=True, diagonal=True)
+    return x._like(r, True)
 
 
 def singular_number(x: Operator, t: float) -> float:

@@ -352,6 +352,8 @@ class TestConfigErrors:
         ["lil-run", "--window-decades", "308.5"],
         ["lil-run", "--horizon", "100000000000000000000"],
         ["baseline-scalar", "--horizon", "100000000000000000000"],
+        ["lil-run", "--horizon", "9007199254740992"],
+        ["baseline-scalar", "--horizon", "9007199254740992"],
         ["demo-semicircular", "--checkpoints", "3"],
     ], ids=":".join)
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    HypothesisViolation, MartingalePath, NclilError, Operator,
-                   ShapeError, block_tail_bound, bracket_norms, chebyshev_bound,
+                   ShapeError, block_tail_bound, chebyshev_bound,
                    column_maximal_norm_bounds, doob_consequence_check,
                    dual_doob_check, exp_moment_sides, gen_model_martingale,
                    gen_tensor_martingale, lp_norm, min_eigenvalue,
@@ -29,15 +29,16 @@ from operator_samples import random_hermitian
 
 
 def two_spin_path():
-    """x_2 = sigma_z (x) 1 + 1 (x) sigma_z on the 2x2 tensor model."""
+    """x_2 = sigma_z (x) 1 + 1 (x) sigma_z on the 2x2 tensor model.
+
+    Each d_k^2 is the identity, so s^2 = [1, 2]; both lie below e^e, so u = 1.
+    """
     model = AlgebraModel("tensor", 2, 2)
     sz = np.diag([1.0, -1.0])
     d1 = Operator(np.kron(sz, np.eye(2)), hermitian=True)
     d2 = Operator(np.kron(np.eye(2), sz), hermitian=True)
-    diffs = [d1, d2]
-    s2, u = bracket_norms(model, diffs)
     partials = [d1, d1 + d2]
-    return MartingalePath(final=partials[-1], s2=s2, u=u,
+    return MartingalePath(final=partials[-1], s2=np.array([1.0, 2.0]), u=np.ones(2),
                           dnorm=np.array([1.0, 1.0]), model=model, partials=partials)
 
 
@@ -188,6 +189,16 @@ def lifted_constraints(xs):
     return cons, scale
 
 
+def reference_pos_part(x):
+    """Positive part of hermitian x at its own storage, from numpy's eigh of the
+    hermitian part of its stored block."""
+    if x.diagonal:
+        return Operator(np.clip(x.data, 0.0, None), hermitian=True, diagonal=True)
+    w, u = np.linalg.eigh(0.5 * (x.data + x.data.conj().T))
+    return Operator((u * np.clip(w, 0.0, None)) @ u.conj().T, hermitian=True,
+                    mult=x.mult, layout=x.layout)
+
+
 def reference_feasibilize(a, cons):
     """The repair loop on Operators: every gap is min_eigenvalue(a - c), none screened."""
     for _ in range(ineq._FEAS_ROUNDS):
@@ -198,7 +209,7 @@ def reference_feasibilize(a, cons):
                 worst_gap, worst = gap, c
         if worst is None or worst_gap > -ineq.REPAIR_GAP_TOL:
             return a, True
-        a = a + op.apply_function(worst - a, lambda t: np.clip(t, 0.0, None))
+        a = a + reference_pos_part(worst - a)
     return a, False
 
 

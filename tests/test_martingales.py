@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclil import (AlgebraModel, ConfigError, NclilError, ShapeError,
-                   bracket_norms, gen_diagonal_martingale,
+from nclil import (AlgebraModel, ConfigError, NclilError, Operator, ShapeError,
+                   conditional_expectation, gen_diagonal_martingale,
                    gen_model_martingale, gen_tensor_martingale, gue_matrix,
                    iterlog, iterlog_seq, lp_norm, normalized_trace,
                    sample_step_increments, stopping_indices, stream_rng,
-                   validate_differences)
+                   symmetrize)
 from nclil import martingales
 from step_atoms import ATOM_MAX, RATIO, reference_atoms, reference_unit
 
@@ -311,6 +311,14 @@ class TestLinearBracket:
         np.testing.assert_array_equal(profile.count_below(levels),
                                       np.searchsorted(s2, levels, side="left"))
 
+    def test_count_below_at_the_longest_horizon(self):
+        """The streaming engines refuse a horizon of 2^53 or more, so horizon + 1
+        is exact in float64 and the search starts on a step: no invalid cast."""
+        profile = martingales.LinearBracket(1.0, 2 ** 53 - 1, 1.0)
+        with np.errstate(all="raise"):
+            got = profile.count_below([1e19, 2.0 ** 53 - 1, 3.0])
+        assert got.tolist() == [2 ** 53 - 1, 2 ** 53 - 2, 2]
+
     @pytest.mark.parametrize("v", VARIANCES)
     def test_values_equal_the_whole_horizon_arrays(self, v):
         horizon = 200_000
@@ -332,7 +340,7 @@ class TestGenerators:
         model = AlgebraModel("tensor", 2, 6)
         path = gen_tensor_martingale(model, seed=2)
         assert path.horizon == 6
-        assert validate_differences(model, _differences(path)) < 1e-9
+        assert path.md_residual < 1e-9
         assert abs(normalized_trace(path.final)) < 1e-10
 
     def test_tensor_bound_sequence_respected(self):
@@ -345,16 +353,33 @@ class TestGenerators:
         for kind, m, n in [("tensor", 2, 4), ("pinching", 2, 4), ("diagonal", 2, 6)]:
             model = AlgebraModel(kind, m, n)
             path = gen_model_martingale(model, seed=8)
-            assert validate_differences(model, _differences(path)) < 1e-9
+            assert path.md_residual < 1e-9
             assert np.all(np.diff(path.s2) >= -1e-12)
             np.testing.assert_allclose(path.dnorm, 1.0, rtol=1e-9)
 
-    def test_bracket_norms_consistent(self):
+    def test_dense_path_equals_a_reference_loop(self):
+        """Bracket, bounds, residual and partial sums of a centered pinching:2:4
+        sequence, against conditional_expectation and lp_norm called directly."""
         model = AlgebraModel("pinching", 2, 4)
-        path = gen_model_martingale(model, seed=8)
-        s2, u = bracket_norms(model, _differences(path))
-        np.testing.assert_allclose(s2, path.s2, rtol=1e-12)
-        assert np.all(u >= 1.0)
+        diffs = _differences(gen_model_martingale(model, seed=8))
+        path = martingales._assemble_dense_path(model, diffs, {})
+        incs = [conditional_expectation(model, symmetrize(d.adjoint() @ d), i)
+                for i, d in enumerate(diffs)]
+        s2 = [lp_norm(sum(incs[:n]), np.inf) for n in range(1, len(diffs) + 1)]
+        np.testing.assert_array_equal(path.s2, s2)
+        np.testing.assert_array_equal(path.u, np.sqrt(iterlog_seq(s2)))
+        np.testing.assert_array_equal(path.dnorm, [lp_norm(d, np.inf) for d in diffs])
+        assert path.md_residual == max(lp_norm(conditional_expectation(model, d, i), np.inf)
+                                       for i, d in enumerate(diffs))
+        for n in range(1, len(diffs) + 1):
+            np.testing.assert_array_equal(path.partial(n).data, sum(diffs[:n]).data)
+
+    def test_dense_path_rejects_a_non_centered_difference(self):
+        model = AlgebraModel("pinching", 2, 4)
+        diffs = _differences(gen_model_martingale(model, seed=8))
+        diffs[2] = diffs[2] + Operator(np.full(model.dim, 1e-6), hermitian=True)
+        with pytest.raises(NclilError, match="fail the martingale property"):
+            martingales._assemble_dense_path(model, diffs, {})
 
     def test_diagonal_martingale_exact_bracket(self):
         path = gen_diagonal_martingale(horizon=500, paths=64, law="uniform",

@@ -1,4 +1,4 @@
-"""Operator layer: trace, norms, functional calculus, singular numbers.
+"""Operator layer: trace, norms, spectral routines, singular numbers.
 
 The singular-number closed form is checked against a brute-force scan of
 the defining infimum, computed here from scratch via numpy's svd so the
@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclil import (NclilError, Operator, Projection, ShapeError,
-                   apply_function, eigenvalues, lp_norm,
-                   min_eigenvalue, normalized_trace, psd_sqrt,
+                   eigenvalues, lp_norm, min_eigenvalue, normalized_trace, psd_sqrt,
                    singular_values, spectral_decomposition,
                    spectral_projection, stream_rng, symmetrize)
 from nclil import inequalities as ineq
@@ -193,6 +192,14 @@ class TestTraceAndNorms:
         assert abs(normalized_trace(Operator(np.eye(6), hermitian=True)) - 1.0) < 1e-15
         assert abs(normalized_trace(x) - np.trace(x.dense_array()).real / 6) < 1e-12
 
+    def test_hermitian_trace_checks_its_imaginary_residual(self):
+        """Diagonal entries 1e-5 j pass the hermitian check against entries of
+        1e6 but leave tau an imaginary part far above IMAG_ATOL."""
+        x = Operator([[1e-5j, 1e6], [1e6, 1e-5j]], hermitian=True)
+        with pytest.raises(NclilError, match="trace of hermitian operator has imaginary residual"):
+            normalized_trace(x)
+        assert normalized_trace(Operator(x.data)) == 1e-5j
+
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12))
     @settings(max_examples=60, deadline=None)
     def test_traciality(self, seed, d):
@@ -245,11 +252,14 @@ class TestSpectral:
 
     def test_decomposition_reconstructs(self, rng):
         x = random_hermitian(rng, 8)
-        dec = spectral_decomposition(x)
-        u = dec.eigenvectors
-        np.testing.assert_allclose((u * dec.eigenvalues) @ u.conj().T, x.dense_array(),
-                                   atol=1e-9)
+        w, u = spectral_decomposition(x)
+        np.testing.assert_allclose((u * w) @ u.conj().T, x.dense_array(), atol=1e-9)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
+
+    def test_decomposition_needs_dense_hermitian(self, rng):
+        for x in (Operator([3.0, -1.0, 2.0], hermitian=True), random_general(rng, 3)):
+            with pytest.raises(NclilError, match="dense hermitian"):
+                spectral_decomposition(x)
 
     @pytest.mark.parametrize("n", [8, 200])
     def test_hermitian_eigh_is_eigh_of_the_hermitian_part(self, rng, n):
@@ -279,47 +289,31 @@ class TestSpectral:
         with pytest.raises(NclilError, match="failed to reconstruct"):
             hermitian_eigh(block)
 
-    def test_diag_decomposition_sorted(self):
-        x = Operator([3.0, -1.0, 2.0], hermitian=True)
-        dec = spectral_decomposition(x)
-        assert list(dec.eigenvalues) == [-1.0, 2.0, 3.0]
-        u = dec.eigenvectors
-        np.testing.assert_allclose((u * dec.eigenvalues) @ u.conj().T, np.diag([3.0, -1.0, 2.0]),
-                                   atol=0)
-
-    def test_apply_function_polynomial(self, rng):
-        x = random_hermitian(rng, 6)
-        m = x.dense_array()
-        y = apply_function(x, lambda v: v ** 3 - 2.0 * v)
-        np.testing.assert_allclose(y.dense_array(), m @ m @ m - 2.0 * m, atol=1e-8)
-
-    def test_apply_function_domain_error(self):
-        """A function undefined somewhere on the spectrum gives no operator."""
-        x = Operator([-1.0, 1.0], hermitian=True)
-        with np.errstate(invalid="ignore"), pytest.raises(NclilError, match="undefined"):
-            apply_function(x, np.sqrt)
-        with pytest.raises(NclilError, match="elementwise"):
-            apply_function(x, lambda v: 1.0)
-
-    def test_exp_matches_scipy_free_route(self, rng):
-        # e^x via eigendecomposition against a Taylor sum
-        x = random_hermitian(rng, 5, scale=0.3)
-        m = x.dense_array()
-        acc = np.eye(5, dtype=complex)
-        term = np.eye(5, dtype=complex)
-        for k in range(1, 40):
-            term = term @ m / k
-            acc += term
-        np.testing.assert_allclose(apply_function(x, np.exp).dense_array(), acc, atol=1e-10)
-
     def test_psd_sqrt_and_abs(self, rng):
         x = random_hermitian(rng, 6)
-        a = apply_function(x, np.abs)
+        a = symmetrize(x @ x)
         assert min_eigenvalue(a) >= -1e-10
         s = psd_sqrt(a)
         np.testing.assert_allclose((s @ s).dense_array(), a.dense_array(), atol=1e-8)
         with pytest.raises(NclilError):
             psd_sqrt(Operator([-1.0, 1.0], hermitian=True))
+
+    @pytest.mark.parametrize("mult, layout", [(1, None), (3, "tensor")])
+    def test_psd_sqrt_makes_one_eigen_solve(self, rng, monkeypatch, mult, layout):
+        """The psd check reads the eigenvalues of the decomposition that the
+        root is rebuilt from, on a dense and on a level-embedded operator."""
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        x = Operator(_hermitian_part(g @ g.conj().T), hermitian=True, mult=mult, layout=layout)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, solve=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return solve(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        s = psd_sqrt(x)
+        assert calls == ["eigh"]
+        monkeypatch.undo()
+        np.testing.assert_allclose((s @ s).dense_array(), x.dense_array(), atol=1e-9)
 
     def test_pos_part(self):
         """The certificate search's positive part of a raw diagonal or dense block."""
