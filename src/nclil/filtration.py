@@ -33,10 +33,10 @@ from . import operators as op
 from .errors import ConfigError, ShapeError
 from .operators import Operator
 from .rng import stream_rng
+from .tolerances import CE_AXIOM_TOL
 
 DENSE_DIM_CAP = 4096       # largest dense block: the level-n block of a model
 DIAGONAL_DIM_CAP = 1 << 24
-CE_AXIOM_TOL = 1e-8
 _CE_CONTRACTION_PS = (1.0, 2.0, 4.0, np.inf)   # exponents of the L_p contraction check
 
 _KINDS = ("tensor", "pinching", "diagonal")
@@ -169,7 +169,6 @@ class CEAxiomReport:
     tower: float = 0.0
     positivity: float = 0.0
     contraction: float = 0.0
-    tol: float = CE_AXIOM_TOL
 
     @property
     def worst(self) -> float:
@@ -178,7 +177,7 @@ class CEAxiomReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tol
+        return self.worst <= CE_AXIOM_TOL
 
     def to_json(self) -> dict:
         return {

@@ -19,21 +19,16 @@ import numpy as np
 from . import operators as op
 from .errors import ConfigError, HypothesisViolation, NclilError, ShapeError
 from .filtration import AlgebraModel, conditional_expectation
-from .martingales import MD_RESIDUAL_TOL, MartingalePath
+from .martingales import MartingalePath
 from .operators import Operator
+from .tolerances import (BRACKET_TOL, CENTER_TOL, ENCLOSURE_ABS_TOL, ENCLOSURE_REL_TOL,
+                         FEAS_TOL, HOLD_TOL, MD_RESIDUAL_TOL, PSD_FLOOR, REPAIR_GAP_TOL,
+                         ROUND_REL, SEARCH_REL_TOL, TILT_CAP_ABS, TILT_FLOOR)
 
-CENTER_TOL = 1e-9       # hypothesis i: |tau(x_n)|
-BRACKET_TOL = 1e-9      # hypothesis iii: negative part allowed in D^2 - bracket
-HOLD_TOL = 1e-10        # slack on log-scale inequality comparisons
-FEAS_TOL = 1e-8         # certificate domination slack
-REPAIR_GAP_TOL = 1e-12  # a repair round ends once every domination gap is above -this
-ENCLOSURE_REL_TOL = 1e-8   # relative slack of lower <= upper in the column-norm enclosure
-ENCLOSURE_ABS_TOL = 1e-12  # absolute slack of the same comparison
 _EXP_CAP = 700.0        # beyond this, report inf and keep the log form
 _FEAS_ROUNDS = 60       # repair rounds of one feasibilization
 _SEARCH_ITERS = 500     # shrink-and-repair steps of the column-norm search
 _SHRINK = 0.9           # factor of one shrink step
-_SEARCH_REL_TOL = 1e-6  # relative objective gain below which the search stops
 
 
 def _log_mean_exp(values: np.ndarray, weights_log: float) -> float:
@@ -62,7 +57,7 @@ class ExpIneqParams:
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
         cap = self.admissible_max
-        if not -1e-15 <= self.lam <= cap * (1.0 + 1e-12) + 1e-300:
+        if not -TILT_FLOOR <= self.lam <= cap * (1.0 + ROUND_REL) + TILT_CAP_ABS:
             raise HypothesisViolation(
                 "lambda", f"tilt {self.lam} outside the admissible range [0, {cap}]")
 
@@ -112,7 +107,7 @@ def exp_moment_sides(path: MartingalePath, n: int, params: ExpIneqParams) -> Exp
     if center > CENTER_TOL:
         raise HypothesisViolation("i", f"tau(x_n) = {center:.3e} is not zero")
     worst_d = float(np.max(path.dnorm[:n]))
-    if worst_d > params.M * (1.0 + 1e-12):
+    if worst_d > params.M * (1.0 + ROUND_REL):
         raise HypothesisViolation("ii", f"difference norm {worst_d} exceeds M = {params.M}")
     # the bracket is psd, so domination by D2*identity is exactly a
     # comparison of its top eigenvalue, which s2 already records
@@ -198,14 +193,13 @@ def _pos_part(x: np.ndarray) -> np.ndarray:
     return (u * np.clip(w, 0.0, None)) @ u.conj().T
 
 
-def _feasibilize(a: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, bool]:
+def _feasibilize(a: np.ndarray, cons: np.ndarray, scale: float) -> tuple[np.ndarray, bool]:
     """Push the raw block a up by positive parts of its worst violation until it dominates.
 
-    Returns (a, converged).  Convergence means every gap is above
-    -REPAIR_GAP_TOL, which already passes _is_feasible; only an unconverged
-    a needs that check.  A repair adds a positive term to a, so by Weyl's
-    inequality no gap goes down: each round re-screens only the
-    constraints the round before found violated.
+    Returns (a, feasible).  Convergence means every gap is above -REPAIR_GAP_TOL, which
+    already passes the domination check, gaps >= -FEAS_TOL (1 + scale); only an unconverged
+    a is screened against it.  A repair adds a positive term to a, so by Weyl's inequality no
+    gap goes down: each round re-screens only the constraints the round before found violated.
     """
     live = np.arange(len(cons))
     for _ in range(_FEAS_ROUNDS):
@@ -215,11 +209,7 @@ def _feasibilize(a: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, bool]:
             return a, True
         a = a + _pos_part(cons[live[worst]] - a)
         live = live[gaps <= -REPAIR_GAP_TOL]
-    return a, False
-
-
-def _is_feasible(a: np.ndarray, cons: np.ndarray, scale: float) -> bool:
-    return bool(np.all(_screened_gaps(a, cons) >= -FEAS_TOL * (1.0 + scale)))
+    return a, bool(np.all(_screened_gaps(a, cons) >= -FEAS_TOL * (1.0 + scale)))
 
 
 def _require_enclosure(lower: float, upper: float) -> None:
@@ -249,8 +239,8 @@ class _Descent:
         self.wrap = functools.partial(Operator, hermitian=True, diagonal=like.diagonal,
                                       mult=like.mult, layout=like.layout)
         self.starts = [self.wrap(functools.reduce(np.add, self.cons))]
-        last, converged = _feasibilize(self.cons[-1], self.cons)
-        if converged or _is_feasible(last, self.cons, scale):
+        last, feasible = _feasibilize(self.cons[-1], self.cons, scale)
+        if feasible:
             self.starts.append(self.wrap(last))
         self.chains = [[a] for a in self.starts]
 
@@ -258,8 +248,7 @@ class _Descent:
         """a_j of the given start, or None past its first infeasible trial."""
         chain = self.chains[start]
         while len(chain) <= j and chain[-1] is not None:
-            trial, converged = _feasibilize(_SHRINK * chain[-1].data, self.cons)
-            feasible = converged or _is_feasible(trial, self.cons, self.scale)
+            trial, feasible = _feasibilize(_SHRINK * chain[-1].data, self.cons, self.scale)
             chain.append(self.wrap(trial) if feasible else None)
         return chain[j] if j < len(chain) else None
 
@@ -322,7 +311,7 @@ def column_maximal_norm_bounds(xs: Sequence[Operator], p: float) -> ColumnNormBo
         if trial is None:
             break
         obj = objective(trial)
-        if obj >= best_obj * (1.0 - _SEARCH_REL_TOL):
+        if obj >= best_obj * (1.0 - SEARCH_REL_TOL):
             break
         best, best_obj = trial, obj
     cert = op.psd_sqrt(best)
@@ -372,6 +361,15 @@ def doob_consequence_check(path: MartingalePath, p: float) -> DoobCheck:
                      holds=verdict == "holds", verdict=verdict, bounds=bounds)
 
 
+def _psd_scale(x: Operator, what: str) -> float:
+    """||x||_inf of a hermitian x that is psd up to PSD_FLOOR, from one eigen-solve."""
+    ev = op.eigenvalues(x)
+    scale = float(max(abs(ev[0]), abs(ev[-1])))
+    if ev[0] < -PSD_FLOOR * (1.0 + scale):
+        raise NclilError(f"{what} must be positive semidefinite")
+    return scale
+
+
 @dataclass(frozen=True)
 class DualDoobCheck:
     lhs: float
@@ -394,11 +392,7 @@ def dual_doob_check(model: AlgebraModel, positives: Sequence[Operator],
     if len(positives) == 0:
         raise ConfigError("need at least one operator")
     for a in positives:
-        if not a.hermitian:
-            raise NclilError("summands must be hermitian")
-        floor = -1e-10 * (1.0 + op.lp_norm(a, np.inf))
-        if op.min_eigenvalue(a) < floor:
-            raise NclilError("summands must be positive semidefinite")
+        _psd_scale(a, "summands")
     projected = sum(conditional_expectation(model, a, k) for k, a in enumerate(positives, 1))
     total = sum(positives)
     lhs = op.lp_norm(projected, p)
@@ -427,24 +421,15 @@ def probc_upper(xs: Sequence[Operator], t: float, dominator: Operator) -> ProbcR
         raise ConfigError(f"threshold must be positive, got {t}")
     if len(xs) == 0:
         raise ConfigError("need at least one operator")
-    b = dominator
-    if not b.hermitian:
-        raise NclilError("dominator must be hermitian")
-    ev = op.eigenvalues(b)
-    scale = float(max(abs(ev[0]), abs(ev[-1])))
-    if ev[0] < -1e-10 * (1.0 + scale):
-        raise NclilError("dominator must be positive semidefinite")
-    bsq = op.symmetrize(b @ b)
+    scale = _psd_scale(dominator, "dominator")
+    bsq = op.symmetrize(dominator @ dominator)
     for x in xs:
         gap = op.min_eigenvalue(bsq - op.abs_square(x))
         if gap < -FEAS_TOL * (1.0 + scale * scale):
             raise NclilError(f"dominator fails to dominate the family (gap {gap:.3e})")
-    e = op.spectral_projection(b, -math.inf, t)
+    e = op.spectral_projection(dominator, -math.inf, t)
     s = max(0.0, 1.0 - e.trace)    # rounding must not produce negative mass
-    worst = 0.0
-    for x in xs:
-        compressed = x @ e
-        worst = max(worst, op.lp_norm(compressed, np.inf))
+    worst = max(op.lp_norm(x @ e, np.inf) for x in xs)
     if worst > t + FEAS_TOL * (1.0 + t):
         raise NclilError(f"compression failed: ||x e|| = {worst} > t = {t}")
     return ProbcResult(s=float(s), e=e, threshold=float(t))
@@ -467,7 +452,7 @@ def chebyshev_bound(xs: Sequence[Operator], t: float, p: float,
     ``bounds`` is the family's column-norm enclosure; with b its
     certificate and e the spectral projection of b below t, the claim is
     the per-eigenvalue identity 1_{(t, inf)}(b) <= (b/t)^p traced out, so
-    the residual rhs - s must never go below -1e-10.
+    the residual rhs - s must never go below -HOLD_TOL.
     """
     pr = probc_upper(xs, t, bounds.certificate)
     norm_b = op.lp_norm(bounds.certificate, p) if p != bounds.p else bounds.upper
@@ -566,13 +551,16 @@ def block_tail_bound(n: int, eta: float, delta: float, eps: float, beta: float =
     c = beta ** 2 * (1.0 + delta) ** 2 / (4.0 * (1.0 + eps))
     exponent = (1.0 + eps) * lam ** 2 / ell - beta * (1.0 + delta) * lam
     bound_exact = 8.0 * math.exp(exponent)
-    bound_final = ell ** (-c)
+    try:
+        bound_final = ell ** (-c)
+    except OverflowError:           # ell < 1 and c large: the bound is vacuous
+        bound_final = math.inf
     alpha_cap = 2.0 * math.sqrt(eps) / (beta * (1.0 + delta))
     gate_alpha = None if alpha_next is None else bool(alpha_next <= alpha_cap)
     return BlockBound(
         n=n, eta=eta, delta=delta, eps=eps, beta=beta, ell=ell, lam=lam, p=p, c=c,
         bound_exact=bound_exact, bound_final=bound_final,
-        exact_le_final=bool(bound_exact <= bound_final * (1.0 + 1e-12)),
+        exact_le_final=bool(bound_exact <= bound_final * (1.0 + ROUND_REL)),
         gate_p=bool(p >= 4.0),
         gate_ell=bool(c * (ell - math.log(ell)) >= math.log(8.0)),
         gate_alpha=gate_alpha)

@@ -50,6 +50,7 @@ from .martingales import (_STEP_LAWS, BracketProfile, LinearBracket, StoppingRul
 from .martingales import sample_step_increments  # noqa: F401  (name read by perfbench's tracer test)
 from .operators import Projection
 from .rng import stream_rng
+from .tolerances import BC_TOLERANCES, KERNEL_CUT, ROUND_ABS, ROUND_REL
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class LILParameters:
 
     @property
     def reduction_certified(self) -> bool:
-        return self.transfer_constant <= self.threshold * (1.0 + 1e-12)
+        return self.transfer_constant <= self.threshold * (1.0 + ROUND_REL)
 
     def to_json(self) -> dict:
         return {
@@ -268,6 +269,12 @@ class LILRunConfig:
             _require_int64_walk(self.law, self.horizon)
         if self.generator not in ("tensor", "model"):
             raise ConfigError(f"unknown dense generator {self.generator!r}")
+        try:                    # ** 2 past the float range raises, as does such a horizon
+            squares = (self.bound_scale ** 2, (self.horizon * self.bound_scale) ** 2)
+        except OverflowError:
+            squares = (math.inf,)
+        if not all(sys.float_info.min <= v < math.inf for v in squares):
+            raise ConfigError("bound_scale^2 and (horizon * bound_scale)^2 must be normal floats")
         if self.checkpoints < 2:
             raise ConfigError("need at least two checkpoints")
         if not 0 < self.window_decades <= 308:     # 10**window_decades must be a float
@@ -488,15 +495,6 @@ class _Realization:
     cp_stats: dict
 
 
-# Slack of the summability checks per engine: (union slack, absolute and
-# relative limsup slack).  The dense kernel intersection is only
-# fuzz-accurate, hence its looser pair until it is computed exactly.
-_BC_TOLERANCES = {
-    "streaming-ensemble": (1e-12, 1e-12, 0.0),
-    "dense-certificate": (1e-8, 0.0, 1e-4),
-}
-
-
 def _bc_checks(deficit: float, union: float, limsup: float, thr: float,
                theory_total: float, tol: tuple) -> dict:
     """Summability wiring: which implications hold on this run."""
@@ -504,7 +502,7 @@ def _bc_checks(deficit: float, union: float, limsup: float, thr: float,
     union_ok = deficit <= union + union_slack
     limsup_ok = (not math.isfinite(limsup)) or limsup <= thr * (1.0 + limsup_rel) + limsup_abs
     certifies = theory_total < 1.0        # only then does theory say anything
-    implied_ok = (not certifies) or deficit <= theory_total + 1e-12
+    implied_ok = (not certifies) or deficit <= theory_total + ROUND_ABS
     return {
         "union_bound_ok": bool(union_ok),
         "limsup_below_threshold_ok": bool(limsup_ok),
@@ -538,12 +536,13 @@ def _block_report(engine: str, cfg: LILRunConfig, profile: BracketProfile,
     s2_end, u_end = profile.s2(ends), profile.u(ends)
     alpha_end = profile.dnorm(ends) * u_end / np.sqrt(s2_end)
     u_start = profile.u(ks[1:-1] + 1)              # step k_n + 1 of block n
+    bounds = [block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
+                               alpha_next=float(alpha_end[n - 1])) for n in range(1, B + 1)]
 
-    alpha_cap = 2.0 * math.sqrt(pars.eps) / (pars.beta * (1.0 + pars.delta))
     ratio_floor = 1.0 - pars.eps_prime_resolved
     # onset = one past the last block (index i, so block i + 1) that fails the gate
     n1 = int(np.flatnonzero(u_start / u_end < ratio_floor).max(initial=-1)) + 2
-    n2 = int(np.flatnonzero(alpha_end > alpha_cap).max(initial=-1)) + 2
+    n2 = max((b.n for b in bounds if not b.gate_alpha), default=0) + 1
     n0 = max(n1, n2)
     used = list(range(n0, B + 1))
     gates_waived = not used
@@ -557,9 +556,7 @@ def _block_report(engine: str, cfg: LILRunConfig, profile: BracketProfile,
     real = realize(rule, used)
     rows = [BlockRow(
         n=n, k_start=int(ks[n]), k_end=int(ks[n + 1]), s2_end=float(s2_end[n - 1]),
-        u_end=float(u_end[n - 1]), alpha_end=float(alpha_end[n - 1]),
-        bound=block_tail_bound(n, pars.eta, pars.delta, pars.eps, pars.beta,
-                               alpha_next=float(alpha_end[n - 1])),
+        u_end=float(u_end[n - 1]), alpha_end=float(alpha_end[n - 1]), bound=bounds[n - 1],
         q_block=float(real.q_block[n - 1]), q_theory=float(real.q_theory[n - 1]),
         semantics=real.semantics, used=n in used) for n in range(1, B + 1)]
     union = float(sum(rows[n - 1].q_block for n in used))
@@ -577,7 +574,7 @@ def _block_report(engine: str, cfg: LILRunConfig, profile: BracketProfile,
     terms = [rows[n - 1].bound.bound_final for n in used]
     cumulative = list(np.cumsum(terms))
     theory_total = float(cumulative[-1]) if cumulative else 0.0
-    bc = _bc_checks(real.deficit, union, limsup, thr, theory_total, _BC_TOLERANCES[engine])
+    bc = _bc_checks(real.deficit, union, limsup, thr, theory_total, BC_TOLERANCES[engine])
     cp = real.cp_steps
     cps = {"m": cp.tolist(), "s2": profile.s2(cp).tolist(), "u": profile.u(cp).tolist(),
            **real.cp_stats}
@@ -644,7 +641,7 @@ def _intersect_projections(projs: Sequence[Projection], model: AlgebraModel) -> 
             return Projection(np.ones(model.dim), diagonal=True)
         return Projection(np.eye(1), mult=model.dim, layout=model.kind)
     deficiency = sum(p.complement() for p in projs)
-    cut = 1e-10 * (1.0 + len(projs))
+    cut = KERNEL_CUT * (1.0 + len(projs))
     return op.spectral_projection(op.symmetrize(deficiency), -math.inf, cut)
 
 

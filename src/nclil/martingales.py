@@ -36,9 +36,10 @@ from .filtration import (AlgebraModel, _gaussian_hermitian, conditional_expectat
                          random_level_element)
 from .operators import Operator
 from .rng import stream_rng
+from .tolerances import (CENTERED_NORM_FLOOR, ENDPOINT_FUZZ, MD_RESIDUAL_TOL, MONOTONE_TOL,
+                         ROUND_REL, SITE_NORM_FLOOR)
 
 E_E = float(np.exp(np.e))    # below e^e the iterated logarithm clamps to 1
-MD_RESIDUAL_TOL = 1e-9       # martingale-property residual accepted downstream
 
 # Row b: the eight ±1 int8 signs of the bits of byte b, lowest first, as one uint64.
 _SIGNS = (2 * (np.arange(256)[:, None] >> np.arange(8) & 1) - 1).astype(np.int8).view(np.uint64)
@@ -107,9 +108,9 @@ class MartingalePath:
             raise ShapeError("profile arrays disagree in length")
         if N == 0:
             raise ConfigError("empty martingale")
-        if np.any(np.diff(self.s2) < -1e-12 * (1.0 + self.s2[-1])):
+        if np.any(np.diff(self.s2) < -MONOTONE_TOL * (1.0 + self.s2[-1])):
             raise NclilError("bracket profile must be nondecreasing")
-        if np.any(self.u < 1.0 - 1e-12):
+        if np.any(self.u < 1.0 - ROUND_REL):
             raise NclilError("iterated-logarithm profile dipped below 1")
 
     @property
@@ -232,23 +233,17 @@ class LinearBracket(BracketProfile):
             n += up.astype(np.int64) - down
 
 
-def stopping_indices(s2, eta: float) -> StoppingRule:
-    """The eta-adic stopping times of a nondecreasing bracket: a
-    BracketProfile, or an array of s^2_1 .. s^2_N."""
+def stopping_indices(profile: BracketProfile, eta: float) -> StoppingRule:
+    """The eta-adic stopping times of a nondecreasing bracket profile."""
     if not 1.0 < eta < 2.0:
         raise ConfigError(f"eta must lie in (1, 2), got {eta}")
-    if not isinstance(s2, BracketProfile):
-        arr = np.asarray(s2, dtype=np.float64)
-        if len(arr) == 0 or np.any(np.diff(arr) < -1e-12 * (1.0 + abs(float(arr[-1])))):
-            raise NclilError("bracket profile must be nonempty and nondecreasing")
-        s2 = BracketProfile(arr)
-    top = float(s2.s2(s2.horizon))
+    top = float(profile.s2(profile.horizon))
     n_max = 0
     if top >= eta * eta:
-        n_max = int(math.floor(math.log(top) / (2.0 * math.log(eta)) + 1e-12))
+        n_max = int(math.floor(math.log(top) / (2.0 * math.log(eta)) + ENDPOINT_FUZZ))
     ks = np.zeros(n_max + 1, dtype=np.int64)
     thresholds = eta ** (2.0 * np.arange(1, n_max + 1))
-    ks[1:] = s2.count_below(thresholds)
+    ks[1:] = profile.count_below(thresholds)
     return StoppingRule(eta=eta, ks=ks)
 
 
@@ -267,7 +262,7 @@ def _traceless_site(rng: np.random.Generator, m: int, norm: float) -> np.ndarray
         a = op._hermitian_part(g)
         a -= (np.trace(a).real / m) * np.eye(m)
         top = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        if top > 1e-8:
+        if top > SITE_NORM_FLOOR:
             return a * (norm / top)
     raise NclilError("failed to draw a nonzero traceless site operator")
 
@@ -372,7 +367,7 @@ def _centered_level_element(model: AlgebraModel, k: int, bound: float,
         cand = y - conditional_expectation(model, y, k - 1)
         del y                                   # not held while cand is scaled
         top = op.lp_norm(cand, np.inf)
-        if top > 1e-10:
+        if top > CENTERED_NORM_FLOOR:
             return cand * (bound / top)
     raise NclilError(f"level {k} produced no nonzero centered element")
 

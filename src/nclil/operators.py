@@ -31,13 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NclilError, ShapeError
-
-HERM_ATOL = 1e-10       # residual allowed when the hermitian flag is set
-RECON_TOL = 1e-9        # eigendecomposition must reconstruct this well
-PROJ_ATOL = 1e-8        # idempotence residual for projections
-ENDPOINT_FUZZ = 1e-12   # snapping width for spectral interval endpoints
-IMAG_ATOL = 1e-10       # imaginary residual allowed in real statistics
-
+from .tolerances import ENDPOINT_FUZZ, HERM_ATOL, IMAG_ATOL, PROJ_ATOL, RECON_TOL
 
 _LAYOUTS = ("tensor", "pinching")
 

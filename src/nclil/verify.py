@@ -21,8 +21,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import ConfigError
-from .filtration import (_KINDS, CE_AXIOM_TOL, AlgebraModel, _gaussian_hermitian,
-                         random_full_element, verify_ce_axioms)
+from .filtration import (_KINDS, AlgebraModel, _gaussian_hermitian, random_full_element,
+                         verify_ce_axioms)
 from .inequalities import (ExpIneqParams, chebyshev_bound,
                            column_maximal_norm_bounds, doob_consequence_check,
                            dual_doob_check, exp_moment_sides,
@@ -31,6 +31,7 @@ from .martingales import (gen_diagonal_martingale, gen_model_martingale,
                           gen_tensor_martingale)
 from .operators import Operator, _one_blas_thread, _pin_one_thread
 from .rng import stream_rng
+from .tolerances import CE_AXIOM_TOL, ROUND_ABS
 
 
 @dataclass
@@ -173,8 +174,7 @@ def _expineq_trial(args) -> list:
     D2 = path.s2_of(n)
     rows = []
     for eps in eps_values:
-        cap = np.sqrt(eps) / (M * (1.0 + eps))
-        for lam in np.linspace(0.0, cap, lambda_points):
+        for lam in np.linspace(0.0, ExpIneqParams(M, D2, eps, 0.0).admissible_max, lambda_points):
             params = ExpIneqParams(M=M, D2=D2, eps=float(eps), lam=float(lam))
             res = exp_moment_sides(path, n, params)
             rows.append({
@@ -291,12 +291,11 @@ def _chebyshev_trial(args) -> list:
           for _ in range(count)]
     p = float(rng.choice([2.0, 4.0, 6.0]))
     bounds = column_maximal_norm_bounds(xs, p=p)
-    top = max(bounds.upper, 1e-6)
-    ts = np.linspace(0.2 * top, 1.5 * top, t_points)
+    ts = np.linspace(0.2 * bounds.upper, 1.5 * bounds.upper, t_points)
     rows, prev_s, monotone = [], math.inf, True
     for t in ts:
         res = chebyshev_bound(xs, float(t), p, bounds)
-        monotone = monotone and not res.probc_s > prev_s + 1e-12
+        monotone = monotone and not res.probc_s > prev_s + ROUND_ABS
         prev_s = res.probc_s
         rows.append({
             "trial": i, "dim": dim, "count": count, "p": p, "t": float(t),

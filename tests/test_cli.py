@@ -355,6 +355,10 @@ class TestConfigErrors:
         ["lil-run", "--horizon", "9007199254740992"],
         ["baseline-scalar", "--horizon", "9007199254740992"],
         ["demo-semicircular", "--checkpoints", "3"],
+        ["lil-run", "--model", "tensor:2:4", "--horizon", "4", "--eta", "1.2",
+         "--allow-uncertified", "--bound-scale", "1e200"],
+        ["lil-run", "--model", "tensor:2:4", "--horizon", "4", "--eta", "1.2",
+         "--allow-uncertified", "--bound-scale", "1e-200"],
     ], ids=":".join)
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"

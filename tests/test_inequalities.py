@@ -23,7 +23,8 @@ from nclil import (AlgebraModel, ConfigError, ExpIneqParams,
                    scalar_power_exp_bound, stream_rng, symmetrize)
 from nclil import inequalities as ineq
 from nclil import operators as op
-from nclil.martingales import MD_RESIDUAL_TOL
+from nclil.tolerances import (ENCLOSURE_ABS_TOL, ENCLOSURE_REL_TOL, FEAS_TOL, MD_RESIDUAL_TOL,
+                              REPAIR_GAP_TOL, SEARCH_REL_TOL)
 
 from operator_samples import random_hermitian
 
@@ -120,13 +121,13 @@ class TestColumnBounds:
 
     def test_repair_gap_edge(self):
         a = np.array([0.0, 1.0])
-        at_edge = np.array([[ineq.REPAIR_GAP_TOL, 0.0]])
-        repaired, converged = ineq._feasibilize(a, at_edge)
-        assert converged and repaired is not a
-        assert np.array_equal(repaired, [ineq.REPAIR_GAP_TOL, 1.0])
-        inside = np.array([[np.nextafter(ineq.REPAIR_GAP_TOL, 0.0), 0.0]])
-        repaired, converged = ineq._feasibilize(a, inside)
-        assert converged and repaired is a
+        at_edge = np.array([[REPAIR_GAP_TOL, 0.0]])
+        repaired, feasible = ineq._feasibilize(a, at_edge, 0.0)
+        assert feasible and repaired is not a
+        assert np.array_equal(repaired, [REPAIR_GAP_TOL, 1.0])
+        inside = np.array([[np.nextafter(REPAIR_GAP_TOL, 0.0), 0.0]])
+        repaired, feasible = ineq._feasibilize(a, inside, 0.0)
+        assert feasible and repaired is a
 
     def test_mixed_storage_searches_dense(self, rng):
         diag = Operator(rng.standard_normal(4), hermitian=True)
@@ -141,7 +142,7 @@ class TestColumnBounds:
 
     @pytest.mark.parametrize("upper", [0.0, 1.0, 37.5])
     def test_enclosure_guard_edge(self, upper):
-        edge = upper * (1.0 + ineq.ENCLOSURE_REL_TOL) + ineq.ENCLOSURE_ABS_TOL
+        edge = upper * (1.0 + ENCLOSURE_REL_TOL) + ENCLOSURE_ABS_TOL
         ineq._require_enclosure(edge, upper)
         with pytest.raises(NclilError, match="lower bound exceeds"):
             ineq._require_enclosure(np.nextafter(edge, np.inf), upper)
@@ -207,14 +208,14 @@ def reference_feasibilize(a, cons):
             gap = min_eigenvalue(a - c)
             if gap < worst_gap:
                 worst_gap, worst = gap, c
-        if worst is None or worst_gap > -ineq.REPAIR_GAP_TOL:
+        if worst is None or worst_gap > -REPAIR_GAP_TOL:
             return a, True
         a = a + reference_pos_part(worst - a)
     return a, False
 
 
 def reference_feasible(a, cons, scale):
-    return all(min_eigenvalue(a - c) >= -ineq.FEAS_TOL * (1.0 + scale) for c in cons)
+    return all(min_eigenvalue(a - c) >= -FEAS_TOL * (1.0 + scale) for c in cons)
 
 
 def reference_bounds(xs, p):
@@ -235,7 +236,7 @@ def reference_bounds(xs, p):
         if not (converged or reference_feasible(trial, cons, scale)):
             break
         obj = objective(trial)
-        if obj >= best_obj * (1.0 - ineq._SEARCH_REL_TOL):
+        if obj >= best_obj * (1.0 - SEARCH_REL_TOL):
             break
         best, best_obj = trial, obj
     lower = max(lp_norm(x, p) for x in xs)
@@ -279,11 +280,11 @@ class TestScreenedGaps:
                     true_gap = min_eigenvalue(wrapped - c)
                     if np.isinf(gap):
                         cleared += 1
-                        assert true_gap >= -ineq.REPAIR_GAP_TOL
+                        assert true_gap >= -REPAIR_GAP_TOL
                     else:
                         exact += 1
                         assert gap == true_gap
-            a, _ = ineq._feasibilize(ineq._SHRINK * a, stack)
+            a, _ = ineq._feasibilize(ineq._SHRINK * a, stack, 0.0)
         assert exact > 0
         assert (cleared > 0) == (family != "diagonal")
 
@@ -434,6 +435,10 @@ class TestBlockBound:
                                  alpha_next=cap * 1.01)
         assert gated.gate_alpha is False
         assert gated.valid is False
+
+    def test_vacuous_final_bound_past_the_float_range_is_inf(self):
+        """ell = 2 ln 1.05 < 1 and c near 3e9: ell^-c is no float."""
+        assert block_tail_bound(n=1, eta=1.05, delta=0.1, eps=0.1, beta=1e5).bound_final == math.inf
 
     def test_exact_flips_below_final(self):
         small = block_tail_bound(n=1, eta=1.5, delta=0.1, eps=0.1)

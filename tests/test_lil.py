@@ -14,7 +14,7 @@ from nclil import (AlgebraModel, BaselineConfig, ConfigError,
                    Projection, SemicircleConfig, ks_distance,
                    run_lil_experiment, scalar_kolmogorov_baseline,
                    semicircle_cdf, semicircular_demo)
-from nclil.lil import (_BC_TOLERANCES, _bc_checks, _block_report,
+from nclil.lil import (_bc_checks, _block_report,
                        _abs_top, _checkpoint_steps, _consume, _max_normalized, _Realization,
                        _walk, _windowed)
 from nclil import lil, martingales
@@ -23,6 +23,7 @@ from nclil.martingales import (BracketProfile, LinearBracket, _atom_chunks, iter
                                stopping_indices)
 from nclil.operators import _openblas
 from nclil.rng import stream_rng
+from nclil.tolerances import BC_TOLERANCES
 from step_atoms import ATOM_MAX, reference_atoms, reference_unit
 
 
@@ -235,7 +236,7 @@ class TestBlockCore:
     ])
     def test_bc_tolerance_edges(self, engine, union_edge, limsup_edge):
         def bc(deficit=0.0, limsup=1.0):
-            return _bc_checks(deficit, 0.3, limsup, 2.2, 5.0, _BC_TOLERANCES[engine])
+            return _bc_checks(deficit, 0.3, limsup, 2.2, 5.0, BC_TOLERANCES[engine])
 
         assert bc(deficit=union_edge)["union_bound_ok"]
         assert not bc(deficit=np.nextafter(union_edge, np.inf))["union_bound_ok"]
@@ -804,7 +805,8 @@ class TestNormWindows:
         section ends, then one 20000-step chunk (taller than every window)."""
         monkeypatch.setattr(lil, "_NORM_WINDOW", window)
         total = 30_000
-        ends = [*stopping_indices(v * np.arange(1.0, total + 1), 1.5).ks[1:].tolist(), total]
+        profile = BracketProfile(v * np.arange(1.0, total + 1))
+        ends = [*stopping_indices(profile, 1.5).ks[1:].tolist(), total]
         cuts = sorted(set(range(0, 10_000, _ODD_CHUNK)) | {e for e in ends if e < 10_000}
                       | {10_000, total})
         norm, den = self.whole(v, total)

@@ -16,6 +16,7 @@ from nclil import (AlgebraModel, ConfigError, NclilError, Operator, ShapeError,
                    sample_step_increments, stopping_indices, stream_rng,
                    symmetrize)
 from nclil import martingales
+from nclil.martingales import BracketProfile
 from step_atoms import ATOM_MAX, RATIO, reference_atoms, reference_unit
 
 E_E = math.exp(math.e)
@@ -239,7 +240,7 @@ class TestStoppingRule:
         rng = stream_rng(12)
         s2 = np.cumsum(rng.uniform(0.1, 2.0, size=400))
         eta = 1.3
-        rule = stopping_indices(s2, eta)
+        rule = stopping_indices(BracketProfile(s2), eta)
         assert rule.ks[0] == 0
         for n in range(1, len(rule.ks)):
             k = int(rule.ks[n])
@@ -250,7 +251,7 @@ class TestStoppingRule:
 
     def test_block_ranges_partition(self):
         s2 = np.arange(1.0, 2001.0)
-        rule = stopping_indices(s2, 1.5)
+        rule = stopping_indices(BracketProfile(s2), 1.5)
         steps = []
         for n in range(1, rule.blocks + 1):
             steps.extend(rule.block_steps(n))
@@ -259,14 +260,14 @@ class TestStoppingRule:
     def test_eta_domain(self):
         for eta in (1.0, 2.0, 0.5):
             with pytest.raises(ConfigError):
-                stopping_indices(np.arange(1.0, 10.0), eta)
+                stopping_indices(BracketProfile(np.arange(1.0, 10.0)), eta)
 
     @given(seed=st.integers(0, 2**31), eta=st.floats(1.05, 1.95))
     @settings(max_examples=30, deadline=None)
     def test_monotone_thresholds(self, seed, eta):
         r = np.random.default_rng(seed)
         s2 = np.cumsum(r.uniform(0.01, 1.0, size=300))
-        ks = stopping_indices(s2, eta).ks
+        ks = stopping_indices(BracketProfile(s2), eta).ks
         assert np.all(np.diff(ks) >= 0)
 
 
@@ -284,7 +285,7 @@ class TestLinearBracket:
         above the steps 2^n, and 1024 is the last of them."""
         s2 = v * np.arange(1, horizon + 1, dtype=np.float64)
         got = stopping_indices(martingales.LinearBracket(v, horizon, 1.0), eta).ks
-        np.testing.assert_array_equal(got, stopping_indices(s2, eta).ks)
+        np.testing.assert_array_equal(got, stopping_indices(BracketProfile(s2), eta).ks)
 
     def test_thresholds_on_a_step(self):
         """eta = 1.25 at v = 2^-8: eta^2 = 400 v and eta^4 = 625 v exactly, so
@@ -294,7 +295,8 @@ class TestLinearBracket:
         ks = stopping_indices(martingales.LinearBracket(v, horizon, 1.0), 1.25).ks
         assert ks[1:3].tolist() == [399, 624]
         np.testing.assert_array_equal(
-            ks, stopping_indices(v * np.arange(1, horizon + 1, dtype=np.float64), 1.25).ks)
+            ks, stopping_indices(BracketProfile(v * np.arange(1, horizon + 1, dtype=np.float64)),
+                                 1.25).ks)
 
     @pytest.mark.parametrize("v", VARIANCES + (2.0 ** -8,))
     def test_count_below_on_and_beside_steps(self, v):

@@ -17,7 +17,7 @@ import numpy as np
 
 import nclil
 from nclil import LILParameters, lil, stopping_indices
-from nclil.martingales import _STREAM_TILE, LinearBracket
+from nclil.martingales import _STREAM_TILE, BracketProfile, LinearBracket
 from nclil.operators import _openblas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -46,7 +46,8 @@ def test_bench_walk_times_the_engines_tile(tmp_path):
         assert result["config"]["chunk"] == _STREAM_TILE // 64
         assert result["config"]["partial_dtype"] == dtype
         assert result["config"]["work_floats"] == max(_STREAM_TILE // 4, _STREAM_TILE // 64 + 2)
-        ks = stopping_indices(np.arange(1.0, _STREAM_TILE // 64 + 1), LILParameters().eta).ks
+        ks = stopping_indices(BracketProfile(np.arange(1.0, _STREAM_TILE // 64 + 1)),
+                              LILParameters().eta).ks
         assert result["config"]["boundaries"] == len(ks) - 1 == 9
         assert set(result["layers"]) == {"draw", "walk", "consume", "total"}
         assert 0.0 < result["flagged_fraction"] <= 1.0

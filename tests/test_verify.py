@@ -14,8 +14,8 @@ from blas_pin import blas_threads, caller_blas_threads
 import nclil
 from nclil import verify
 from nclil.errors import ConfigError
-from nclil.filtration import CE_AXIOM_TOL
 from nclil.operators import _openblas
+from nclil.tolerances import CE_AXIOM_TOL
 from nclil.verify import (SweepResult, sweep_ce, sweep_chebyshev, sweep_doob,
                           sweep_dual_doob, sweep_expineq, sweep_scalar_bound,
                           write_rows_csv)
